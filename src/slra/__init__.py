@@ -15,14 +15,11 @@ from .envelope import (
 )
 from .esprit import EspritEstimate, esprit_estimate, esprit_hankel_error
 from .matops import (
-    SvdFactors,
-    apply_svfc,
     f_alpha,
     f_hard,
     frobenius_inner,
     frobenius_norm,
     numerical_rank,
-    svd,
 )
 from .signals import (
     NoiseSpec,
@@ -51,10 +48,6 @@ from .subspace import (
     HankelSubspace,
     SubspaceOp,
     ZeroSubspace,
-    complement_project,
-    hankel_from_vector,
-    hankel_project,
-    vector_from_hankel,
 )
 
 __version__ = "0.1.0"

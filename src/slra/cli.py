@@ -3,8 +3,9 @@
 Subcommands: converge, singvals, gtdist, toy, freqest, solve.  Global
 flags set the seed, trial/iteration counts, step weight, penalty level and
 output directory; a JSON config file passed via --config overrides any
-flag.  Exit codes: 0 success, 1 numerical failure, 2 usage error.  The
-SLRA_THREADS environment variable caps the trial worker count.
+flag with a value of that flag's type.  Exit codes: 0 success, 1 numerical
+failure, 2 usage error.  The SLRA_THREADS environment variable caps the
+trial worker count.
 """
 
 import argparse
@@ -57,6 +58,13 @@ def build_parser():
     return p
 
 
+def _config_types(action):
+    """JSON types a config entry may take for an argparse ``action``."""
+    if action.dest == "sigma0":
+        return (str, int, float)  # an explicit level or 'gap:P'
+    return {int: (int,), float: (int, float)}.get(action.type, (str,))
+
+
 def _apply_config_file(args, parser):
     if not args.config:
         return
@@ -65,10 +73,16 @@ def _apply_config_file(args, parser):
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for p in (parser, *sub.choices.values()) for a in p._actions}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
+        types = _config_types(actions[attr])
+        if isinstance(value, bool) or not isinstance(value, types):
+            parser.error(f"config key {key!r} must be "
+                         f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         setattr(args, attr, value)
 
 

@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -138,13 +138,14 @@ def _pad_to(a, length):
     return np.concatenate([a, np.full(length - a.size, a[-1])])
 
 
-def _method_config(method, alpha, iters, track_primal):
-    common = dict(max_iters=iters, stop_tol=_NO_STOP, track_primal=track_primal)
-    if method == solvers.DA:
-        return SolverConfig.da(StepSchedule.harmonic(), **common)
+def _method_config(method, alpha, iters, track_primal=True, stop_tol=_NO_STOP):
+    common = dict(max_iters=iters, stop_tol=stop_tol, track_primal=track_primal)
     if method == solvers.ADA:
         return SolverConfig.ada(alpha, **common)
-    return SolverConfig.mod_ada(alpha, **common)
+    if method == solvers.MOD_ADA:
+        return SolverConfig.mod_ada(alpha, **common)
+    # da, or an unknown variant that SolverConfig rejects
+    return SolverConfig(method, StepSchedule.harmonic(), **common)
 
 
 def _cossum_trial(args):
@@ -250,7 +251,8 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
 
 
 def cmd_gtdist(config: ExperimentConfig) -> AggregateReport:
-    """Mean normalized squared distance to the ground truth per method."""
+    """Mean normalized distance ||H - H_gt|| / ||H_gt|| to the ground
+    truth per method."""
     report = run_cossum_study(config, track_primal=False)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -453,17 +455,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
     else:
         raise ValueError("solve needs an explicit sigma0 or a gap heuristic order")
     obj = RankObjective(F, s0)
-    if variant == solvers.DA:
-        cfg = SolverConfig.da(StepSchedule.harmonic(), max_iters=config.iters,
-                              stop_tol=stop_tol, rank_tol=rank_tol)
-    elif variant == solvers.ADA:
-        cfg = SolverConfig.ada(config.alpha, max_iters=config.iters,
-                               stop_tol=stop_tol, rank_tol=rank_tol)
-    elif variant == solvers.MOD_ADA:
-        cfg = SolverConfig.mod_ada(config.alpha, max_iters=config.iters,
-                                   stop_tol=stop_tol, rank_tol=rank_tol)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol)
     res = solvers.run(obj, sub, cfg)
 
     out = config.output_dir

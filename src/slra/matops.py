@@ -1,24 +1,8 @@
-"""Dense complex matrix primitives: SVD, Frobenius geometry, numerical rank,
-singular value functional calculus, and the scalar threshold maps."""
-
-from typing import Callable, NamedTuple
+"""Dense complex matrix primitives: singular values, Frobenius geometry,
+numerical rank, and the scalar threshold maps of the singular value
+functional calculus."""
 
 import numpy as np
-
-
-class SvdFactors(NamedTuple):
-    """Thin SVD triple: ``A = U @ diag(sigma) @ V.conj().T``.
-
-    ``U`` is (m, k), ``V`` is (n, k), both with orthonormal columns,
-    ``sigma`` is length k = min(m, n), non-negative and non-increasing.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self):
-        return (self.U * self.sigma) @ self.V.conj().T
 
 
 def _as_matrix(a):
@@ -47,23 +31,6 @@ def frobenius_inner(a, b) -> float:
 def frobenius_norm(a) -> float:
     """Frobenius norm sqrt(sum |a_ij|^2)."""
     return float(np.linalg.norm(_as_matrix(a)))
-
-
-def svd(a) -> SvdFactors:
-    """Thin singular value decomposition of a finite matrix.
-
-    Raises
-    ------
-    ValueError
-        If the input contains NaN or Inf entries.
-    numpy.linalg.LinAlgError
-        If the underlying decomposition fails to converge.
-    """
-    a = _as_matrix(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdFactors(u, s, vh.conj().T)
 
 
 def singular_values(a) -> np.ndarray:
@@ -115,17 +82,6 @@ def f_alpha(x, sigma0: float, alpha: float):
     top = xv >= knee
     out[top] = xv[top] / (1.0 + alpha / 2.0)
     return float(out[0]) if scalar else out
-
-
-def apply_svfc(a, f: Callable[[np.ndarray], np.ndarray]):
-    """Singular value functional calculus: replace each singular value
-    sigma_j by f(sigma_j), keeping the singular vectors.
-
-    ``f`` must be defined (elementwise, vectorized) on [0, sigma_1(a)].
-    """
-    u, s, v = svd(a)
-    fs = np.asarray(f(s), dtype=float)
-    return (u * fs) @ v.conj().T
 
 
 def numerical_rank(a, rel_tol: float = 1e-9) -> int:

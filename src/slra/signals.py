@@ -8,7 +8,7 @@ approximation and frequency estimation.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

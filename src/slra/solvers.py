@@ -10,8 +10,8 @@ Three variants share one loop:
                  decay to alpha, taking large steps early on.
 
 The multiplier always stays in the orthogonal complement of the constraint
-subspace.  Each iteration costs one SVD of F - Lambda/2 (plus one more per
-iteration when feasible primal values are tracked).
+subspace.  Each trace row costs one SVD of F - Lambda/2 (plus one more per
+row when feasible primal values are tracked).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
 the conjugate-based dual function at Lambda^n.  For ``ada`` the recorded
@@ -26,7 +26,7 @@ only bounded below with an extra factor 1/2).
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -161,7 +161,6 @@ class SolverConfig:
     alpha_reg: float = 0.0
     max_iters: int = 1000
     stop_tol: float = 1e-6
-    rank_tol: float = 1e-9
     track_primal: bool = True
 
     def __post_init__(self):
@@ -247,6 +246,15 @@ class SolverTrace:
                 fh.close()
 
     @classmethod
+    def from_rows(cls, rows):
+        """Trace from rows ordered as the CSV columns."""
+        data = np.array(rows, dtype=float).reshape(-1, len(_TRACE_COLUMNS))
+        cols = dict(zip(_TRACE_COLUMNS, data.T))
+        cols["n"] = cols["n"].astype(int)
+        cols["best_n"] = cols["best_n"].astype(int)
+        return cls(**cols)
+
+    @classmethod
     def read_csv(cls, path_or_file):
         own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
         fh = open(path_or_file, newline="") if own else path_or_file
@@ -257,18 +265,7 @@ class SolverTrace:
                 fh.close()
         if not rows or tuple(rows[0]) != _TRACE_COLUMNS:
             raise ValueError("not a solver trace CSV (bad header)")
-        data = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
-        if data.size == 0:
-            data = data.reshape(0, len(_TRACE_COLUMNS))
-        return cls(
-            n=data[:, 0].astype(int),
-            primal=data[:, 1],
-            dual=data[:, 2],
-            feas_residual=data[:, 3],
-            lambda_norm=data[:, 4],
-            step_norm=data[:, 5],
-            best_n=data[:, 6].astype(int),
-        )
+        return cls.from_rows([[float(v) for v in r] for r in rows[1:]])
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -308,160 +305,94 @@ class SolverResult:
         return "converged" if self.converged else "max_iters"
 
 
+#: dual value certifying row k, from the update at Lambda^k (``upd``), the
+#: multiplier itself, and the update that produced X^k with its projection
+#: (``prev`` is None at row 0, where X^0 := 0)
+_DUAL_AT_ROW = {
+    DA: lambda upd, lam, alpha, prev, px: upd.dual_da,
+    # Lagrangian at (X^k, Lambda^k): X^k minimizes the partially augmented
+    # Lagrangian at the updated multiplier, so this is the exact dual value
+    # there; row 0 has no such X^k and takes the plain dual, a lower bound
+    ADA: lambda upd, lam, alpha, prev, px: upd.dual_da if prev is None else (
+        prev.envelope_at_x
+        + 0.5 * alpha * float(np.real(np.vdot(px, px)))
+        + frobenius_inner(prev.x, lam)
+    ),
+    MOD_ADA: lambda upd, lam, alpha, prev, px: (
+        upd.envelope_at_x + frobenius_inner(upd.x, lam) + 0.5 * alpha * upd.x_norm_sq
+    ),
+}
+
+
 def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
-    ``objective`` must expose ``update(Lambda, alpha) -> PrimalUpdate``,
-    ``dual_value_da``, ``dual_value_ada`` and ``feasible_value`` (see
-    :class:`slra.envelope.RankObjective`).  Terminates when the feasibility
-    residual ||X^n - P(X^n)|| drops below ``stop_tol`` or after
-    ``max_iters`` iterations.
+    ``objective`` must expose ``update(Lambda, alpha) -> PrimalUpdate`` and
+    ``feasible_value`` (see :class:`slra.envelope.RankObjective`).  Row k of
+    the trace describes X^k (X^0 := 0) and Lambda^k; the one SVD of
+    F - Lambda^k/2 computed for row k prices its dual value and yields the
+    next primal iterate X^{k+1}.  Terminates when the feasibility residual
+    ||X^k - P(X^k)|| drops below ``stop_tol`` or after ``max_iters``
+    updates.
+
+    ``da`` returns the projected minimizer of the same SVD that priced the
+    first row of maximal dual value, ``ada`` and ``mod_ada`` the projected
+    last iterate.  Without any update (``max_iters == 0``) X_star is X^0.
     """
     if objective.shape != subspace.shape:
         raise ValueError(
             f"objective shape {objective.shape} != subspace shape {subspace.shape}"
         )
     alpha = config.alpha_reg
-    variant = config.variant
-    zeros = np.zeros(subspace.shape)
+    dual_at_row = _DUAL_AT_ROW[config.variant]
+    lam = np.zeros(subspace.shape)
+    prev, px = None, np.zeros(subspace.shape)  # update giving X^k, and P(X^k)
+    resid = step_norm = 0.0
+    rows = []
+    best = 0
+    degenerate = converged = False
+    failure = None
 
-    n_col = [0]
-    primal = [objective.feasible_value(zeros, alpha) if config.track_primal else np.nan]
-    dual = [np.nan]  # filled from the first iteration's SVD
-    feas = [0.0]
-    lam_norm = [0.0]
-    step_norm = [0.0]
-
-    lam = zeros
-    x_prev = zeros  # X^{n-1} during iteration n; X^0 := 0
-    x_last = zeros
-    best_val = -np.inf
-    best_idx = 0
-    best_x = zeros
-    degenerate = False
-    converged = False
-    n_done = 0
-
-    def _partial_trace():
-        k = len(n_col)
-        d = np.array(dual, dtype=float)
-        return SolverTrace(
-            n=np.array(n_col),
-            primal=np.array(primal, dtype=float),
-            dual=d,
-            feas_residual=np.array(feas, dtype=float),
-            lambda_norm=np.array(lam_norm, dtype=float),
-            step_norm=np.array(step_norm, dtype=float),
-            best_n=np.zeros(k, dtype=int),
-        )
-
-    for it in range(1, config.max_iters + 1):
+    for k in range(config.max_iters + 1):
         try:
             upd = objective.update(lam, alpha)
         except np.linalg.LinAlgError as exc:
-            raise SolverNumericalError(f"SVD failed at iteration {it}: {exc}",
-                                       trace=_partial_trace()) from exc
+            failure = f"SVD failed at row {k}: {exc}"
+            break
         degenerate = degenerate or upd.degenerate
-
-        # the SVD of F - Lambda^{it-1}/2 prices the dual at the previous row
-        if variant == DA:
-            dual[it - 1] = upd.dual_da
-        elif variant == MOD_ADA:
-            dual[it - 1] = (
-                upd.envelope_at_x
-                + frobenius_inner(upd.x, lam)
-                + 0.5 * alpha * upd.x_norm_sq
-            )
-        elif it == 1:
-            dual[0] = upd.dual_da  # valid lower bound for the augmented dual
-        if variant == DA and dual[it - 1] > best_val:
-            best_val = dual[it - 1]
-            best_idx = it - 1
-            best_x = x_prev
-
-        px = subspace.project(upd.x)
-        r = upd.x - px
-        resid = float(np.linalg.norm(r))
-        step = config.schedule.step(it - 1)
-        lam = lam + step * r
-        x_prev = x_last = upd.x
-
-        lam_in_m = float(np.linalg.norm(subspace.project(lam)))
-        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + float(np.linalg.norm(lam))):
-            raise SolverNumericalError(
-                f"multiplier left the complement subspace at iteration {it}",
-                trace=_partial_trace(),
-            )
-
-        n_col.append(it)
-        feas.append(resid)
-        lam_norm.append(float(np.linalg.norm(lam)))
-        step_norm.append(step * resid)
-        primal.append(
-            objective.feasible_value(px, alpha) if config.track_primal else np.nan
-        )
-        if variant == ADA:
-            # Lagrangian at (X^it, Lambda^it): X^it minimizes the partially
-            # augmented Lagrangian at the updated multiplier, so this is the
-            # exact dual value there.
-            dual.append(
-                upd.envelope_at_x
-                + 0.5 * alpha * float(np.real(np.vdot(px, px)))
-                + frobenius_inner(upd.x, lam)
-            )
-        else:
-            dual.append(np.nan)
-
-        n_done = it
-        if resid < config.stop_tol:
-            converged = True
+        dual = dual_at_row(upd, lam, alpha, prev, px)
+        if not rows or dual > rows[best][2]:
+            best, x_best = k, upd.x
+        rows.append((
+            k,
+            objective.feasible_value(px, alpha) if config.track_primal else np.nan,
+            dual, resid, float(np.linalg.norm(lam)), step_norm, best,
+        ))
+        if converged or k == config.max_iters:
             break
 
-    # settle the dual of the final row (and of row 0 when no iteration ran)
-    if variant == DA:
-        dual[n_done] = objective.dual_value_da(lam)
-    elif variant == MOD_ADA:
-        dual[n_done] = (
-            objective.dual_value_ada(lam, alpha) if n_done else objective.dual_value_da(lam)
-        )
-    elif n_done == 0:
-        dual[0] = objective.dual_value_da(lam)
-    if variant == DA and dual[n_done] > best_val:
-        best_val = dual[n_done]
-        best_idx = n_done
-        best_x = x_last
+        prev, px = upd, subspace.project(upd.x)
+        r = upd.x - px
+        resid = float(np.linalg.norm(r))
+        step = config.schedule.step(k)
+        lam = lam + step * r
+        step_norm = step * resid
+        lam_in_m = float(np.linalg.norm(subspace.project(lam)))
+        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + float(np.linalg.norm(lam))):
+            failure = f"multiplier left the complement subspace at iteration {k + 1}"
+            break
+        converged = resid < config.stop_tol
 
-    dual_arr = np.array(dual, dtype=float)
-    best_n = np.zeros(len(dual_arr), dtype=int)
-    bi, bv = 0, dual_arr[0]
-    for k in range(len(dual_arr)):
-        if dual_arr[k] > bv:
-            bi, bv = k, dual_arr[k]
-        best_n[k] = bi
-
-    trace = SolverTrace(
-        n=np.array(n_col),
-        primal=np.array(primal, dtype=float),
-        dual=dual_arr,
-        feas_residual=np.array(feas, dtype=float),
-        lambda_norm=np.array(lam_norm, dtype=float),
-        step_norm=np.array(step_norm, dtype=float),
-        best_n=best_n,
-    )
-
-    if variant == DA:
-        assert best_idx == int(best_n[-1])
-        x_out = subspace.project(best_x)
-    else:
-        x_out = subspace.project(x_last)
-
+    trace = SolverTrace.from_rows(rows)
+    if failure:
+        raise SolverNumericalError(failure, trace=trace)
     return SolverResult(
-        X_star=x_out,
+        X_star=subspace.project(x_best) if config.variant == DA and k else px,
         Lambda_star=lam,
         trace=trace,
         converged=converged,
         degenerate=degenerate,
-        n_iters=n_done,
+        n_iters=k,
     )
 
 

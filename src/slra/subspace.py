@@ -48,16 +48,6 @@ class ZeroSubspace(SubspaceOp):
         return np.zeros_like(x)
 
 
-class FullSubspace(SubspaceOp):
-    """The whole matrix space (unconstrained problems)."""
-
-    def __init__(self, rows: int, cols: int):
-        super().__init__(rows, cols, label="full")
-
-    def project(self, x):
-        return self._check_shape(x).copy()
-
-
 class HankelSubspace(SubspaceOp):
     """Matrices constant along antidiagonals, generated by a vector of
     length L = rows + cols - 1 via H[i, j] = v[i + j]."""
@@ -98,22 +88,3 @@ class HankelSubspace(SubspaceOp):
             raise ValueError(f"expected a vector of length {self.length}, got {v.shape}")
         return v[self._idx]
 
-
-def hankel_project(x, rows: int, cols: int):
-    """Project onto the Hankel matrices of the given shape."""
-    return HankelSubspace(rows, cols).project(x)
-
-
-def hankel_from_vector(v, rows: int, cols: int):
-    """Hankel matrix H[i, j] = v[i + j] from a length rows+cols-1 vector."""
-    return HankelSubspace(rows, cols).from_vector(v)
-
-
-def vector_from_hankel(x, rows: int, cols: int):
-    """Antidiagonal means; the generating vector for Hankel input."""
-    return HankelSubspace(rows, cols).to_vector(x)
-
-
-def complement_project(x, sub: SubspaceOp):
-    """Project onto the orthogonal complement of ``sub``."""
-    return sub.complement(x)

@@ -225,6 +225,36 @@ def test_degenerate_status_surfaced():
     assert res.status == "degenerate_warning"
 
 
+def test_numerical_failure_carries_priced_rows():
+    obj, sub, _ = hankel_problem(11, rows=8, cols=8)
+
+    class FailingObjective:
+        shape = obj.shape
+        feasible_value = staticmethod(obj.feasible_value)
+        calls = 0
+
+        def update(self, lam, alpha):
+            self.calls += 1
+            if self.calls == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return obj.update(lam, alpha)
+
+    cfg = SolverConfig.da(max_iters=10, stop_tol=1e-300)
+    with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
+        run(FailingObjective(), sub, cfg)
+    assert list(exc.value.trace.n) == [0, 1]
+    assert np.all(np.isfinite(exc.value.trace.dual))
+    exc.value.trace.check_invariants()
+
+    class HalfProjector(HankelSubspace):  # P(Lambda) != 0 after any step
+        def project(self, x):
+            return 0.5 * x
+
+    with pytest.raises(solvers.SolverNumericalError, match="complement") as exc:
+        run(obj, HalfProjector(8, 8), cfg)
+    assert list(exc.value.trace.n) == [0]
+
+
 def test_shape_mismatch_rejected():
     obj = RankObjective(np.ones((3, 3)), 1.0)
     with pytest.raises(ValueError):
