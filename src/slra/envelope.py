@@ -14,7 +14,7 @@ the standard example of dual ascent oscillating between primal minimizers.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,10 +24,33 @@ from .matops import f_alpha, f_hard, frobenius_inner, numerical_rank, singular_v
 #: flagged as degenerate (the minimizer stops being unique there)
 DEGENERATE_RTOL = 1e-8
 
+#: truncated SVD in :meth:`RankObjective.update`: block columns beyond the
+#: previous row's captured count, the size gate (block * _SIZE_GATE must
+#: not exceed min(M, N)), subspace iteration passes per row, and the
+#: residual ||G V_k - U_k S_k||_F the captured triplets may leave, as a
+#: share of the leading Ritz value
+_EXTRA_COLUMNS = 6
+_SIZE_GATE = 8
+_PASSES = 3
+_RESIDUAL_RTOL = 1e-12
+
 
 class DegenerateSingularValueWarning(UserWarning):
     """A singular value of F - Lambda/2 sits at the threshold sigma0, so
     the unaugmented primal update is not unique."""
+
+
+class WarmStart(NamedTuple):
+    """What one :meth:`RankObjective.update` hands to the next row of the
+    same solver run."""
+
+    g: np.ndarray      # F - Lambda/2 of the row
+    vh: np.ndarray     # leading right singular vectors of g, as rows
+    captured: int      # singular values of g at or above the cutoff tau
+    beta: float        # certified bound beta >= sigma_{captured+1}(g)
+    truncated: bool    # the row was priced by the truncated SVD
+    fallbacks: int     # truncated attempts of the run that fell back
+    wait: int          # rows still to price by the full SVD before trying again
 
 
 class PrimalUpdate(NamedTuple):
@@ -39,11 +62,69 @@ class PrimalUpdate(NamedTuple):
     envelope_at_x: float   # envelope value at x
     x_norm_sq: float       # ||x||^2
     degenerate: bool       # threshold tie detected (alpha == 0 only)
+    warm: Optional[WarmStart] = None  # start of the next row's truncated SVD
 
 
 def _env_terms(svals, sigma0):
     # sum_j sigma0^2 - max(sigma0 - sigma_j, 0)^2; vanishes at sigma_j = 0
     return float(np.sum(sigma0**2 - np.maximum(sigma0 - svals, 0.0) ** 2))
+
+
+def _certify(g, vk, sk, below, tau):
+    """A bound c > sigma_{k+1}(g), for k = len(sk), or None.
+
+    Positive definiteness of c^2 I - (g^H g - V_k S_k^2 V_k^H) puts g^H g
+    below c^2 I plus a rank-k term, so at most k singular values of g reach
+    c, whatever the accuracy of V_k and S_k (up to the rounding of g^H g).
+    Tried at c halfway from the first excluded Ritz value ``below`` to
+    ``tau``, then at ``tau``."""
+    gram = g.conj().T @ g - (vk * sk**2) @ vk.conj().T
+    eye = np.eye(gram.shape[0])
+    for c in (0.5 * (below + tau), tau):
+        try:
+            factor = np.linalg.cholesky(c * c * eye - gram)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(factor)):
+            return c
+    return None
+
+
+def _truncated_svd(g, warm, tau):
+    """Singular triplets of g at or above ``tau`` from a block subspace
+    iteration started at the previous row's right singular vectors.
+
+    Returns (u, s, vh, block, beta) -- the captured triplets, the block's
+    right Ritz vectors as rows and a certified beta >= sigma_{k+1}(g) below
+    tau -- or None when the truncation cannot be certified."""
+    p = warm.captured + _EXTRA_COLUMNS
+    v = warm.vh[:p].conj().T
+    if v.shape[1] < p:  # more values were captured than the block held
+        pad = np.random.default_rng(0).standard_normal((v.shape[0], p - v.shape[1]))
+        v = np.hstack([v, pad])
+    try:
+        for _ in range(_PASSES):
+            q, _ = np.linalg.qr(g @ v)
+            ub, s, vh = np.linalg.svd(q.conj().T @ g, full_matrices=False)
+            v = vh.conj().T
+            k = int(np.count_nonzero(s >= tau))
+            if k == p:  # the block cannot show where the values above tau end
+                return None
+            u = q @ ub[:, :k]
+            resid = float(np.linalg.norm(g @ v[:, :k] - u * s[:k]))
+            if np.isfinite(s[0]) and resid <= _RESIDUAL_RTOL * s[0]:
+                break
+        else:
+            return None
+        # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| = ||dLambda|| / 2
+        beta = warm.beta + float(np.linalg.norm(g - warm.g))
+        if k != warm.captured or not beta < tau:
+            beta = _certify(g, v[:, :k], s[:k], s[k], tau)
+            if beta is None:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    return u, s[:k], vh[:k], vh, beta
 
 
 @dataclass(frozen=True)
@@ -104,18 +185,57 @@ class RankObjective:
         """Dual function of the plain scheme, -conjugate(-Lambda)."""
         return -self.conjugate_value(-np.asarray(lam))
 
-    def update(self, lam, alpha: float = 0.0) -> PrimalUpdate:
+    def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None
+               ) -> PrimalUpdate:
         """Minimize envelope(X) + <X, Lambda> + (alpha/2)||X||^2 in closed
-        form via one SVD of F - Lambda/2, returning the minimizer together
-        with the quantities solvers track each iteration.
+        form via one SVD of G = F - Lambda/2, returning the minimizer
+        together with the quantities solvers track each iteration.
 
         For ``alpha == 0`` the same matrix also minimizes the non-convex
-        tilted objective (hard-threshold rule, ties kept at sigma0)."""
+        tilted objective (hard-threshold rule, ties kept at sigma0).
+
+        ``warm``, the previous row's ``PrimalUpdate.warm``, lets the SVD
+        be truncated.  Every quantity here vanishes on singular values
+        below sigma0, so only the k values at or above the cutoff
+        tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
+        previous row's count.  When 8 (k + 6) <= min(M, N), up to 3
+        passes of block subspace iteration on k + 6 columns, started at
+        the previous row's right singular vectors, compute Q = orth(G V)
+        and the Ritz triplets of the SVD of Q^H G.  They are accepted only
+        when fewer Ritz values than columns reach tau, the captured
+        triplets leave ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a
+        certified bound beta >= sigma_{k+1}(G) lies below tau.  Then,
+        by interlacing, exactly k singular values reach tau.  beta is
+        exact after a full SVD and grows by ||Lambda - Lambda_prev|| / 2
+        from row to row (Weyl); when k changes or beta reaches tau it is
+        re-established by a Cholesky factorization (see ``_certify``).
+        Otherwise the row falls back to the full SVD, and after the f-th
+        fallback of a run the next attempt comes 2^f rows after the failed
+        one.  A threshold tie can only sit among the captured values, so
+        ``degenerate`` keeps its meaning; a tie below the cutoff fails the
+        certificate and falls back."""
         lam = self._check(lam)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         g = self.F - lam / 2.0
-        u, s, vh = np.linalg.svd(g, full_matrices=False)
+        tau = self.sigma0 * (1.0 - DEGENERATE_RTOL)
+        fallbacks, wait, part = 0, 0, None
+        if warm is not None:
+            fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
+            columns = warm.captured + _EXTRA_COLUMNS
+            if not warm.wait and _SIZE_GATE * columns <= min(g.shape):
+                part = _truncated_svd(g, warm, tau)
+                if part is None:
+                    fallbacks += 1
+                    wait = 2**fallbacks - 1
+        if part is None:
+            u, s, vh = np.linalg.svd(g, full_matrices=False)
+            k = int(np.count_nonzero(s >= tau))
+            block = vh[:k + _EXTRA_COLUMNS]
+            beta = float(s[k]) if k < s.size else 0.0
+        else:
+            u, s, vh, block, beta = part
+            k = s.size
         fs = f_alpha(s, self.sigma0, alpha) if alpha > 0 else f_hard(s, self.sigma0)
         nz = fs > 0  # thresholded-away components contribute exact zeros
         x = (u[:, nz] * fs[nz]) @ vh[nz]
@@ -126,7 +246,8 @@ class RankObjective:
         degenerate = bool(
             alpha == 0 and np.any(np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0)
         )
-        return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate)
+        warm = WarmStart(g, block, k, beta, part is not None, fallbacks, wait)
+        return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate, warm)
 
     def tilted_minimizer(self, lam, alpha: float = 0.0):
         """Closed-form minimizer S_{f_alpha}(F - Lambda/2).
@@ -217,7 +338,7 @@ class ToyObjective:
     def tilted_minimizer(self, lam, alpha: float = 0.0):
         return self.update(lam, alpha).x
 
-    def update(self, lam, alpha: float = 0.0) -> PrimalUpdate:
+    def update(self, lam, alpha: float = 0.0, warm=None) -> PrimalUpdate:
         lam_v = self._scalar(lam)
         if alpha == 0:
             # non-convex argmin; ties broken towards +1 for determinism

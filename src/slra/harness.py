@@ -4,24 +4,26 @@ estimation comparison against ESPRIT, and a general solve entry point.
 
 Trials fan out over a process pool (capped by the SLRA_THREADS environment
 variable); every trial derives its own generator seed from the base seed
-and the trial index, and aggregation runs in fixed trial order, so results
-are bit-reproducible for any worker count.
+and the trial index, and aggregation runs in fixed trial order.  Trials
+run on one OpenBLAS thread, in the pool's workers and in this process
+alike, so results are bit-reproducible for any worker count wherever
+that pinning works: with numpy's OpenBLAS.  Elsewhere a note on stderr
+says that nothing is pinned, and the last digits may then follow the
+BLAS thread count.
 """
 
 import contextlib
+import ctypes
+import functools
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - optional speedup only
-    threadpool_limits = None
 
 from . import solvers
 from .envelope import RankObjective, ToyObjective
@@ -106,24 +108,67 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_worker_limiter = None
+#: (getter, setter) symbol pairs of the OpenBLAS thread count: the
+#: scipy-openblas build in numpy's wheels, then a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded,
+    or None, said once on stderr, when no loaded library has them."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    print("slra: no OpenBLAS found; BLAS threads are not pinned", file=sys.stderr)
+    return None
 
 
 def _pin_blas_single_threaded():
     # at the matrix sizes used here, threaded BLAS kernels are slower than
     # single-threaded ones and oversubscribe the trial worker pool
-    global _worker_limiter
-    if threadpool_limits is not None:
-        _worker_limiter = threadpool_limits(limits=1)
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[1](1)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """One BLAS thread inside the block, the previous count after it."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _map_trials(fn, items):
     items = list(items)
     workers = min(_worker_count(), len(items)) if items else 1
     if workers <= 1:
-        ctx = (threadpool_limits(limits=1) if threadpool_limits is not None
-               else contextlib.nullcontext())
-        with ctx:
+        with _single_blas_thread():
             return [fn(it) for it in items]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pin_blas_single_threaded
@@ -349,6 +394,7 @@ def _freqest_trial(args):
         (l2_es - l2_da) * scale,
         int(res.converged),
         res.n_iters,
+        res.full_svds,
     )
 
 
@@ -357,7 +403,9 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     """Frequency-estimation comparison over the SNR grid.
 
     Returns per-trial scaled error differences (ESPRIT minus dual ascent;
-    positive Frobenius difference means dual ascent wins) keyed by SNR.
+    positive Frobenius difference means dual ascent wins) keyed by SNR,
+    and the share of solver rows priced by a full rather than a truncated
+    SVD.
     """
     items = []
     for li, snr in enumerate(snr_levels):
@@ -368,6 +416,7 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     l2 = np.array([r[1] for r in results]).reshape(len(snr_levels), config.trials)
     conv = np.array([r[2] for r in results], dtype=bool)
     iters = np.array([r[3] for r in results])
+    full_svds = sum(r[4] for r in results)
     return {
         "snr_levels": np.asarray(snr_levels, dtype=float),
         "frob_diff": frob,
@@ -376,6 +425,7 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
         "l2_negative_fraction": float(np.mean(l2 < 0)),
         "converged_fraction": float(np.mean(conv)),
         "mean_iters": float(np.mean(iters)),
+        "full_svd_fraction": full_svds / int(np.sum(iters + 1)),
     }
 
 
@@ -417,6 +467,7 @@ def cmd_freqest(config: ExperimentConfig) -> AggregateReport:
         "l2_negative_fraction": study["l2_negative_fraction"],
         "converged_fraction": study["converged_fraction"],
         "mean_iters": study["mean_iters"],
+        "full_svd_fraction": study["full_svd_fraction"],
     })
     return AggregateReport(trials=config.trials, freqest=study)
 

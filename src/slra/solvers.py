@@ -10,8 +10,12 @@ Three variants share one loop:
                  decay to alpha, taking large steps early on.
 
 The multiplier always stays in the orthogonal complement of the constraint
-subspace.  Each trace row costs one SVD of F - Lambda/2 (plus one more per
-row when feasible primal values are tracked).
+subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
+(plus one values-only SVD per row when feasible primal values are
+tracked): the objective may price a row from a warm-started truncated SVD
+that starts from the previous row's singular vectors, and falls back to
+the full SVD whenever it cannot certify the truncation (see
+:meth:`slra.envelope.RankObjective.update`).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
 the conjugate-based dual function at Lambda^n.  For ``ada`` the recorded
@@ -41,6 +45,15 @@ VARIANTS = (DA, ADA, MOD_ADA)
 
 #: multiplier must stay in the complement up to this relative tolerance
 _LAMBDA_SUBSPACE_TOL = 1e-10
+
+#: a row becomes the best iterate when its dual is within this share of
+#: max(1, |running maximum|) of the running maximum, so that the choice
+#: does not hang on rounding once the dual flattens
+_BEST_DUAL_RTOL = 1e-12
+
+
+def _best_dual_tol(top):
+    return _BEST_DUAL_RTOL * np.maximum(1.0, np.abs(top))
 
 
 class ScheduleError(ValueError):
@@ -273,15 +286,24 @@ class SolverTrace:
         return buf.getvalue()
 
     def check_invariants(self):
-        """best_n must be the first maximizer of the duals seen so far and
-        therefore non-decreasing."""
-        best = np.maximum.accumulate(self.dual)
+        """best_n[k] must be the latest row up to k whose dual lies within
+        the best-iterate tolerance of the maximal dual so far, and
+        therefore non-decreasing.
+
+        The CSV keeps 13 significant digits, which can move a difference
+        of duals by as much as the tolerance itself, so the check allows
+        that much on each side: best_n[k] may lie up to twice the
+        tolerance below the maximum, and no later row may reach it."""
+        top = np.fmax.accumulate(self.dual)
+        tol = _best_dual_tol(top)
         for k in range(len(self)):
             b = int(self.best_n[k])
             if not (0 <= b <= k):
                 raise AssertionError(f"best_n[{k}] = {b} out of range")
-            if self.dual[b] != best[k]:
-                raise AssertionError(f"best_n[{k}] does not maximize the dual")
+            if not self.dual[b] >= top[k] - 2.0 * tol[k]:
+                raise AssertionError(f"best_n[{k}] is not within tolerance of the maximal dual")
+            if np.any(self.dual[b + 1:k + 1] >= top[k]):
+                raise AssertionError(f"best_n[{k}] is not the latest row within tolerance")
         if np.any(np.diff(self.best_n) < 0):
             raise AssertionError("best_n decreases")
 
@@ -289,7 +311,9 @@ class SolverTrace:
 @dataclass
 class SolverResult:
     """Final primal (projected onto the subspace), final multiplier, trace
-    and termination status."""
+    and termination status.  ``full_svds`` counts the trace rows priced by
+    a full SVD rather than a truncated one (row 0 and every fallback
+    included)."""
 
     X_star: np.ndarray
     Lambda_star: np.ndarray
@@ -297,6 +321,7 @@ class SolverResult:
     converged: bool
     degenerate: bool
     n_iters: int
+    full_svds: int
 
     @property
     def status(self) -> str:
@@ -327,16 +352,19 @@ _DUAL_AT_ROW = {
 def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
-    ``objective`` must expose ``update(Lambda, alpha) -> PrimalUpdate`` and
-    ``feasible_value`` (see :class:`slra.envelope.RankObjective`).  Row k of
-    the trace describes X^k (X^0 := 0) and Lambda^k; the one SVD of
-    F - Lambda^k/2 computed for row k prices its dual value and yields the
-    next primal iterate X^{k+1}.  Terminates when the feasibility residual
-    ||X^k - P(X^k)|| drops below ``stop_tol`` or after ``max_iters``
-    updates.
+    ``objective`` must expose ``update(Lambda, alpha, warm) ->
+    PrimalUpdate`` and ``feasible_value`` (see
+    :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
+    ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
+    the run.  Row k of the trace describes X^k (X^0 := 0) and Lambda^k;
+    the one SVD of F - Lambda^k/2 computed for row k prices its dual value
+    and yields the next primal iterate X^{k+1}.  Terminates when the
+    feasibility residual ||X^k - P(X^k)|| drops below ``stop_tol`` or
+    after ``max_iters`` updates.
 
     ``da`` returns the projected minimizer of the same SVD that priced the
-    first row of maximal dual value, ``ada`` and ``mod_ada`` the projected
+    best row: the latest row whose dual came within
+    1e-12 * max(1, |running maximum|) of the running maximum.  ``ada`` and ``mod_ada`` return the projected
     last iterate.  Without any update (``max_iters == 0``) X_star is X^0.
     """
     if objective.shape != subspace.shape:
@@ -347,26 +375,31 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     dual_at_row = _DUAL_AT_ROW[config.variant]
     lam = np.zeros(subspace.shape)
     prev, px = None, np.zeros(subspace.shape)  # update giving X^k, and P(X^k)
-    resid = step_norm = 0.0
+    resid = step_norm = lam_norm = 0.0
     rows = []
-    best = 0
+    best, top = 0, -np.inf
+    warm = None
+    full_svds = 0
     degenerate = converged = False
     failure = None
 
     for k in range(config.max_iters + 1):
         try:
-            upd = objective.update(lam, alpha)
+            upd = objective.update(lam, alpha, warm)
         except np.linalg.LinAlgError as exc:
             failure = f"SVD failed at row {k}: {exc}"
             break
+        warm = upd.warm
+        full_svds += warm is None or not warm.truncated
         degenerate = degenerate or upd.degenerate
         dual = dual_at_row(upd, lam, alpha, prev, px)
-        if not rows or dual > rows[best][2]:
+        if not rows or dual >= top - _best_dual_tol(top):
             best, x_best = k, upd.x
+        top = max(top, dual)
         rows.append((
             k,
             objective.feasible_value(px, alpha) if config.track_primal else np.nan,
-            dual, resid, float(np.linalg.norm(lam)), step_norm, best,
+            dual, resid, lam_norm, step_norm, best,
         ))
         if converged or k == config.max_iters:
             break
@@ -377,8 +410,12 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         step = config.schedule.step(k)
         lam = lam + step * r
         step_norm = step * resid
+        lam_norm = float(np.linalg.norm(lam))
+        if not np.isfinite(lam_norm):  # NaN or infinite entries, or overflow
+            failure = f"non-finite multiplier at iteration {k + 1}"
+            break
         lam_in_m = float(np.linalg.norm(subspace.project(lam)))
-        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + float(np.linalg.norm(lam))):
+        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + lam_norm):
             failure = f"multiplier left the complement subspace at iteration {k + 1}"
             break
         converged = resid < config.stop_tol
@@ -393,6 +430,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         converged=converged,
         degenerate=degenerate,
         n_iters=k,
+        full_svds=full_svds,
     )
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slra import solvers
 from slra.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -133,6 +134,19 @@ def test_da_keeps_rank_on_exact_model(seed, tmp_path, monkeypatch):
                  "--input", "model.json", "--variant", "da"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["rank_x_star"] == 4
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
+def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
+    # the golden problems are far below the truncated SVD's size gate
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    results = []
+    original = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda *a: results.append(original(*a)) or results[-1])
+    assert main(["--out", "out"] + CASES[case]) == 0
+    assert results[0].full_svds == results[0].n_iters + 1
 
 
 def _config(tmp_path, doc):

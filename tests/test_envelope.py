@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from slra import envelope
 from slra.envelope import (
     DegenerateSingularValueWarning,
     RankObjective,
@@ -207,6 +208,93 @@ def test_update_matches_standalone_ops(diag_obj):
     assert upd.dual_da == pytest.approx(diag_obj.dual_value_da(lam))
     assert upd.envelope_at_x == pytest.approx(diag_obj.envelope_value(upd.x))
     assert upd.x_norm_sq == pytest.approx(np.linalg.norm(upd.x) ** 2)
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_same_update(fast, full):
+    assert np.linalg.norm(fast.x - full.x) <= 1e-12 * np.linalg.norm(full.x)
+    for field in ("dual_da", "envelope_at_x", "x_norm_sq"):
+        assert getattr(fast, field) == pytest.approx(getattr(full, field), rel=1e-12)
+    assert fast.degenerate == full.degenerate
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_warm_update_matches_full_update(alpha):
+    # rank 4 plus noise, 129x129 complex: 4 values above sigma0
+    rng = np.random.default_rng(7)
+    F = _complex(rng, 129, 4) @ _complex(rng, 4, 129) + 0.1 * _complex(rng, 129, 129)
+    s = np.linalg.svd(F, compute_uv=False)
+    obj = RankObjective(F, 0.5 * (s[3] + s[4]))
+    lam0 = 0.1 * _complex(rng, 129, 129)
+    lam1 = lam0 + 1e-4 * _complex(rng, 129, 129)
+    warm = obj.update(lam0, alpha).warm
+    fast = obj.update(lam1, alpha, warm)
+    full = obj.update(lam1, alpha)
+    assert fast.warm.truncated and not full.warm.truncated
+    assert fast.warm.captured == full.warm.captured == 4
+    assert fast.warm.beta < obj.sigma0
+    _assert_same_update(fast, full)
+
+
+def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
+    """An objective whose G at Lambda = 0 has singular values ``s_now``, and
+    the warm state of a previous row whose G had ``s_prev`` in the same
+    singular vectors."""
+    rng = np.random.default_rng(seed)
+    n = len(s_prev)
+    u, _ = np.linalg.qr(_complex(rng, n, n))
+    v, _ = np.linalg.qr(_complex(rng, n, n))
+    F = (u * s_now) @ v.conj().T
+    obj = RankObjective(F, sigma0)
+    lam_prev = 2.0 * (F - (u * s_prev) @ v.conj().T)
+    return obj, obj.update(lam_prev, 0.0).warm
+
+
+def test_tie_below_the_block_falls_back_and_is_degenerate():
+    # the fifth direction is outside the previous row's 10-column block,
+    # and its value moved up to sigma0 exactly: no Ritz value can see it
+    s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.01, np.linspace(0.6, 0.1, 91)]
+    s_now = s_prev.copy()
+    s_now[4] = 1.0
+    obj, warm = _two_rows(s_prev, s_now)
+    assert warm.captured == 4 and not warm.truncated
+    upd = obj.update(np.zeros(obj.shape), 0.0, warm)
+    assert not upd.warm.truncated and upd.warm.fallbacks == 1
+    assert upd.degenerate
+
+
+def test_value_crossing_sigma0_recertifies_and_matches_full_update():
+    s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.9, np.linspace(0.6, 0.1, 91)]
+    s_now = s_prev.copy()
+    s_now[4] = 1.2
+    obj, warm = _two_rows(s_prev, s_now)
+    zero = np.zeros(obj.shape)
+    upd = obj.update(zero, 0.0, warm)
+    assert upd.warm.truncated and upd.warm.captured == 5
+    assert upd.warm.beta < obj.sigma0
+    _assert_same_update(upd, obj.update(zero, 0.0))
+    # the next row needs 11 block columns where the last one held 10
+    again = obj.update(zero, 0.0, upd.warm)
+    assert again.warm.truncated and again.warm.captured == 5
+    _assert_same_update(again, obj.update(zero, 0.0))
+
+
+def test_nonfinite_g_never_passes_the_certificate(monkeypatch):
+    s = np.r_[50.0, 40.0, 30.0, 20.0, np.linspace(0.6, 0.1, 92)]
+    obj, warm = _two_rows(s, s)
+    attempts = []
+    original = envelope._truncated_svd
+    monkeypatch.setattr(envelope, "_truncated_svd",
+                        lambda *a: attempts.append(original(*a)) or attempts[-1])
+    assert obj.update(np.zeros(obj.shape), 0.0, warm).warm.truncated
+    bad = np.zeros(obj.shape)
+    bad[3, 5] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        obj.update(bad, 0.0, warm)  # the fallback's full SVD fails
+    assert attempts[0] is not None and attempts[1] is None
 
 
 def test_rank_objective_validation():

@@ -2,10 +2,11 @@ import io
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from slra import solvers
-from slra.envelope import RankObjective, ToyObjective
+from slra import envelope, solvers
+from slra.envelope import PrimalUpdate, RankObjective, ToyObjective
+from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
 from slra.signals import NoiseSpec, add_noise, gen_cos_sum
 from slra.solvers import (
@@ -120,6 +121,57 @@ def test_toy_da_dual_values_from_conjugate():
 # generic run behaviour
 # ---------------------------------------------------------------------------
 
+class ScriptedObjective:
+    """1x1 objective whose rows have scripted duals, and a NaN minimizer at
+    row ``nan_row``."""
+
+    shape = (1, 1)
+
+    def __init__(self, duals, nan_row=None):
+        self.duals, self.nan_row, self.row = duals, nan_row, 0
+
+    def feasible_value(self, x, alpha=0.0):
+        return 0.0
+
+    def update(self, lam, alpha, warm):
+        k, self.row = self.row, self.row + 1
+        x = np.full((1, 1), np.nan if k == self.nan_row else 1.0)
+        return PrimalUpdate(x, self.duals[k], 0.0, 1.0, False)
+
+
+@pytest.mark.parametrize("duals, best", [
+    ([1.0, 2.0, 2.0 * (1 + 1e-14), 1.9], [0, 1, 2, 2]),  # a rounding tie: the later row
+    ([1.0, 2.0, 2.0 - 1e-9], [0, 1, 1]),                 # a real drop: the earlier one
+])
+def test_da_best_row_is_latest_within_tolerance(duals, best):
+    res = run(ScriptedObjective(duals), ZeroSubspace(1, 1),
+              SolverConfig.da(max_iters=len(duals) - 1, stop_tol=1e-300))
+    assert list(res.trace.best_n) == best
+    res.trace.check_invariants()
+
+
+@pytest.mark.parametrize("duals, best", [
+    ([1.0, 2.0, 2.0 * (1 + 1e-14), 1.9], [0, 1, 1, 1]),
+    ([1.0, 2.0, 2.0 - 1e-9], [0, 1, 2]),
+    ([1.0, 2.0, 1.5], [0, 1, 0]),
+])
+def test_check_invariants_rejects_other_best_rows(duals, best):
+    n = len(duals)
+    trace = SolverTrace(np.arange(n), np.zeros(n), np.array(duals), np.zeros(n),
+                        np.zeros(n), np.zeros(n), np.array(best))
+    with pytest.raises(AssertionError):
+        trace.check_invariants()
+
+
+def test_nonfinite_multiplier_carries_priced_rows():
+    obj = ScriptedObjective([1.0, 2.0, 3.0, 4.0, 5.0], nan_row=2)
+    with pytest.raises(solvers.SolverNumericalError,
+                       match="non-finite multiplier at iteration 3") as exc:
+        run(obj, ZeroSubspace(1, 1), SolverConfig.da(max_iters=4, stop_tol=1e-300))
+    assert list(exc.value.trace.n) == [0, 1, 2]
+    exc.value.trace.check_invariants()
+
+
 def test_zero_iterations():
     obj, sub, _ = hankel_problem(0)
     res = run(obj, sub, SolverConfig.da(max_iters=0))
@@ -233,11 +285,11 @@ def test_numerical_failure_carries_priced_rows():
         feasible_value = staticmethod(obj.feasible_value)
         calls = 0
 
-        def update(self, lam, alpha):
+        def update(self, lam, alpha, warm):
             self.calls += 1
             if self.calls == 3:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return obj.update(lam, alpha)
+            return obj.update(lam, alpha, warm)
 
     cfg = SolverConfig.da(max_iters=10, stop_tol=1e-300)
     with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
@@ -253,6 +305,60 @@ def test_numerical_failure_carries_priced_rows():
     with pytest.raises(solvers.SolverNumericalError, match="complement") as exc:
         run(obj, HalfProjector(8, 8), cfg)
     assert list(exc.value.trace.n) == [0]
+
+
+def _freqest_trial_run(monkeypatch):
+    """One freqest trial at 20 dBW: the study and its (objective, result)."""
+    calls = []
+    original = solvers.run
+
+    def recording_run(objective, subspace, config):
+        calls.append((objective, original(objective, subspace, config)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solvers, "run", recording_run)
+    study = run_freqest_study(ExperimentConfig("freqest", trials=1), snr_levels=(20.0,))
+    monkeypatch.setattr(solvers, "run", original)
+    return study, *calls[0]
+
+
+def test_freqest_trial_matches_full_svd_path(monkeypatch):
+    study, obj, fast = _freqest_trial_run(monkeypatch)
+    monkeypatch.setattr(envelope, "_SIZE_GATE", 10**9)  # never truncate
+    full_study, _, full = _freqest_trial_run(monkeypatch)
+
+    assert 0 < study["full_svd_fraction"] <= 0.1
+    assert fast.full_svds < fast.n_iters + 1
+    assert full_study["full_svd_fraction"] == 1.0
+    assert full.full_svds == full.n_iters + 1
+    assert fast.n_iters == full.n_iters
+    assert_array_equal(fast.trace.best_n, full.trace.best_n)
+    assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
+    assert_allclose(fast.trace.lambda_norm, full.trace.lambda_norm, rtol=1e-9)
+    # the residual ends near 1e-6, so its own rounding is about 5e-7 of it
+    assert_allclose(fast.trace.feas_residual, full.trace.feas_residual,
+                    rtol=0, atol=1e-9 * np.linalg.norm(obj.F))
+    assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
+
+
+def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
+    rng = np.random.default_rng(3)
+    c = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    obj = RankObjective(c(96, 4) @ c(4, 96) + 0.1 * c(96, 96), 5.0)
+
+    class NaNAtRow2:
+        shape = obj.shape
+        feasible_value = staticmethod(obj.feasible_value)
+        row = 0
+
+        def update(self, lam, alpha, warm):
+            self.row += 1
+            return obj.update(np.full(lam.shape, np.nan) if self.row == 3 else lam,
+                              alpha, warm)
+
+    with pytest.raises(solvers.SolverNumericalError, match="SVD failed at row 2") as exc:
+        run(NaNAtRow2(), HankelSubspace(96, 96), SolverConfig.da(max_iters=5))
+    assert list(exc.value.trace.n) == [0, 1]
 
 
 def test_shape_mismatch_rejected():
