@@ -3,9 +3,11 @@
 Subcommands: converge, singvals, gtdist, toy, freqest, solve.  Global
 flags set the seed, trial/iteration counts, step weight, penalty level and
 output directory; a JSON config file passed via --config overrides any
-flag with a value of that flag's type.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.  The SLRA_THREADS environment variable caps the
-trial worker count.
+flag with a value of that flag's type.  ``freqest`` takes its SNR levels
+as its own option (``--snr-levels``, a comma list) and ignores ``--iters``:
+its budget is ``harness.FREQEST_MAX_ITERS``.  Exit codes: 0 success, 1
+numerical failure, 2 usage error.  The SLRA_THREADS environment variable
+caps the trial worker count.
 """
 
 import argparse
@@ -47,8 +49,11 @@ def build_parser():
     p.add_argument("--config", type=str, default=None,
                    help="JSON file whose entries override the flags")
     sub = p.add_subparsers(dest="experiment", required=True)
-    for name in ("converge", "singvals", "gtdist", "toy", "freqest"):
+    for name in ("converge", "singvals", "gtdist", "toy"):
         sub.add_parser(name)
+    pf = sub.add_parser("freqest")
+    pf.add_argument("--snr-levels", type=str, default=None,
+                    help="comma-separated SNR levels in dBW (default 0, 2.5, ..., 25)")
     ps = sub.add_parser("solve")
     ps.add_argument("--input", required=True,
                     help="signal CSV (index,re,im), model JSON, or .npy matrix")
@@ -56,6 +61,14 @@ def build_parser():
     ps.add_argument("--stop-tol", type=float, default=1e-6)
     ps.add_argument("--rank-tol", type=float, default=1e-9)
     return p
+
+
+def _parse_snr_levels(value):
+    """--snr-levels: a non-empty comma list of finite numbers."""
+    levels = tuple(float(v) for v in value.split(","))
+    if not all(np.isfinite(levels)):
+        raise ValueError(value)
+    return levels
 
 
 def _config_types(action):
@@ -102,6 +115,14 @@ def main(argv=None) -> int:
         # the cosine-sum protocol default; freqest pins its own heuristic
         sigma0, gap_p = harness.COSSUM_SIGMA0, None
 
+    if args.experiment == "freqest":
+        snr_levels = harness.FREQEST_SNR_LEVELS
+        if args.snr_levels is not None:
+            try:
+                snr_levels = _parse_snr_levels(args.snr_levels)
+            except ValueError:
+                parser.error(f"bad --snr-levels value {args.snr_levels!r}")
+
     config = harness.ExperimentConfig(
         experiment=args.experiment,
         trials=args.trials,
@@ -128,7 +149,7 @@ def main(argv=None) -> int:
             for n, x, lam in rows:
                 print(f"{n},{x:+.0f},{lam:.12f}")
         elif args.experiment == "freqest":
-            report = harness.cmd_freqest(config)
+            report = harness.cmd_freqest(config, snr_levels)
             print(f"frobenius diff > 0 in {report.freqest['frob_positive_fraction']:.1%} "
                   f"of trials; l2 diff < 0 in {report.freqest['l2_negative_fraction']:.1%}")
         else:

@@ -26,12 +26,16 @@ DEGENERATE_RTOL = 1e-8
 
 #: truncated SVD in :meth:`RankObjective.update`: block columns beyond the
 #: previous row's captured count, the size gate (block * _SIZE_GATE must
-#: not exceed min(M, N)), subspace iteration passes per row, and the
-#: residual ||G V_k - U_k S_k||_F the captured triplets may leave, as a
-#: share of the leading Ritz value
+#: not exceed min(M, N)), subspace iteration passes per row that are always
+#: allowed, the most passes a row may take while each pass from the
+#: _PASSES-th on cuts the residual at least _PASS_CUT-fold, and the residual
+#: ||G V_k - U_k S_k||_F the captured triplets may leave, as a share of the
+#: leading Ritz value
 _EXTRA_COLUMNS = 6
 _SIZE_GATE = 8
 _PASSES = 3
+_MAX_PASSES = 8
+_PASS_CUT = 100.0
 _RESIDUAL_RTOL = 1e-12
 
 
@@ -102,20 +106,27 @@ def _truncated_svd(g, warm, tau):
     if v.shape[1] < p:  # more values were captured than the block held
         pad = np.random.default_rng(0).standard_normal((v.shape[0], p - v.shape[1]))
         v = np.hstack([v, pad])
+    last = np.inf
     try:
-        for _ in range(_PASSES):
+        for passes in range(1, _MAX_PASSES + 1):
             q, _ = np.linalg.qr(g @ v)
-            ub, s, vh = np.linalg.svd(q.conj().T @ g, full_matrices=False)
-            v = vh.conj().T
+            # Ritz triplets of Q^H G from its conjugate transpose
+            # G^H Q = V S U_b^H, which is cheaper to factor; formed as
+            # conj(G^T conj(Q)), so G itself is never conjugated
+            v, s, ubh = np.linalg.svd((g.T @ q.conj()).conj(), full_matrices=False)
             k = int(np.count_nonzero(s >= tau))
             if k == p:  # the block cannot show where the values above tau end
                 return None
-            u = q @ ub[:, :k]
+            u = q @ ubh[:k].conj().T
             resid = float(np.linalg.norm(g @ v[:, :k] - u * s[:k]))
             if np.isfinite(s[0]) and resid <= _RESIDUAL_RTOL * s[0]:
                 break
+            if passes >= _PASSES and not resid * _PASS_CUT <= last:
+                return None  # converging too slowly to be worth more passes
+            last = resid
         else:
             return None
+        vh = v.conj().T
         # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| = ||dLambda|| / 2
         beta = warm.beta + float(np.linalg.norm(g - warm.g))
         if k != warm.captured or not beta < tau:
@@ -144,6 +155,7 @@ class RankObjective:
         if not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
         object.__setattr__(self, "F", f)
+        object.__setattr__(self, "_norm_sq", float(np.real(np.vdot(f, f))))
 
     @property
     def shape(self):
@@ -156,7 +168,7 @@ class RankObjective:
         return x
 
     def data_norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.F, self.F)))
+        return self._norm_sq
 
     def primal_value(self, x, rel_tol: float = 1e-9) -> float:
         """sigma0^2 * rank(X) + ||X - F||^2 at numerical-rank tolerance
@@ -178,7 +190,7 @@ class RankObjective:
         """Fenchel conjugate: sum_j max(sigma_j^2(Lambda/2 + F) - sigma0^2, 0)
         - ||F||^2."""
         lam = self._check(lam)
-        s = singular_values(lam / 2.0 + self.F)
+        s = singular_values(lam * 0.5 + self.F)
         return float(np.sum(np.maximum(s**2 - self.sigma0**2, 0.0))) - self.data_norm_sq()
 
     def dual_value_da(self, lam) -> float:
@@ -198,13 +210,16 @@ class RankObjective:
         be truncated.  Every quantity here vanishes on singular values
         below sigma0, so only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
-        previous row's count.  When 8 (k + 6) <= min(M, N), up to 3
-        passes of block subspace iteration on k + 6 columns, started at
-        the previous row's right singular vectors, compute Q = orth(G V)
-        and the Ritz triplets of the SVD of Q^H G.  They are accepted only
-        when fewer Ritz values than columns reach tau, the captured
-        triplets leave ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a
-        certified bound beta >= sigma_{k+1}(G) lies below tau.  Then,
+        previous row's count.  When 8 (k + 6) <= min(M, N), passes of
+        block subspace iteration on k + 6 columns, started at the
+        previous row's right singular vectors, compute Q = orth(G V) and
+        the Ritz triplets of Q^H G (from the SVD of the tall G^H Q).
+        Three passes are always allowed; a fourth and later pass, up to 8,
+        only while the previous pass cut the residual at least 100-fold.
+        The triplets are accepted only when fewer Ritz values than columns
+        reach tau, the captured triplets leave
+        ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
+        beta >= sigma_{k+1}(G) lies below tau.  Then,
         by interlacing, exactly k singular values reach tau.  beta is
         exact after a full SVD and grows by ||Lambda - Lambda_prev|| / 2
         from row to row (Weyl); when k changes or beta reaches tau it is
@@ -217,7 +232,7 @@ class RankObjective:
         lam = self._check(lam)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        g = self.F - lam / 2.0
+        g = self.F - lam * 0.5
         tau = self.sigma0 * (1.0 - DEGENERATE_RTOL)
         fallbacks, wait, part = 0, 0, None
         if warm is not None:

@@ -46,8 +46,10 @@ from .subspace import HankelSubspace, ZeroSubspace
 
 METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
-#: SNR grid of the frequency-estimation study, in dBW
+#: SNR grid of the frequency-estimation study, in dBW, and its iteration
+#: budget per trial
 FREQEST_SNR_LEVELS = tuple(np.arange(0.0, 25.0 + 1e-9, 2.5))
+FREQEST_MAX_ITERS = 2000
 
 #: exact multiplier values of the first five scalar-toy iterations
 TOY_LAMBDA_TABLE = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
@@ -399,7 +401,7 @@ def _freqest_trial(args):
 
 
 def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
-                      max_iters: int = 2000):
+                      max_iters: int = FREQEST_MAX_ITERS):
     """Frequency-estimation comparison over the SNR grid.
 
     Returns per-trial scaled error differences (ESPRIT minus dual ascent;
@@ -443,10 +445,11 @@ def _histogram_rows(norm_name, snr_levels, diffs, n_bins=24):
     return rows
 
 
-def cmd_freqest(config: ExperimentConfig) -> AggregateReport:
+def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
+                max_iters: int = FREQEST_MAX_ITERS) -> AggregateReport:
     """Run the SNR sweep and emit raw differences, histogram bins and a
     summary; differences are scaled by 10^(SNR/20)."""
-    study = run_freqest_study(config)
+    study = run_freqest_study(config, snr_levels, max_iters)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     snr_levels = study["snr_levels"]
@@ -463,6 +466,7 @@ def cmd_freqest(config: ExperimentConfig) -> AggregateReport:
                ("norm", "snr_dbw", "bin_left", "bin_right", "count"), hist_rows)
     _write_json(out / "freqest_summary.json", {
         "config": config.to_json_dict(),
+        "snr_levels": [float(v) for v in snr_levels],
         "frob_positive_fraction": study["frob_positive_fraction"],
         "l2_negative_fraction": study["l2_negative_fraction"],
         "converged_fraction": study["converged_fraction"],

@@ -13,8 +13,9 @@ The multiplier always stays in the orthogonal complement of the constraint
 subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
 (plus one values-only SVD per row when feasible primal values are
 tracked): the objective may price a row from a warm-started truncated SVD
-that starts from the previous row's singular vectors, and falls back to
-the full SVD whenever it cannot certify the truncation (see
+that starts from the previous row's singular vectors and takes up to 8
+passes of block subspace iteration, and falls back to the full SVD whenever
+it cannot certify the truncation (see
 :meth:`slra.envelope.RankObjective.update`).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is

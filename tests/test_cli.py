@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slra import solvers
-from slra.cli import main
+from slra import harness, solvers
+from slra.cli import _parse_snr_levels, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +37,7 @@ CASES = {
     "gtdist": STUDY + ["gtdist"],
     "singvals": STUDY + ["singvals"],
     "toy": ["toy"],
+    "freqest": ["--trials", "1", "freqest", "--snr-levels", "20"],
     **{
         f"solve_{name.split('.')[1]}_{variant}": [
             "--iters", "40", "--sigma0", sigma0, "solve", "--input", name,
@@ -147,6 +148,34 @@ def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch
     monkeypatch.setattr(solvers, "run", lambda *a: results.append(original(*a)) or results[-1])
     assert main(["--out", "out"] + CASES[case]) == 0
     assert results[0].full_svds == results[0].n_iters + 1
+
+
+def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    config = harness.ExperimentConfig(experiment="freqest", trials=1, output_dir=tmp_path)
+    harness.cmd_freqest(config, (5.0, 20.0), 3)
+    summary = json.loads((tmp_path / "freqest_summary.json").read_text())
+    assert summary["snr_levels"] == [5.0, 20.0]
+    assert summary["mean_iters"] == 3.0 and summary["converged_fraction"] == 0.0
+    diffs = (tmp_path / "freqest_diffs.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in diffs[1:]] == [5.0, 20.0]
+
+
+def test_freqest_parses_snr_levels():
+    assert _parse_snr_levels("5, 20") == (5.0, 20.0)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--snr-levels", ""], ["--snr-levels", "20,abc"], ["--snr-levels", "20,"],
+    ["--snr-levels", "nan"],
+])
+def test_freqest_bad_snr_levels_is_usage_error(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--trials", "1", "freqest", *flags])
+    assert exc.value.code == 2
+    assert "slra: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _config(tmp_path, doc):

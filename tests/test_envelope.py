@@ -239,6 +239,55 @@ def test_warm_update_matches_full_update(alpha):
     _assert_same_update(fast, full)
 
 
+def _passes_of_update(monkeypatch, obj, lam, warm):
+    """The update at ``lam`` after ``warm``, and the subspace iteration
+    passes it took (one QR factorization each)."""
+    passes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: passes.append(1) or qr(*a, **k))
+    upd = obj.update(lam, 0.0, warm)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return upd, len(passes)
+
+
+def _unit_step_rows(noise):
+    """Rank 4 plus ``noise`` on 129x129 complex data, sigma0 between the
+    4th and 5th values, and two multipliers whose G differ by 1 in
+    Frobenius norm; returns the objective, the second multiplier and the
+    warm state of the first."""
+    rng = np.random.default_rng(7)
+    F = _complex(rng, 129, 4) @ _complex(rng, 4, 129) + noise * _complex(rng, 129, 129)
+    s = np.linalg.svd(F, compute_uv=False)
+    obj = RankObjective(F, 0.5 * (s[3] + s[4]))
+    lam0 = 0.1 * _complex(rng, 129, 129)
+    step = _complex(rng, 129, 129)
+    lam1 = lam0 + 2.0 * step / np.linalg.norm(step)  # G moves by ||dLambda|| / 2
+    return obj, lam1, obj.update(lam0, 0.0).warm
+
+
+def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
+    # values 11 on sit at about 4% of the 4th: each pass cuts the residual
+    # about 1000-fold, and three passes leave 9e-12 s_1 after the step
+    obj, lam, warm = _unit_step_rows(0.3)
+    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    assert fast.warm.truncated and passes > envelope._PASSES
+    assert fast.warm.captured == 4 and fast.warm.beta < obj.sigma0
+    _assert_same_update(fast, obj.update(lam, 0.0))
+    monkeypatch.setattr(envelope, "_MAX_PASSES", envelope._PASSES)
+    assert not obj.update(lam, 0.0, warm).warm.truncated
+
+
+def test_stalling_attempt_falls_back_after_the_base_passes(monkeypatch):
+    # values 11 on sit at about 13% of the 4th: the third pass cuts the
+    # residual only 85-fold, short of the 100-fold that earns a fourth
+    obj, lam, warm = _unit_step_rows(1.0)
+    upd, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    assert passes == envelope._PASSES
+    assert not upd.warm.truncated
+    assert upd.warm.fallbacks == 1 and upd.warm.wait == 1  # next try 2 rows on
+    _assert_same_update(upd, obj.update(lam, 0.0))
+
+
 def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
     """An objective whose G at Lambda = 0 has singular values ``s_now``, and
     the warm state of a previous row whose G had ``s_prev`` in the same
