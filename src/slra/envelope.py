@@ -14,7 +14,8 @@ the standard example of dual ascent oscillating between primal minimizers.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,9 +27,9 @@ DEGENERATE_RTOL = 1e-8
 
 #: truncated SVD in :meth:`RankObjective.update`: block columns beyond the
 #: previous row's captured count, the size gate (block * _SIZE_GATE must
-#: not exceed min(M, N)), subspace iteration passes per row that are always
-#: allowed, the most passes a row may take while each pass from the
-#: _PASSES-th on cuts the residual at least _PASS_CUT-fold, and the residual
+#: not exceed min(M, N)), subspace iteration passes per attempt that are
+#: always allowed, the most passes an attempt may take while each pass from
+#: the _PASSES-th on cuts the residual at least _PASS_CUT-fold, and the residual
 #: ||G V_k - U_k S_k||_F the captured triplets may leave, as a share of the
 #: leading Ritz value
 _EXTRA_COLUMNS = 6
@@ -50,23 +51,32 @@ class WarmStart(NamedTuple):
 
     g: np.ndarray      # F - Lambda/2 of the row
     vh: np.ndarray     # leading right singular vectors of g, as rows
+    prev_vh: Optional[np.ndarray]  # the previous row's block, when both rows were truncated
+    dg: float          # ||g - g_prev||_F when the row tried the truncated SVD, else 0
     captured: int      # singular values of g at or above the cutoff tau
     beta: float        # certified bound beta >= sigma_{captured+1}(g)
     truncated: bool    # the row was priced by the truncated SVD
     fallbacks: int     # truncated attempts of the run that fell back
     wait: int          # rows still to price by the full SVD before trying again
+    passes: int        # subspace iteration passes the row took, over all its attempts
 
 
-class PrimalUpdate(NamedTuple):
+@dataclass(frozen=True)
+class PrimalUpdate:
     """One closed-form primal minimization, plus the by-products that a
-    solver iteration needs, all derived from a single SVD."""
+    solver iteration needs, all derived from a single SVD.  The envelope
+    value at x is priced on its first read, since ``da`` never reads it."""
 
     x: np.ndarray          # argmin of the (augmented) tilted objective
     dual_da: float         # -conjugate(-Lambda) at the input Lambda
-    envelope_at_x: float   # envelope value at x
+    envelope: Callable[[], float]  # prices the envelope value at x
     x_norm_sq: float       # ||x||^2
     degenerate: bool       # threshold tie detected (alpha == 0 only)
     warm: Optional[WarmStart] = None  # start of the next row's truncated SVD
+
+    @cached_property
+    def envelope_at_x(self) -> float:
+        return self.envelope()
 
 
 def _env_terms(svals, sigma0):
@@ -94,18 +104,35 @@ def _certify(g, vk, sk, below, tau):
     return None
 
 
-def _truncated_svd(g, warm, tau):
-    """Singular triplets of g at or above ``tau`` from a block subspace
-    iteration started at the previous row's right singular vectors.
+def _starts(warm, p, dg):
+    """Start blocks of the truncated attempts at a row, in the order they
+    are tried.
 
-    Returns (u, s, vh, block, beta) -- the captured triplets, the block's
-    right Ritz vectors as rows and a certified beta >= sigma_{k+1}(g) below
-    tau -- or None when the truncation cannot be certified."""
-    p = warm.captured + _EXTRA_COLUMNS
+    The plain start is the previous row's block V (padded when more values
+    were captured than it held).  When the row before it was truncated
+    too, with a block W of the same width, a secant start comes first:
+    V + gamma (V - W W^H V) extrapolates the move of the subspace along
+    the dual-ascent path, with gamma = min(1, ||dG|| / ||dG_prev||)."""
     v = warm.vh[:p].conj().T
     if v.shape[1] < p:  # more values were captured than the block held
         pad = np.random.default_rng(0).standard_normal((v.shape[0], p - v.shape[1]))
-        v = np.hstack([v, pad])
+        return [np.hstack([v, pad])]
+    w = warm.prev_vh
+    if w is None or w.shape != warm.vh.shape or len(w) != p or not warm.dg > 0:
+        return [v]
+    gamma = min(1.0, dg / warm.dg)
+    return [v + gamma * (v - w.conj().T @ (w @ v)), v]
+
+
+def _truncated_svd(g, v, warm, dg, tau):
+    """Singular triplets of g at or above ``tau`` from a block subspace
+    iteration started at the block ``v``.
+
+    Returns the passes taken and, when the truncation is certified,
+    (u, s, vh, block, beta) -- the captured triplets, the block's right
+    Ritz vectors as rows and a certified beta >= sigma_{k+1}(g) below
+    tau -- or else None.  ``dg`` is ||g - warm.g||_F."""
+    p = v.shape[1]
     last = np.inf
     try:
         for passes in range(1, _MAX_PASSES + 1):
@@ -116,26 +143,26 @@ def _truncated_svd(g, warm, tau):
             v, s, ubh = np.linalg.svd((g.T @ q.conj()).conj(), full_matrices=False)
             k = int(np.count_nonzero(s >= tau))
             if k == p:  # the block cannot show where the values above tau end
-                return None
+                return passes, None
             u = q @ ubh[:k].conj().T
             resid = float(np.linalg.norm(g @ v[:, :k] - u * s[:k]))
             if np.isfinite(s[0]) and resid <= _RESIDUAL_RTOL * s[0]:
                 break
             if passes >= _PASSES and not resid * _PASS_CUT <= last:
-                return None  # converging too slowly to be worth more passes
+                return passes, None  # converging too slowly to be worth more passes
             last = resid
         else:
-            return None
+            return passes, None
         vh = v.conj().T
         # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| = ||dLambda|| / 2
-        beta = warm.beta + float(np.linalg.norm(g - warm.g))
+        beta = warm.beta + dg
         if k != warm.captured or not beta < tau:
             beta = _certify(g, v[:, :k], s[:k], s[k], tau)
             if beta is None:
-                return None
+                return passes, None
     except np.linalg.LinAlgError:
-        return None
-    return u, s[:k], vh[:k], vh, beta
+        return passes, None
+    return passes, (u, s[:k], vh[:k], vh, beta)
 
 
 @dataclass(frozen=True)
@@ -211,11 +238,17 @@ class RankObjective:
         below sigma0, so only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
         previous row's count.  When 8 (k + 6) <= min(M, N), passes of
-        block subspace iteration on k + 6 columns, started at the
-        previous row's right singular vectors, compute Q = orth(G V) and
-        the Ritz triplets of Q^H G (from the SVD of the tall G^H Q).
-        Three passes are always allowed; a fourth and later pass, up to 8,
-        only while the previous pass cut the residual at least 100-fold.
+        block subspace iteration on k + 6 columns compute Q = orth(G V)
+        and the Ritz triplets of Q^H G (from the SVD of the tall G^H Q).
+        The first attempt starts from the previous row's block of right
+        singular vectors V, or, when the row before it was truncated too
+        with a block W of the same width, from the secant prediction
+        V + gamma (V - W W^H V), gamma = min(1, ||dG|| / ||dG_prev||),
+        which the dual-ascent steps make accurate enough to certify most
+        rows after one pass; a failed predicted attempt is retried once
+        from V.  Each attempt may take three passes, and a fourth and
+        later pass, up to 8, only while the previous pass cut the
+        residual at least 100-fold.
         The triplets are accepted only when fewer Ritz values than columns
         reach tau, the captured triplets leave
         ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
@@ -234,13 +267,18 @@ class RankObjective:
             raise ValueError("alpha must be non-negative")
         g = self.F - lam * 0.5
         tau = self.sigma0 * (1.0 - DEGENERATE_RTOL)
-        fallbacks, wait, part = 0, 0, None
+        fallbacks, wait, part, dg, passes = 0, 0, None, 0.0, 0
         if warm is not None:
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
             columns = warm.captured + _EXTRA_COLUMNS
             if not warm.wait and _SIZE_GATE * columns <= min(g.shape):
-                part = _truncated_svd(g, warm, tau)
-                if part is None:
+                dg = float(np.linalg.norm(g - warm.g))
+                for v in _starts(warm, columns, dg):
+                    n, part = _truncated_svd(g, v, warm, dg, tau)
+                    passes += n
+                    if part is not None:
+                        break
+                else:
                     fallbacks += 1
                     wait = 2**fallbacks - 1
         if part is None:
@@ -257,11 +295,13 @@ class RankObjective:
         dual_da = self.data_norm_sq() - float(
             np.sum(np.maximum(s**2 - self.sigma0**2, 0.0))
         )
-        env = _env_terms(fs, self.sigma0) + float(np.linalg.norm(x - self.F) ** 2)
+        env = lambda: _env_terms(fs, self.sigma0) + float(np.linalg.norm(x - self.F) ** 2)
         degenerate = bool(
             alpha == 0 and np.any(np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0)
         )
-        warm = WarmStart(g, block, k, beta, part is not None, fallbacks, wait)
+        truncated = part is not None
+        prev_vh = warm.vh if truncated and warm.truncated else None
+        warm = WarmStart(g, block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
         return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate, warm)
 
     def tilted_minimizer(self, lam, alpha: float = 0.0):
@@ -373,7 +413,7 @@ class ToyObjective:
         return PrimalUpdate(
             x=xm,
             dual_da=-toy_conjugate(-lam_v),
-            envelope_at_x=max(0.0, x * x - 1.0),
+            envelope=lambda: max(0.0, x * x - 1.0),
             x_norm_sq=x * x,
             degenerate=False,
         )

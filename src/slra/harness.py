@@ -46,10 +46,12 @@ from .subspace import HankelSubspace, ZeroSubspace
 
 METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
-#: SNR grid of the frequency-estimation study, in dBW, and its iteration
-#: budget per trial
+#: SNR grid of the frequency-estimation study, in dBW, its iteration
+#: budget per trial, and the order of the spectral-gap heuristic that sets
+#: its sigma0 (one per tone)
 FREQEST_SNR_LEVELS = tuple(np.arange(0.0, 25.0 + 1e-9, 2.5))
 FREQEST_MAX_ITERS = 2000
+FREQEST_GAP_P = 4
 
 #: exact multiplier values of the first five scalar-toy iterations
 TOY_LAMBDA_TABLE = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
@@ -378,7 +380,7 @@ def _freqest_trial(args):
     rows = cols = 129
     sub = HankelSubspace(rows, cols)
     F = sub.from_vector(noisy)
-    s0 = sigma0_heuristic(F, 4)
+    s0 = sigma0_heuristic(F, FREQEST_GAP_P)
     obj = RankObjective(F, s0)
     cfg = SolverConfig.da(
         StepSchedule.sqrt_decay(), max_iters=max_iters, stop_tol=1e-6,
@@ -397,6 +399,7 @@ def _freqest_trial(args):
         int(res.converged),
         res.n_iters,
         res.full_svds,
+        res.passes,
     )
 
 
@@ -406,8 +409,9 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
 
     Returns per-trial scaled error differences (ESPRIT minus dual ascent;
     positive Frobenius difference means dual ascent wins) keyed by SNR,
-    and the share of solver rows priced by a full rather than a truncated
-    SVD.
+    the share of solver rows priced by a full rather than a truncated
+    SVD, and the subspace iteration passes per truncated row (None when
+    no row was truncated).
     """
     items = []
     for li, snr in enumerate(snr_levels):
@@ -419,6 +423,8 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     conv = np.array([r[2] for r in results], dtype=bool)
     iters = np.array([r[3] for r in results])
     full_svds = sum(r[4] for r in results)
+    truncated = int(np.sum(iters + 1)) - full_svds
+    passes = sum(r[5] for r in results)
     return {
         "snr_levels": np.asarray(snr_levels, dtype=float),
         "frob_diff": frob,
@@ -428,6 +434,7 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
         "converged_fraction": float(np.mean(conv)),
         "mean_iters": float(np.mean(iters)),
         "full_svd_fraction": full_svds / int(np.sum(iters + 1)),
+        "passes_per_truncated_row": passes / truncated if truncated else None,
     }
 
 
@@ -464,14 +471,19 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     hist_rows += _histogram_rows("l2", snr_levels, study["l2_diff"])
     _write_csv(out / "freqest_hist.csv",
                ("norm", "snr_dbw", "bin_left", "bin_right", "count"), hist_rows)
+    # the study reads no other config field: its sigma0 and budget are its own
     _write_json(out / "freqest_summary.json", {
-        "config": config.to_json_dict(),
+        "config": {
+            "experiment": config.experiment, "trials": config.trials, "seed": config.seed,
+            "output_dir": str(out), "sigma0": f"gap:{FREQEST_GAP_P}", "max_iters": max_iters,
+        },
         "snr_levels": [float(v) for v in snr_levels],
         "frob_positive_fraction": study["frob_positive_fraction"],
         "l2_negative_fraction": study["l2_negative_fraction"],
         "converged_fraction": study["converged_fraction"],
         "mean_iters": study["mean_iters"],
         "full_svd_fraction": study["full_svd_fraction"],
+        "passes_per_truncated_row": study["passes_per_truncated_row"],
     })
     return AggregateReport(trials=config.trials, freqest=study)
 

@@ -12,10 +12,11 @@ Three variants share one loop:
 The multiplier always stays in the orthogonal complement of the constraint
 subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
 (plus one values-only SVD per row when feasible primal values are
-tracked): the objective may price a row from a warm-started truncated SVD
-that starts from the previous row's singular vectors and takes up to 8
-passes of block subspace iteration, and falls back to the full SVD whenever
-it cannot certify the truncation (see
+tracked): the objective may price a row from a warm-started truncated SVD,
+whose block subspace iteration starts from a secant prediction of the
+row's singular subspace out of the two previous rows (or from the previous
+row's block) and takes up to 8 passes per attempt, and falls back to the
+full SVD whenever it cannot certify the truncation (see
 :meth:`slra.envelope.RankObjective.update`).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
@@ -314,7 +315,8 @@ class SolverResult:
     """Final primal (projected onto the subspace), final multiplier, trace
     and termination status.  ``full_svds`` counts the trace rows priced by
     a full SVD rather than a truncated one (row 0 and every fallback
-    included)."""
+    included), and ``passes`` the passes of truncated-SVD subspace
+    iteration over the run (failed attempts included)."""
 
     X_star: np.ndarray
     Lambda_star: np.ndarray
@@ -323,6 +325,7 @@ class SolverResult:
     degenerate: bool
     n_iters: int
     full_svds: int
+    passes: int
 
     @property
     def status(self) -> str:
@@ -380,7 +383,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     rows = []
     best, top = 0, -np.inf
     warm = None
-    full_svds = 0
+    full_svds = passes = 0
     degenerate = converged = False
     failure = None
 
@@ -392,6 +395,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
             break
         warm = upd.warm
         full_svds += warm is None or not warm.truncated
+        passes += 0 if warm is None else warm.passes
         degenerate = degenerate or upd.degenerate
         dual = dual_at_row(upd, lam, alpha, prev, px)
         if not rows or dual >= top - _best_dual_tol(top):
@@ -432,6 +436,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         degenerate=degenerate,
         n_iters=k,
         full_svds=full_svds,
+        passes=passes,
     )
 
 

@@ -157,6 +157,11 @@ def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "freqest_summary.json").read_text())
     assert summary["snr_levels"] == [5.0, 20.0]
     assert summary["mean_iters"] == 3.0 and summary["converged_fraction"] == 0.0
+    # the config holds what the study reads, and no cosine-sum setting
+    assert summary["config"] == {"experiment": "freqest", "trials": 1, "seed": 0,
+                                 "output_dir": str(tmp_path), "sigma0": "gap:4",
+                                 "max_iters": 3}
+    assert summary["passes_per_truncated_row"] > 0
     diffs = (tmp_path / "freqest_diffs.csv").read_text().splitlines()
     assert [float(row.split(",")[0]) for row in diffs[1:]] == [5.0, 20.0]
 
@@ -176,6 +181,18 @@ def test_freqest_bad_snr_levels_is_usage_error(flags, tmp_path, capsys, monkeypa
     assert exc.value.code == 2
     assert "slra: error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_describe_change_reports_relative_difference_and_fields(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("a,b\n1.0,2.0\nx,4.0\n")
+    new.write_text("a,b\n1.0,2.0000001\nx,4.0\n")
+    assert describe_change(old, new) == "largest relative difference 5e-08"
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"c": {"iters": 100}, "v": [1.0, 2.0], "s": "gap:4"}))
+    new.write_text(json.dumps({"c": {"max_iters": 5}, "v": [1.0, 1.0], "s": "gap:4"}))
+    assert describe_change(old, new) == (
+        "largest relative difference 0.5; only before: c.iters; only after: c.max_iters")
 
 
 def _config(tmp_path, doc):
@@ -213,11 +230,65 @@ def test_config_accepts_int_for_float_and_number_for_sigma0(tmp_path, monkeypatc
     assert summary["sigma0"] == 2.0
 
 
+def _numeric_fields(path):
+    """The numbers in a golden file by position: JSON by key path, CSV by
+    (line, column), ``.npy`` by flat index."""
+    if path.suffix == ".npy":
+        return dict(enumerate(np.load(path).ravel().tolist()))
+    if path.suffix == ".json":
+        def walk(doc, key):
+            if isinstance(doc, dict):
+                for k, v in doc.items():
+                    yield from walk(v, f"{key}.{k}" if key else k)
+            elif isinstance(doc, list):
+                for i, v in enumerate(doc):
+                    yield from walk(v, f"{key}[{i}]")
+            elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+                yield key, doc
+        return dict(walk(json.loads(path.read_text()), ""))
+    fields = {}
+    for i, line in enumerate(path.read_text().splitlines()):
+        for j, cell in enumerate(line.split(",")):
+            try:
+                fields[i, j] = float(cell)
+            except ValueError:
+                pass
+    return fields
+
+
+def describe_change(old, new):
+    """One line on how golden file ``new`` differs from ``old``: the
+    largest relative difference of the numbers both hold at the same
+    position, and the positions only one of them holds."""
+    a, b = _numeric_fields(old), _numeric_fields(new)
+    rel = 0.0
+    for key in a.keys() & b.keys():
+        x, y = a[key], b[key]
+        if x != y and not (np.isnan(x) and np.isnan(y)):
+            rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+    line = f"largest relative difference {rel:.2g}"
+    for what, keys in (("only before", a.keys() - b.keys()), ("only after", b.keys() - a.keys())):
+        if keys:
+            line += f"; {what}: {', '.join(map(str, sorted(keys, key=str)))}"
+    return line
+
+
 if __name__ == "__main__":
     import shutil
     import tempfile
 
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
+            before = Path(tmp) / "before"
+            if (GOLDEN / case).exists():
+                shutil.copytree(GOLDEN / case, before)
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
             shutil.copytree(run_case(case, Path(tmp)), GOLDEN / case)
+            names = {p.name for p in before.glob("*")} | {p.name for p in (GOLDEN / case).iterdir()}
+            for name in sorted(names):
+                old, new = before / name, GOLDEN / case / name
+                label = new.relative_to(GOLDEN.parents[1])
+                if not old.exists() or not new.exists():
+                    print(f"{label}: {'new' if new.exists() else 'removed'}")
+                elif old.read_bytes() != new.read_bytes():
+                    print(f"{label}: {describe_change(old, new)}")

@@ -250,19 +250,34 @@ def _passes_of_update(monkeypatch, obj, lam, warm):
     return upd, len(passes)
 
 
-def _unit_step_rows(noise):
+def _path(noise, size=1.0):
     """Rank 4 plus ``noise`` on 129x129 complex data, sigma0 between the
-    4th and 5th values, and two multipliers whose G differ by 1 in
-    Frobenius norm; returns the objective, the second multiplier and the
-    warm state of the first."""
+    4th and 5th values, a multiplier Lambda_0 and a step D that moves G by
+    ``size`` in Frobenius norm; returns the objective, Lambda_0 and D."""
     rng = np.random.default_rng(7)
     F = _complex(rng, 129, 4) @ _complex(rng, 4, 129) + noise * _complex(rng, 129, 129)
     s = np.linalg.svd(F, compute_uv=False)
     obj = RankObjective(F, 0.5 * (s[3] + s[4]))
     lam0 = 0.1 * _complex(rng, 129, 129)
     step = _complex(rng, 129, 129)
-    lam1 = lam0 + 2.0 * step / np.linalg.norm(step)  # G moves by ||dLambda|| / 2
-    return obj, lam1, obj.update(lam0, 0.0).warm
+    return obj, lam0, 2.0 * size * step / np.linalg.norm(step)  # G moves by ||dLambda|| / 2
+
+
+def _unit_step_rows(noise):
+    """The objective of ``_path(noise)``, Lambda_0 + D, and the warm state
+    of Lambda_0."""
+    obj, lam0, d = _path(noise)
+    return obj, lam0 + d, obj.update(lam0, 0.0).warm
+
+
+def _truncated_rows(obj, lams):
+    """The warm state after a cold row at lams[0] and a truncated row at
+    each of ``lams``."""
+    warm = obj.update(lams[0], 0.0).warm
+    for lam in lams:
+        warm = obj.update(lam, 0.0, warm).warm
+        assert warm.truncated
+    return warm
 
 
 def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
@@ -286,6 +301,35 @@ def test_stalling_attempt_falls_back_after_the_base_passes(monkeypatch):
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1  # next try 2 rows on
     _assert_same_update(upd, obj.update(lam, 0.0))
+
+
+def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
+    # G moves along a line through truncated rows at Lambda_0 and
+    # Lambda_0 + D; the next row, at Lambda_0 + 2D, certifies after one
+    # pass from the predicted start and takes three from the previous block
+    obj, lam0, d = _path(0.3, 1e-3)
+    warm = _truncated_rows(obj, [lam0, lam0 + d])
+    lam = lam0 + 2.0 * d
+    predicted, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    plain, plain_passes = _passes_of_update(monkeypatch, obj, lam, warm._replace(prev_vh=None))
+    assert predicted.warm.truncated and plain.warm.truncated
+    assert (predicted.warm.passes, plain.warm.passes) == (passes, plain_passes) == (1, 3)
+    full = obj.update(lam, 0.0)
+    _assert_same_update(predicted, full)
+    _assert_same_update(plain, full)
+
+
+def test_failed_secant_start_is_retried_from_the_plain_start(monkeypatch):
+    # the path turns back to Lambda_0, so the prediction points away from
+    # the row's subspace and needs a fourth pass, which is not allowed
+    # here; the previous block certifies in three, and no fallback counts
+    obj, lam0, d = _path(0.3, 0.1)
+    warm = _truncated_rows(obj, [lam0, lam0 + d])
+    monkeypatch.setattr(envelope, "_MAX_PASSES", 3)
+    upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
+    assert passes == upd.warm.passes == 6
+    assert upd.warm.truncated and upd.warm.fallbacks == 0 and upd.warm.wait == 0
+    _assert_same_update(upd, obj.update(lam0, 0.0))
 
 
 def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
@@ -343,7 +387,7 @@ def test_nonfinite_g_never_passes_the_certificate(monkeypatch):
     bad[3, 5] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         obj.update(bad, 0.0, warm)  # the fallback's full SVD fails
-    assert attempts[0] is not None and attempts[1] is None
+    assert attempts[0][1] is not None and attempts[1][1] is None
 
 
 def test_rank_objective_validation():

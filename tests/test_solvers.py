@@ -136,7 +136,7 @@ class ScriptedObjective:
     def update(self, lam, alpha, warm):
         k, self.row = self.row, self.row + 1
         x = np.full((1, 1), np.nan if k == self.nan_row else 1.0)
-        return PrimalUpdate(x, self.duals[k], 0.0, 1.0, False)
+        return PrimalUpdate(x, self.duals[k], lambda: 0.0, 1.0, False)
 
 
 @pytest.mark.parametrize("duals, best", [
@@ -307,8 +307,8 @@ def test_numerical_failure_carries_priced_rows():
     assert list(exc.value.trace.n) == [0]
 
 
-def _freqest_trial_run(monkeypatch):
-    """One freqest trial at 20 dBW: the study and its (objective, result)."""
+def _freqest_trial_run(monkeypatch, snr_dbw):
+    """One freqest trial at ``snr_dbw``: the study and its (objective, result)."""
     calls = []
     original = solvers.run
 
@@ -317,21 +317,29 @@ def _freqest_trial_run(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(solvers, "run", recording_run)
-    study = run_freqest_study(ExperimentConfig("freqest", trials=1), snr_levels=(20.0,))
+    study = run_freqest_study(ExperimentConfig("freqest", trials=1), snr_levels=(snr_dbw,))
     monkeypatch.setattr(solvers, "run", original)
     return study, *calls[0]
 
 
-def test_freqest_trial_matches_full_svd_path(monkeypatch):
-    study, obj, fast = _freqest_trial_run(monkeypatch)
+@pytest.mark.parametrize("snr_dbw", [15.0, 20.0])
+def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
+    study, obj, fast = _freqest_trial_run(monkeypatch, snr_dbw)
     monkeypatch.setattr(envelope, "_SIZE_GATE", 10**9)  # never truncate
-    full_study, _, full = _freqest_trial_run(monkeypatch)
+    full_study, _, full = _freqest_trial_run(monkeypatch, snr_dbw)
 
-    # row 0 has no warm start; every later row is certified truncated
-    assert fast.full_svds == 1
-    assert 0 < study["full_svd_fraction"] <= 0.01
+    truncated = fast.n_iters + 1 - fast.full_svds
+    if snr_dbw == 20.0:
+        # row 0 has no warm start; every later row is certified truncated
+        assert fast.full_svds == 1
+        assert 0 < study["full_svd_fraction"] <= 0.01
+    else:
+        # some attempts fall back, and the backoff prices more rows in full
+        assert 1 < fast.full_svds < truncated
+    # the secant start certifies most rows after one pass
+    assert study["passes_per_truncated_row"] == fast.passes / truncated <= 1.6
     assert full_study["full_svd_fraction"] == 1.0
-    assert full.full_svds == full.n_iters + 1
+    assert full.full_svds == full.n_iters + 1 and full.passes == 0
     assert fast.n_iters == full.n_iters
     assert_array_equal(fast.trace.best_n, full.trace.best_n)
     assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
