@@ -18,7 +18,6 @@ from .matops import (
     f_alpha,
     f_hard,
     frobenius_inner,
-    frobenius_norm,
     numerical_rank,
 )
 from .signals import (

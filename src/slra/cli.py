@@ -1,13 +1,17 @@
 """Command line entry point.
 
-Subcommands: converge, singvals, gtdist, toy, freqest, solve.  Global
-flags set the seed, trial/iteration counts, step weight, penalty level and
-output directory; a JSON config file passed via --config overrides any
-flag with a value of that flag's type.  ``freqest`` takes its SNR levels
-as its own option (``--snr-levels``, a comma list) and ignores ``--iters``:
-its budget is ``harness.FREQEST_MAX_ITERS``.  Exit codes: 0 success, 1
-numerical failure, 2 usage error.  The SLRA_THREADS environment variable
-caps the trial worker count.
+Subcommands: converge, toy, freqest, solve.  Global flags set the seed,
+trial/iteration counts, step weight, penalty level and output directory;
+a JSON config file passed via --config overrides any flag with a value of
+that flag's type.  ``converge`` runs the cosine-sum study once and writes
+its curves, ground-truth distances, singular values and summary (see
+:mod:`slra.harness`).  ``freqest`` takes its SNR levels as its own option
+(``--snr-levels``, a comma list); its budget is
+``harness.FREQEST_MAX_ITERS`` and its sigma0 the gap heuristic.
+``freqest`` and ``toy`` read none of ``--iters``, ``--alpha`` and
+``--sigma0``, so giving one of them there is a usage error.  Exit codes:
+0 success, 1 numerical failure, 2 usage error.  The SLRA_THREADS
+environment variable caps the trial worker count.
 """
 
 import argparse
@@ -39,9 +43,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--trials", type=int, default=100,
                    help="Monte-Carlo trials per setting (default 100)")
-    p.add_argument("--iters", type=int, default=100,
+    # None marks a flag not given; the defaults are ExperimentConfig's
+    p.add_argument("--iters", type=int, default=None,
                    help="iteration budget (default 100)")
-    p.add_argument("--alpha", type=float, default=0.1,
+    p.add_argument("--alpha", type=float, default=None,
                    help="augmentation weight / fixed step (default 0.1)")
     p.add_argument("--sigma0", type=str, default=None,
                    help="penalty level: explicit value or 'gap:P' heuristic")
@@ -49,7 +54,7 @@ def build_parser():
     p.add_argument("--config", type=str, default=None,
                    help="JSON file whose entries override the flags")
     sub = p.add_subparsers(dest="experiment", required=True)
-    for name in ("converge", "singvals", "gtdist", "toy"):
+    for name in ("converge", "toy"):
         sub.add_parser(name)
     pf = sub.add_parser("freqest")
     pf.add_argument("--snr-levels", type=str, default=None,
@@ -104,6 +109,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _apply_config_file(args, parser)
 
+    unread = [f"--{name}" for name in ("iters", "alpha", "sigma0")
+              if getattr(args, name) is not None]
+    if args.experiment in ("toy", "freqest") and unread:
+        parser.error(f"{args.experiment} does not read {', '.join(unread)}")
+
     if args.sigma0 is not None:
         try:
             sigma0, gap_p = _parse_sigma0(str(args.sigma0))
@@ -126,8 +136,7 @@ def main(argv=None) -> int:
     config = harness.ExperimentConfig(
         experiment=args.experiment,
         trials=args.trials,
-        iters=args.iters,
-        alpha=args.alpha,
+        **{k: getattr(args, k) for k in ("iters", "alpha") if getattr(args, k) is not None},
         sigma0=sigma0,
         sigma0_gap_p=gap_p,
         seed=args.seed,
@@ -136,11 +145,7 @@ def main(argv=None) -> int:
 
     try:
         if args.experiment == "converge":
-            harness.cmd_converge(config)
-        elif args.experiment == "singvals":
-            harness.cmd_singvals(config)
-        elif args.experiment == "gtdist":
-            report = harness.cmd_gtdist(config)
+            report = harness.cmd_converge(config)
             for m, v in report.gt_distance.items():
                 print(f"{m}: mean normalized distance {v:.4g}")
         elif args.experiment == "toy":
@@ -149,9 +154,9 @@ def main(argv=None) -> int:
             for n, x, lam in rows:
                 print(f"{n},{x:+.0f},{lam:.12f}")
         elif args.experiment == "freqest":
-            report = harness.cmd_freqest(config, snr_levels)
-            print(f"frobenius diff > 0 in {report.freqest['frob_positive_fraction']:.1%} "
-                  f"of trials; l2 diff < 0 in {report.freqest['l2_negative_fraction']:.1%}")
+            study = harness.cmd_freqest(config, snr_levels)
+            print(f"frobenius diff > 0 in {study['frob_positive_fraction']:.1%} "
+                  f"of trials; l2 diff < 0 in {study['l2_negative_fraction']:.1%}")
         else:
             res = harness.cmd_solve(
                 args.input, config, variant=args.variant,

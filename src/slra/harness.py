@@ -1,6 +1,13 @@
 """Experiment harness: seeded Monte-Carlo studies of the three solver
 variants on random cosine-sum Hankel problems, the four-tone frequency
-estimation comparison against ESPRIT, and a general solve entry point.
+estimation comparison against ESPRIT, the scalar toy table, and a general
+solve entry point.
+
+One cosine-sum run (``cmd_converge``) writes all three views of that
+study: the mean primal and dual curves (``converge_curves.csv``), the mean
+normalized distance to the ground truth (``gtdist.csv``), the mean leading
+singular values (``singvals.csv``), and a summary with the config, final
+gaps and distances (``converge_summary.json``).
 
 Trials fan out over a process pool (capped by the SLRA_THREADS environment
 variable); every trial derives its own generator seed from the base seed
@@ -94,15 +101,13 @@ class ExperimentConfig:
 
 @dataclass
 class AggregateReport:
-    """Arithmetic means over trials; only the fields the experiment
-    produces are filled in."""
+    """Arithmetic means over the trials of the cosine-sum study."""
 
     trials: int
-    primal_curves: Optional[dict] = None   # method -> array over iterations
-    dual_curves: Optional[dict] = None
-    gt_distance: Optional[dict] = None     # method -> mean normalized distance
-    singvals: Optional[dict] = None        # series -> mean 10 leading values
-    freqest: Optional[dict] = None
+    primal_curves: dict   # method -> array over iterations
+    dual_curves: dict
+    gt_distance: dict     # method -> mean normalized distance
+    singvals: dict        # series -> mean 10 leading values
 
 
 def _worker_count() -> int:
@@ -187,8 +192,8 @@ def _pad_to(a, length):
     return np.concatenate([a, np.full(length - a.size, a[-1])])
 
 
-def _method_config(method, alpha, iters, track_primal=True, stop_tol=_NO_STOP):
-    common = dict(max_iters=iters, stop_tol=stop_tol, track_primal=track_primal)
+def _method_config(method, alpha, iters, stop_tol=_NO_STOP):
+    common = dict(max_iters=iters, stop_tol=stop_tol)
     if method == solvers.ADA:
         return SolverConfig.ada(alpha, **common)
     if method == solvers.MOD_ADA:
@@ -200,7 +205,7 @@ def _method_config(method, alpha, iters, track_primal=True, stop_tol=_NO_STOP):
 def _cossum_trial(args):
     """One random-instance run of all three methods; returns curves,
     normalized ground-truth distances and leading singular values."""
-    (trial_seed, iters, alpha, sigma0, gap_p, noise_sigma, track_primal) = args
+    (trial_seed, iters, alpha, sigma0, gap_p, noise_sigma) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
     rows, cols = 101, 100
@@ -226,7 +231,7 @@ def _cossum_trial(args):
     dist = np.empty(len(METHODS))
     sv_out = np.empty((len(METHODS), 10))
     for i, method in enumerate(METHODS):
-        res = solvers.run(obj, sub, _method_config(method, alpha, iters, track_primal))
+        res = solvers.run(obj, sub, _method_config(method, alpha, iters))
         prim[i] = _pad_to(res.trace.primal, n_rows)
         dual[i] = _pad_to(res.trace.dual, n_rows)
         # normalized distance ||H - H_gt|| / ||H_gt||; the tabulated
@@ -237,20 +242,20 @@ def _cossum_trial(args):
     return out
 
 
-def run_cossum_study(config: ExperimentConfig, track_primal: bool = True) -> AggregateReport:
+def run_cossum_study(config: ExperimentConfig) -> AggregateReport:
     """Random cosine-sum protocol: rank-8 101x100 Hankel ground truth,
     elementwise Gaussian noise, all three methods for a fixed iteration
     budget."""
     items = [
         (config.seed + t, config.iters, config.alpha, config.sigma0,
-         config.sigma0_gap_p, config.noise_sigma, track_primal)
+         config.sigma0_gap_p, config.noise_sigma)
         for t in range(config.trials)
     ]
     results = _map_trials(_cossum_trial, items)
     mean = lambda key: np.mean(np.stack([r[key] for r in results]), axis=0)
     prim, dual = mean("primal"), mean("dual")
     sv_out = mean("sv_out")
-    report = AggregateReport(
+    return AggregateReport(
         trials=config.trials,
         primal_curves={m: prim[i] for i, m in enumerate(METHODS)},
         dual_curves={m: dual[i] for i, m in enumerate(METHODS)},
@@ -261,7 +266,6 @@ def run_cossum_study(config: ExperimentConfig, track_primal: bool = True) -> Agg
             **{m: sv_out[i] for i, m in enumerate(METHODS)},
         },
     )
-    return report
 
 
 def _write_csv(path, header, rows):
@@ -279,53 +283,29 @@ def _write_json(path, doc):
 
 
 def cmd_converge(config: ExperimentConfig) -> AggregateReport:
-    """Mean primal and dual objective curves for the three methods."""
-    report = run_cossum_study(config, track_primal=True)
+    """Mean primal and dual curves, mean normalized distance
+    ||H - H_gt|| / ||H_gt|| to the ground truth, and mean leading singular
+    values of data, truth and the three methods, from one study run."""
+    report = run_cossum_study(config)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for m in METHODS:
-        for n in range(config.iters + 1):
-            rows.append((m, n, float(report.primal_curves[m][n]),
-                         float(report.dual_curves[m][n])))
+    rows = [(m, n, float(report.primal_curves[m][n]), float(report.dual_curves[m][n]))
+            for m in METHODS for n in range(config.iters + 1)]
     _write_csv(out / "converge_curves.csv", ("method", "n", "mean_primal", "mean_dual"), rows)
+    dist = {m: float(report.gt_distance[m]) for m in METHODS}
+    _write_csv(out / "gtdist.csv", ("method", "alpha", "mean_normalized_distance", "trials"),
+               [(m, float(config.alpha), d, config.trials) for m, d in dist.items()])
+    _write_csv(out / "singvals.csv", ("series", "j", "mean_sigma"),
+               [(series, j, float(v)) for series, vals in report.singvals.items()
+                for j, v in enumerate(vals, start=1)])
     _write_json(out / "converge_summary.json", {
         "config": config.to_json_dict(),
         "final_gap": {
             m: float(report.primal_curves[m][-1] - report.dual_curves[m][-1])
             for m in METHODS
         },
+        "mean_normalized_distance": dist,
     })
-    return report
-
-
-def cmd_gtdist(config: ExperimentConfig) -> AggregateReport:
-    """Mean normalized distance ||H - H_gt|| / ||H_gt|| to the ground
-    truth per method."""
-    report = run_cossum_study(config, track_primal=False)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [(m, float(config.alpha), float(report.gt_distance[m]), config.trials)
-            for m in METHODS]
-    _write_csv(out / "gtdist.csv",
-               ("method", "alpha", "mean_normalized_distance", "trials"), rows)
-    _write_json(out / "gtdist.json", {
-        "config": config.to_json_dict(),
-        "mean_normalized_distance": {m: float(report.gt_distance[m]) for m in METHODS},
-    })
-    return report
-
-
-def cmd_singvals(config: ExperimentConfig) -> AggregateReport:
-    """Mean 10 leading singular values of data, truth and method outputs."""
-    report = run_cossum_study(config, track_primal=False)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for series, vals in report.singvals.items():
-        for j, v in enumerate(vals, start=1):
-            rows.append((series, j, float(v)))
-    _write_csv(out / "singvals.csv", ("series", "j", "mean_sigma"), rows)
     return report
 
 
@@ -453,9 +433,10 @@ def _histogram_rows(norm_name, snr_levels, diffs, n_bins=24):
 
 
 def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
-                max_iters: int = FREQEST_MAX_ITERS) -> AggregateReport:
+                max_iters: int = FREQEST_MAX_ITERS) -> dict:
     """Run the SNR sweep and emit raw differences, histogram bins and a
-    summary; differences are scaled by 10^(SNR/20)."""
+    summary; differences are scaled by 10^(SNR/20).  Returns the study
+    (see :func:`run_freqest_study`)."""
     study = run_freqest_study(config, snr_levels, max_iters)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -485,7 +466,7 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
         "full_svd_fraction": study["full_svd_fraction"],
         "passes_per_truncated_row": study["passes_per_truncated_row"],
     })
-    return AggregateReport(trials=config.trials, freqest=study)
+    return study
 
 
 def load_solve_input(path):

@@ -21,16 +21,12 @@ def frobenius_inner(a, b) -> float:
     """Real Frobenius inner product Re(sum(conj(a_ij) * b_ij)).
 
     Symmetric on complex matrices and reduces to the usual trace inner
-    product for real ones; ``frobenius_inner(a, a) == frobenius_norm(a)**2``.
+    product for real ones; ``frobenius_inner(a, a)`` is the squared
+    Frobenius norm of ``a``.
     """
     a, b = _as_matrix(a), _as_matrix(b)
     _check_same_shape(a, b)
     return float(np.real(np.vdot(a, b)))
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_ij|^2)."""
-    return float(np.linalg.norm(_as_matrix(a)))
 
 
 def singular_values(a) -> np.ndarray:

@@ -31,7 +31,6 @@ only bounded below with an extra factor 1/2).
 """
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -281,11 +280,6 @@ class SolverTrace:
         if not rows or tuple(rows[0]) != _TRACE_COLUMNS:
             raise ValueError("not a solver trace CSV (bad header)")
         return cls.from_rows([[float(v) for v in r] for r in rows[1:]])
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
     def check_invariants(self):
         """best_n[k] must be the latest row up to k whose dual lies within

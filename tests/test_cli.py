@@ -10,6 +10,9 @@ numpy/LAPACK build; after a change that is meant to alter them,
 regenerate with
 
     PYTHONPATH=src python tests/test_cli.py
+
+which prints how each changed file differs and deletes the golden
+directories of cases that no longer exist.
 """
 
 import json
@@ -34,8 +37,6 @@ SOLVE_INPUTS = {"signal.csv": "gap:4", "matrix.npy": "1.5", "model.json": "gap:4
 
 CASES = {
     "converge": STUDY + ["converge"],
-    "gtdist": STUDY + ["gtdist"],
-    "singvals": STUDY + ["singvals"],
     "toy": ["toy"],
     "freqest": ["--trials", "1", "freqest", "--snr-levels", "20"],
     **{
@@ -109,17 +110,24 @@ def test_golden_outputs(case, tmp_path):
         assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
-def test_gtdist_identical_across_worker_counts(tmp_path):
+def test_golden_directories_are_the_cases():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+def test_converge_identical_across_worker_counts(tmp_path):
+    csvs = ("converge_curves.csv", "gtdist.csv", "singvals.csv")
     outputs = []
     for workers in ("1", "2"):
-        proc = _slra(["--out", f"out{workers}"] + CASES["gtdist"], tmp_path,
+        proc = _slra(["--out", f"out{workers}"] + CASES["converge"], tmp_path,
                      SLRA_THREADS=workers, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(tmp_path / f"out{workers}" / name).read_bytes()
-                        for name in ("gtdist.csv", "gtdist.json")])
-    assert outputs[0][0] == outputs[1][0]
+        out = tmp_path / f"out{workers}"
+        assert sorted(p.name for p in out.iterdir()) == sorted(csvs + ("converge_summary.json",))
+        outputs.append(out)
+    for name in csvs:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
     # the recorded config differs only in the output directory
-    docs = [json.loads(o[1]) for o in outputs]
+    docs = [json.loads((out / "converge_summary.json").read_text()) for out in outputs]
     for doc in docs:
         del doc["config"]["output_dir"]
     assert docs[0] == docs[1]
@@ -180,6 +188,24 @@ def test_freqest_bad_snr_levels_is_usage_error(flags, tmp_path, capsys, monkeypa
         main(["--trials", "1", "freqest", *flags])
     assert exc.value.code == 2
     assert "slra: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("study", ["freqest", "toy"])
+@pytest.mark.parametrize("flag, value", [
+    ("iters", 5), ("iters", 100), ("alpha", 7.0), ("sigma0", "2.5"), ("sigma0", "gap:4"),
+])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_flag_the_study_does_not_read_is_usage_error(study, flag, value, via_config,
+                                                     tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    given = (["--config", _config(tmp_path, {flag: value})] if via_config
+             else [f"--{flag}", str(value)])
+    with pytest.raises(SystemExit) as exc:
+        main(["--trials", "1", *given, study, *(["--snr-levels", "20"] if study == "freqest" else [])])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"slra: error: {study} does not read --{flag}"
     assert not (tmp_path / "out").exists()
 
 
@@ -277,6 +303,9 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
+    for stale in sorted(p for p in GOLDEN.iterdir() if p.name not in CASES):
+        shutil.rmtree(stale)
+        print(f"{stale.relative_to(GOLDEN.parents[1])}: removed")
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             before = Path(tmp) / "before"

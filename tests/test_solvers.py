@@ -222,6 +222,25 @@ def test_weak_duality_along_traces():
         assert np.max(res.trace.dual) <= np.min(res.trace.primal) + 1e-8
 
 
+@pytest.mark.parametrize("make", [
+    lambda **kw: SolverConfig.da(**kw),
+    lambda **kw: SolverConfig.ada(0.1, **kw),
+    lambda **kw: SolverConfig.mod_ada(0.1, **kw),
+], ids=["da", "ada", "mod_ada"])
+def test_primal_tracking_changes_only_the_primal_column(make):
+    # one cosine-sum run serves the curves, distances and singular values
+    # only because pricing primal values leaves everything else untouched
+    obj, sub, _ = hankel_problem(11, rows=21, cols=20, sigma0=0.8)
+    tracked, bare = (run(obj, sub, make(max_iters=40, stop_tol=1e-300, track_primal=t))
+                     for t in (True, False))
+    assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
+    for col in ("dual", "feas_residual", "lambda_norm", "step_norm", "best_n"):
+        assert_array_equal(getattr(tracked.trace, col), getattr(bare.trace, col))
+    assert_array_equal(tracked.X_star, bare.X_star)
+    assert_array_equal(tracked.Lambda_star, bare.Lambda_star)
+    assert (tracked.n_iters, tracked.full_svds) == (bare.n_iters, bare.full_svds)
+
+
 def test_ada_dual_monotone_increase_inequality():
     obj, sub, _ = hankel_problem(3, rows=15, cols=15)
     alpha = 0.15
@@ -404,7 +423,9 @@ def test_trace_csv_significant_digits():
         step_norm=np.array([0.0, 1.0]),
         best_n=np.array([0, 1]),
     )
-    text = tr.to_csv_string()
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    text = buf.getvalue()
     assert text.splitlines()[0] == "n,primal,dual,feas_residual,lambda_norm,step_norm,best_n"
     assert "1.234567890123e+02" in text
     back = SolverTrace.read_csv(io.StringIO(text))
