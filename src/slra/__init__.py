@@ -7,13 +7,12 @@ functional calculus.
 """
 
 from .envelope import (
-    DegenerateSingularValueWarning,
     RankObjective,
     ToyObjective,
     toy_conjugate,
     toy_tilted_minimizers,
 )
-from .esprit import EspritEstimate, esprit_estimate, esprit_hankel_error
+from .esprit import esprit_estimate, esprit_hankel_error
 from .matops import (
     f_alpha,
     f_hard,
@@ -37,11 +36,9 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     SolverTrace,
-    StepSchedule,
     ada_rate_report,
     check_lambda_bound,
     run,
-    validate_schedule,
 )
 from .subspace import (
     HankelSubspace,

@@ -8,8 +8,10 @@ its curves, ground-truth distances, singular values and summary (see
 :mod:`slra.harness`).  ``freqest`` takes its SNR levels as its own option
 (``--snr-levels``, a comma list); its budget is
 ``harness.FREQEST_MAX_ITERS`` and its sigma0 the gap heuristic.
-``freqest`` and ``toy`` read none of ``--iters``, ``--alpha`` and
-``--sigma0``, so giving one of them there is a usage error.  Exit codes:
+A study given a global flag it does not read exits with a usage error:
+``freqest`` reads none of ``--iters``, ``--alpha`` and ``--sigma0``, and
+``toy``, a fixed table, reads none of those nor ``--trials`` and
+``--seed``.  Exit codes:
 0 success, 1 numerical failure, 2 usage error.  The SLRA_THREADS
 environment variable caps the trial worker count.
 """
@@ -21,10 +23,16 @@ import sys
 import numpy as np
 
 from . import harness, solvers
-from .solvers import ScheduleError, SolverNumericalError
+from .solvers import SolverNumericalError
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
+
+#: study -> global flags it does not read
+_UNREAD_FLAGS = {
+    "toy": ("iters", "alpha", "sigma0", "trials", "seed"),
+    "freqest": ("iters", "alpha", "sigma0"),
+}
 
 
 def _parse_sigma0(value):
@@ -40,10 +48,10 @@ def build_parser():
         description="Structured low-rank approximation experiments "
                     "(dual ascent on Hankel subspaces).",
     )
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--trials", type=int, default=100,
-                   help="Monte-Carlo trials per setting (default 100)")
     # None marks a flag not given; the defaults are ExperimentConfig's
+    p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="Monte-Carlo trials per setting (default 100)")
     p.add_argument("--iters", type=int, default=None,
                    help="iteration budget (default 100)")
     p.add_argument("--alpha", type=float, default=None,
@@ -109,9 +117,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _apply_config_file(args, parser)
 
-    unread = [f"--{name}" for name in ("iters", "alpha", "sigma0")
+    unread = [f"--{name}" for name in _UNREAD_FLAGS.get(args.experiment, ())
               if getattr(args, name) is not None]
-    if args.experiment in ("toy", "freqest") and unread:
+    if unread:
         parser.error(f"{args.experiment} does not read {', '.join(unread)}")
 
     if args.sigma0 is not None:
@@ -135,11 +143,10 @@ def main(argv=None) -> int:
 
     config = harness.ExperimentConfig(
         experiment=args.experiment,
-        trials=args.trials,
-        **{k: getattr(args, k) for k in ("iters", "alpha") if getattr(args, k) is not None},
+        **{k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
+           if getattr(args, k) is not None},
         sigma0=sigma0,
         sigma0_gap_p=gap_p,
-        seed=args.seed,
         output_dir=args.out,
     )
 
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
                 stop_tol=args.stop_tol, rank_tol=args.rank_tol,
             )
             print(f"status: {res.status} after {res.n_iters} iterations")
-    except (ValueError, ScheduleError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SolverNumericalError, np.linalg.LinAlgError, OverflowError) as exc:

@@ -12,7 +12,6 @@ objective |x^2 - 1| with the trivial constraint x = 0 is included; it is
 the standard example of dual ascent oscillating between primal minimizers.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -38,11 +37,6 @@ _PASSES = 3
 _MAX_PASSES = 8
 _PASS_CUT = 100.0
 _RESIDUAL_RTOL = 1e-12
-
-
-class DegenerateSingularValueWarning(UserWarning):
-    """A singular value of F - Lambda/2 sits at the threshold sigma0, so
-    the unaugmented primal update is not unique."""
 
 
 class WarmStart(NamedTuple):
@@ -304,22 +298,6 @@ class RankObjective:
         warm = WarmStart(g, block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
         return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate, warm)
 
-    def tilted_minimizer(self, lam, alpha: float = 0.0):
-        """Closed-form minimizer S_{f_alpha}(F - Lambda/2).
-
-        Unique for ``alpha > 0``; for ``alpha == 0`` a minimizer of both the
-        rank objective and its envelope (warns when a singular value ties
-        with sigma0 and uniqueness is lost)."""
-        upd = self.update(lam, alpha)
-        if upd.degenerate:
-            warnings.warn(
-                "singular value within %.0e of sigma0: minimizer not unique"
-                % (DEGENERATE_RTOL * self.sigma0),
-                DegenerateSingularValueWarning,
-                stacklevel=2,
-            )
-        return upd.x
-
     def dual_value_ada(self, lam, alpha: float) -> float:
         """Dual value of the fully augmented problem at Lambda: the
         augmented tilted objective evaluated at its closed-form minimizer.
@@ -365,7 +343,6 @@ class ToyObjective:
     like any other objective; the constraint subspace is {0}."""
 
     shape = (1, 1)
-    sigma0 = None  # no threshold parameter
 
     @staticmethod
     def _scalar(lam):
@@ -374,24 +351,12 @@ class ToyObjective:
             raise ValueError("toy objective works on 1x1 matrices")
         return float(np.real(lam[0, 0]))
 
-    def envelope_value(self, x) -> float:
-        v = self._scalar(x)
-        return max(0.0, v * v - 1.0)
-
     def dual_value_da(self, lam) -> float:
         return -toy_conjugate(-self._scalar(lam))
-
-    def dual_value_ada(self, lam, alpha: float) -> float:
-        upd = self.update(lam, alpha)
-        return upd.envelope_at_x + self._scalar(lam) * float(upd.x[0, 0]) + \
-            0.5 * alpha * upd.x_norm_sq
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
         v = self._scalar(x)
         return max(0.0, v * v - 1.0) + 0.5 * alpha * v * v
-
-    def tilted_minimizer(self, lam, alpha: float = 0.0):
-        return self.update(lam, alpha).x
 
     def update(self, lam, alpha: float = 0.0, warm=None) -> PrimalUpdate:
         lam_v = self._scalar(lam)

@@ -48,7 +48,7 @@ from .signals import (
     sigma0_heuristic,
     signal_to_hankel,
 )
-from .solvers import SolverConfig, StepSchedule
+from .solvers import SolverConfig
 from .subspace import HankelSubspace, ZeroSubspace
 
 METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
@@ -193,13 +193,18 @@ def _pad_to(a, length):
 
 
 def _method_config(method, alpha, iters, stop_tol=_NO_STOP):
-    common = dict(max_iters=iters, stop_tol=stop_tol)
-    if method == solvers.ADA:
-        return SolverConfig.ada(alpha, **common)
-    if method == solvers.MOD_ADA:
-        return SolverConfig.mod_ada(alpha, **common)
-    # da, or an unknown variant that SolverConfig rejects
-    return SolverConfig(method, StepSchedule.harmonic(), **common)
+    alpha_reg = 0.0 if method == solvers.DA else alpha
+    return SolverConfig(method, alpha_reg, max_iters=iters, stop_tol=stop_tol)
+
+
+def _resolve_sigma0(F, sigma0, gap_p):
+    """Penalty level: ``sigma0`` when given, else the spectral-gap
+    heuristic of order ``gap_p`` on F."""
+    if sigma0 is not None:
+        return sigma0
+    if gap_p is not None:
+        return sigma0_heuristic(F, gap_p)
+    raise ValueError("need an explicit sigma0 or a gap heuristic order")
 
 
 def _cossum_trial(args):
@@ -212,13 +217,7 @@ def _cossum_trial(args):
     sub = HankelSubspace(rows, cols)
     h_gt = sub.from_vector(f)
     noisy = add_noise(h_gt, NoiseSpec(sigma=noise_sigma), rng=rng)
-    if sigma0 is not None:
-        s0 = sigma0
-    elif gap_p is not None:
-        s0 = sigma0_heuristic(noisy, gap_p)
-    else:
-        raise ValueError("need sigma0 or a gap heuristic order")
-    obj = RankObjective(noisy, s0)
+    obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0, gap_p))
     gt_norm = float(np.linalg.norm(h_gt))
 
     out = {
@@ -238,7 +237,7 @@ def _cossum_trial(args):
         # reference values correspond to this unsquared ratio
         dist[i] = float(np.linalg.norm(res.X_star - h_gt)) / gt_norm
         sv_out[i] = np.linalg.svd(res.X_star, compute_uv=False)[:10]
-    out.update(primal=prim, dual=dual, dist=dist, sv_out=sv_out, sigma0=s0)
+    out.update(primal=prim, dual=dual, dist=dist, sv_out=sv_out)
     return out
 
 
@@ -322,7 +321,7 @@ def toy_table(n_iters: int = 5):
 
     res = solvers.run(
         ToyObjective(), ZeroSubspace(1, 1),
-        SolverConfig.da(max_iters=n_iters, stop_tol=_NO_STOP),
+        SolverConfig(solvers.DA, max_iters=n_iters, stop_tol=_NO_STOP),
     )
     for (n, _, lam_n) in rows:
         if abs(abs(lam_n) - res.trace.lambda_norm[n]) > 1e-12:
@@ -362,10 +361,8 @@ def _freqest_trial(args):
     F = sub.from_vector(noisy)
     s0 = sigma0_heuristic(F, FREQEST_GAP_P)
     obj = RankObjective(F, s0)
-    cfg = SolverConfig.da(
-        StepSchedule.sqrt_decay(), max_iters=max_iters, stop_tol=1e-6,
-        track_primal=False,
-    )
+    cfg = SolverConfig(solvers.DA, max_iters=max_iters, stop_tol=1e-6,
+                       track_primal=False, sqrt_steps=True)
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
     l2_da = float(np.linalg.norm(sub.to_vector(res.X_star) - noisy))
@@ -496,12 +493,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
     """Solve a user problem and persist the solution, multiplier, trace
     and a JSON summary."""
     F, sub = load_solve_input(input_path)
-    if config.sigma0 is not None:
-        s0 = config.sigma0
-    elif config.sigma0_gap_p is not None:
-        s0 = sigma0_heuristic(F, config.sigma0_gap_p)
-    else:
-        raise ValueError("solve needs an explicit sigma0 or a gap heuristic order")
+    s0 = _resolve_sigma0(F, config.sigma0, config.sigma0_gap_p)
     obj = RankObjective(F, s0)
     cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol)
     res = solvers.run(obj, sub, cfg)

@@ -174,7 +174,7 @@ def save_signal_csv(path, f, indices=None):
     with open(path, "w") as fh:
         fh.write("index,re,im\n")
         for j, v in zip(indices, f):
-            fh.write(f"{j:g},{np.real(v):.17g},{np.imag(v):.17g}\n")
+            fh.write(f"{j:.17g},{np.real(v):.17g},{np.imag(v):.17g}\n")
 
 
 def load_signal_csv(path) -> tuple:

@@ -1,9 +1,11 @@
 """Dual ascent iterations for subspace-constrained envelope minimization.
 
-Three variants share one loop:
+Three variants share one loop, and each fixes its own step rule (see
+:class:`SolverConfig`):
 
-* ``da``      -- hard-threshold primal update, decaying steps alpha_n,
-                 best-iterate tracking on the dual values.
+* ``da``      -- hard-threshold primal update, decaying steps 1/(n+1)
+                 (or min(1, 1/sqrt(n+1))), best-iterate tracking on the
+                 dual values.
 * ``ada``     -- augmented primal update with weight alpha, fixed step
                  alpha; the whole sequence converges.
 * ``mod_ada`` -- augmented primal update with steps 2/(n+1)^2 + alpha that
@@ -32,7 +34,6 @@ only bounded below with an extra factor 1/2).
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,10 +58,6 @@ def _best_dual_tol(top):
     return _BEST_DUAL_RTOL * np.maximum(1.0, np.abs(top))
 
 
-class ScheduleError(ValueError):
-    """Step schedule unusable for the requested solver variant."""
-
-
 class SolverNumericalError(RuntimeError):
     """Numerical failure inside the iteration; carries the trace so far."""
 
@@ -70,112 +67,23 @@ class SolverNumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    """Step-size sequence alpha_n, n >= 0 (alpha_n multiplies the n-th
-    multiplier update, producing Lambda^{n+1}).
-
-    kinds: ``harmonic`` 1/(n+1); ``fixed`` alpha; ``mod_ada``
-    2/(n+1)^2 + alpha; ``sqrt`` min(1, 1/sqrt(n+1)); ``custom`` an explicit
-    finite sequence.
-    """
-
-    kind: str
-    alpha: float = 0.0
-    values: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.kind not in ("harmonic", "fixed", "mod_ada", "sqrt", "custom"):
-            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("fixed", "mod_ada") and not self.alpha > 0:
-            raise ScheduleError(f"{self.kind} schedule needs alpha > 0")
-        if self.kind == "custom":
-            if not self.values:
-                raise ScheduleError("custom schedule needs explicit values")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @classmethod
-    def harmonic(cls):
-        return cls("harmonic")
-
-    @classmethod
-    def fixed(cls, alpha):
-        return cls("fixed", alpha=alpha)
-
-    @classmethod
-    def mod_ada(cls, alpha):
-        return cls("mod_ada", alpha=alpha)
-
-    @classmethod
-    def sqrt_decay(cls):
-        return cls("sqrt")
-
-    @classmethod
-    def custom(cls, values):
-        return cls("custom", values=tuple(values))
-
-    def step(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("step index must be non-negative")
-        if self.kind == "harmonic":
-            return 1.0 / (n + 1)
-        if self.kind == "fixed":
-            return self.alpha
-        if self.kind == "mod_ada":
-            return 2.0 / (n + 1) ** 2 + self.alpha
-        if self.kind == "sqrt":
-            return min(1.0, 1.0 / np.sqrt(n + 1))
-        if n >= len(self.values):
-            raise ScheduleError(
-                f"custom schedule has {len(self.values)} steps, index {n} requested"
-            )
-        return self.values[n]
-
-
-@dataclass
-class ScheduleDiagnostic:
-    """Finite-horizon check of the vanishing step-ratio condition."""
-
-    ratios: np.ndarray  # r_N = sum_{n<=N} alpha_n^2 / sum alpha_n, N = 1..horizon
-    ok: bool
-
-
-def validate_schedule(schedule: StepSchedule, horizon: int) -> ScheduleDiagnostic:
-    """Heuristic test of sum(alpha^2)/sum(alpha) -> 0 over a finite horizon.
-
-    The partial-sum ratios start at n = 1, matching the limit condition of
-    the decaying-step convergence theorem.  ``ok`` requires the final ratio
-    below 0.1 and a non-increasing tail over the last half; a finite check
-    cannot certify the asymptotic property.  Raises for steps outside
-    (0, 1], which are invalid in decaying-step (da) mode.
-    """
-    if horizon < 10:
-        raise ValueError("horizon must be at least 10")
-    steps = np.array([schedule.step(n) for n in range(1, horizon + 1)])
-    if np.any(steps <= 0) or np.any(steps > 1):
-        raise ScheduleError("da-mode steps must lie in (0, 1]")
-    csum = np.cumsum(steps)
-    csq = np.cumsum(steps**2)
-    ratios = csq / csum
-    tail = ratios[horizon // 2 :]
-    ok = bool(ratios[-1] < 0.1 and np.all(np.diff(tail) <= 1e-15))
-    return ScheduleDiagnostic(ratios=ratios, ok=ok)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
-    """Variant, schedule, and stopping parameters for :func:`run`.
+    """Variant and stopping parameters for :func:`run`; the variant fixes
+    the step alpha_n that multiplies the n-th multiplier update.
 
-    ``ada`` couples the fixed step to the augmentation weight ``alpha_reg``;
-    ``mod_ada`` couples the schedule's asymptotic step to it; ``da`` needs
-    ``alpha_reg == 0`` and a decaying schedule.
+    ``da`` takes decaying steps 1/(n+1), or min(1, 1/sqrt(n+1)) with
+    ``sqrt_steps``, and needs ``alpha_reg == 0``.  ``ada`` takes the fixed
+    step ``alpha_reg``, its augmentation weight, and ``mod_ada`` the steps
+    2/(n+1)^2 + ``alpha_reg``, which decay to it; both need
+    ``alpha_reg > 0``.
     """
 
     variant: str
-    schedule: StepSchedule
     alpha_reg: float = 0.0
     max_iters: int = 1000
     stop_tol: float = 1e-6
     track_primal: bool = True
+    sqrt_steps: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -184,41 +92,23 @@ class SolverConfig:
             raise ValueError("max_iters must be non-negative")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.variant == ADA:
-            if self.schedule.kind != "fixed" or self.schedule.alpha != self.alpha_reg:
-                raise ScheduleError("ada requires a fixed schedule with step == alpha_reg")
-            if not self.alpha_reg > 0:
-                raise ScheduleError("ada requires alpha_reg > 0")
-        elif self.variant == MOD_ADA:
-            if self.schedule.kind != "mod_ada" or self.schedule.alpha != self.alpha_reg:
-                raise ScheduleError(
-                    "mod_ada requires a mod_ada schedule with asymptotic step == alpha_reg"
-                )
-            if not self.alpha_reg > 0:
-                raise ScheduleError("mod_ada requires alpha_reg > 0")
-        else:
+        if self.variant == DA:
             if self.alpha_reg != 0:
-                raise ScheduleError("da requires alpha_reg == 0")
-            if self.schedule.kind in ("fixed", "mod_ada"):
-                raise ScheduleError(f"{self.schedule.kind} schedule is not valid for da")
-            if self.schedule.kind == "custom" and self.max_iters >= 10:
-                diag = validate_schedule(
-                    self.schedule, min(self.max_iters, len(self.schedule.values))
-                )
-                if not diag.ok:
-                    raise ScheduleError("custom schedule fails the step-ratio condition")
+                raise ValueError("da requires alpha_reg == 0")
+        elif not self.alpha_reg > 0:
+            raise ValueError(f"{self.variant} requires alpha_reg > 0")
+        if self.sqrt_steps and self.variant != DA:
+            raise ValueError("sqrt_steps applies to da only")
 
-    @classmethod
-    def da(cls, schedule=None, **kw):
-        return cls(DA, schedule or StepSchedule.harmonic(), alpha_reg=0.0, **kw)
-
-    @classmethod
-    def ada(cls, alpha, **kw):
-        return cls(ADA, StepSchedule.fixed(alpha), alpha_reg=alpha, **kw)
-
-    @classmethod
-    def mod_ada(cls, alpha, **kw):
-        return cls(MOD_ADA, StepSchedule.mod_ada(alpha), alpha_reg=alpha, **kw)
+    def step(self, n: int) -> float:
+        """Step alpha_n of the n-th multiplier update (n >= 0)."""
+        if self.variant == ADA:
+            return self.alpha_reg
+        if self.variant == MOD_ADA:
+            return 2.0 / (n + 1) ** 2 + self.alpha_reg
+        if self.sqrt_steps:
+            return min(1.0, 1.0 / np.sqrt(n + 1))
+        return 1.0 / (n + 1)
 
 
 _TRACE_COLUMNS = ("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm", "best_n")
@@ -406,7 +296,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         prev, px = upd, subspace.project(upd.x)
         r = upd.x - px
         resid = float(np.linalg.norm(r))
-        step = config.schedule.step(k)
+        step = config.step(k)
         lam = lam + step * r
         step_norm = step * resid
         lam_norm = float(np.linalg.norm(lam))

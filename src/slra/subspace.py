@@ -16,11 +16,10 @@ class SubspaceOp:
     and self-adjoint for the real Frobenius inner product.
     """
 
-    def __init__(self, rows: int, cols: int, label: str = "subspace"):
+    def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
         self.shape = (rows, cols)
-        self.label = label
 
     def _check_shape(self, x):
         x = np.asarray(x)
@@ -40,9 +39,6 @@ class SubspaceOp:
 class ZeroSubspace(SubspaceOp):
     """The trivial subspace {0}; its complement is the whole space."""
 
-    def __init__(self, rows: int = 1, cols: int = 1):
-        super().__init__(rows, cols, label="zero")
-
     def project(self, x):
         x = self._check_shape(x)
         return np.zeros_like(x)
@@ -53,7 +49,7 @@ class HankelSubspace(SubspaceOp):
     length L = rows + cols - 1 via H[i, j] = v[i + j]."""
 
     def __init__(self, rows: int, cols: int):
-        super().__init__(rows, cols, label=f"hankel({rows}x{cols})")
+        super().__init__(rows, cols)
         self.length = rows + cols - 1
         # Antidiagonal index map and the antidiagonal sizes, precomputed
         # because projection is the inner-loop cost after the SVD.

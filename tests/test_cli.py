@@ -191,10 +191,10 @@ def test_freqest_bad_snr_levels_is_usage_error(flags, tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("study", ["freqest", "toy"])
-@pytest.mark.parametrize("flag, value", [
-    ("iters", 5), ("iters", 100), ("alpha", 7.0), ("sigma0", "2.5"), ("sigma0", "gap:4"),
-])
+@pytest.mark.parametrize("flag, value, study", [
+    (flag, value, study) for study in ("freqest", "toy") for flag, value in (
+        ("iters", 5), ("iters", 100), ("alpha", 7.0), ("sigma0", "2.5"), ("sigma0", "gap:4"))
+] + [("trials", 5, "toy"), ("seed", 3, "toy")])
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 def test_flag_the_study_does_not_read_is_usage_error(study, flag, value, via_config,
                                                      tmp_path, capsys, monkeypatch):
@@ -202,7 +202,8 @@ def test_flag_the_study_does_not_read_is_usage_error(study, flag, value, via_con
     given = (["--config", _config(tmp_path, {flag: value})] if via_config
              else [f"--{flag}", str(value)])
     with pytest.raises(SystemExit) as exc:
-        main(["--trials", "1", *given, study, *(["--snr-levels", "20"] if study == "freqest" else [])])
+        main(["--trials", "1", *given, study, "--snr-levels", "20"] if study == "freqest"
+             else [*given, study])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == f"slra: error: {study} does not read --{flag}"

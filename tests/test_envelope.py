@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose
 
 from slra import envelope
 from slra.envelope import (
-    DegenerateSingularValueWarning,
     RankObjective,
     ToyObjective,
     toy_conjugate,
     toy_tilted_minimizers,
 )
-from slra.matops import frobenius_inner
+from slra.matops import f_hard, frobenius_inner
 
 
 @pytest.fixture
@@ -66,33 +65,31 @@ def test_dual_value_da_at_two_f(diag_obj):
 
 
 def test_tilted_minimizer_hard_threshold(diag_obj):
-    assert_allclose(diag_obj.tilted_minimizer(np.zeros((2, 2)), 0.0),
+    assert_allclose(diag_obj.update(np.zeros((2, 2)), 0.0).x,
                     np.diag([2.0, 0.0]), atol=1e-12)
 
 
 def test_tilted_minimizer_zero_at_two_f(diag_obj):
     for alpha in (0.0, 0.2, 1.0):
-        assert_allclose(diag_obj.tilted_minimizer(2.0 * diag_obj.F, alpha),
+        assert_allclose(diag_obj.update(2.0 * diag_obj.F, alpha).x,
                         0.0, atol=1e-12)
 
 
 def test_tilted_minimizer_ramp_boundary():
     # F - Lambda/2 = diag(1.1), knee of f_alpha at alpha = 0.2
     obj = RankObjective(np.array([[1.1]]), 1.0)
-    out = obj.tilted_minimizer(np.zeros((1, 1)), 0.2)
+    out = obj.update(np.zeros((1, 1)), 0.2).x
     assert out[0, 0] == pytest.approx(1.0)
 
 
 def test_degenerate_warning_on_threshold_tie():
     obj = RankObjective(np.diag([1.0, 2.0]), 1.0)
-    with pytest.warns(DegenerateSingularValueWarning):
-        obj.tilted_minimizer(np.zeros((2, 2)), 0.0)
+    assert obj.update(np.zeros((2, 2)), 0.0).degenerate
 
 
-def test_no_warning_away_from_tie(recwarn):
+def test_no_warning_away_from_tie():
     obj = RankObjective(np.diag([2.0, 0.5]), 1.0)
-    obj.tilted_minimizer(np.zeros((2, 2)), 0.0)
-    assert not [w for w in recwarn if w.category is DegenerateSingularValueWarning]
+    assert not obj.update(np.zeros((2, 2)), 0.0).degenerate
 
 
 def test_fenchel_young_and_equality_case():
@@ -178,10 +175,10 @@ def test_augmented_minimizer_unique_under_perturbed_path():
     f = rng.standard_normal((5, 5))
     obj = RankObjective(f, 1.0)
     lam = rng.standard_normal((5, 5)) * 0.2
-    x1 = obj.tilted_minimizer(lam, 0.3)
+    x1 = obj.update(lam, 0.3).x
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     obj_rot = RankObjective(q @ f, 1.0)
-    x2 = q.conj().T @ obj_rot.tilted_minimizer(q @ lam, 0.3)
+    x2 = q.conj().T @ obj_rot.update(q @ lam, 0.3).x
     assert np.linalg.norm(x1 - x2) <= 1e-8 * (1 + np.linalg.norm(x1))
 
 
@@ -196,7 +193,7 @@ def test_dual_value_ada_definition(diag_obj):
 
 def test_dual_value_ada_at_zero_tilt(diag_obj):
     alpha = 0.2
-    x = diag_obj.tilted_minimizer(np.zeros((2, 2)), alpha)
+    x = diag_obj.update(np.zeros((2, 2)), alpha).x
     expected = diag_obj.envelope_value(x) + 0.5 * alpha * np.linalg.norm(x) ** 2
     assert diag_obj.dual_value_ada(np.zeros((2, 2)), alpha) == pytest.approx(expected)
 
@@ -204,7 +201,8 @@ def test_dual_value_ada_at_zero_tilt(diag_obj):
 def test_update_matches_standalone_ops(diag_obj):
     lam = np.array([[0.5, 0.1], [-0.2, 0.3]])
     upd = diag_obj.update(lam, 0.0)
-    assert_allclose(upd.x, diag_obj.tilted_minimizer(lam, 0.0), atol=1e-12)
+    u, s, vh = np.linalg.svd(diag_obj.F - lam / 2)
+    assert_allclose(upd.x, (u * f_hard(s, diag_obj.sigma0)) @ vh, atol=1e-12)
     assert upd.dual_da == pytest.approx(diag_obj.dual_value_da(lam))
     assert upd.envelope_at_x == pytest.approx(diag_obj.envelope_value(upd.x))
     assert upd.x_norm_sq == pytest.approx(np.linalg.norm(upd.x) ** 2)

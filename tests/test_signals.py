@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from slra.matops import numerical_rank
 from slra.signals import (
@@ -206,3 +208,40 @@ def test_model_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"terms", "delta", "grid"}
     assert set(doc["terms"][0]) == {"c_re", "c_im", "zeta_re", "zeta_im"}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+complexes = st.builds(complex, finite, finite)
+
+
+@given(st.lists(st.tuples(finite, complexes), min_size=1, max_size=20))
+@settings(deadline=None)
+def test_signal_csv_round_trip_is_exact(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("sig") / "sig.csv"
+    idx = np.array([j for j, _ in rows])
+    f = np.array([v for _, v in rows])
+    save_signal_csv(path, f, indices=idx)
+    idx_back, f_back = load_signal_csv(path)
+    assert_array_equal(idx_back, idx)
+    assert_array_equal(f_back, f)
+
+
+@given(
+    terms=st.lists(st.tuples(complexes, complexes), min_size=1, max_size=6),
+    delta=finite,
+    start=st.floats(-1e4, 1e4),
+    step=st.floats(1e-3, 1e2) | st.floats(-1e2, -1e-3),
+    count=st.integers(1, 64),
+)
+@settings(deadline=None)
+def test_model_json_round_trip_is_exact(tmp_path_factory, terms, delta, start, step, count):
+    m = SignalModel(terms, start + step * np.arange(count), delta)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model_json(path, m)
+    back = load_model_json(path)
+    assert back.terms == m.terms
+    assert back.delta == m.delta
+    # the file keeps the grid as start and step, so later indices carry
+    # the rounding of the step
+    scale = max(1.0, float(np.max(np.abs(m.indices))))
+    assert np.max(np.abs(back.indices - m.indices)) <= 1e-12 * scale

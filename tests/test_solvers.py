@@ -10,14 +10,11 @@ from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
 from slra.signals import NoiseSpec, add_noise, gen_cos_sum
 from slra.solvers import (
-    ScheduleError,
     SolverConfig,
     SolverTrace,
-    StepSchedule,
     ada_rate_report,
     check_lambda_bound,
     run,
-    validate_schedule,
 )
 from slra.subspace import HankelSubspace, ZeroSubspace
 
@@ -38,61 +35,47 @@ def hankel_problem(seed, rows=20, cols=20, sigma0=None, noise=0.1):
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# step rules
 # ---------------------------------------------------------------------------
 
 def test_schedule_values():
-    assert StepSchedule.harmonic().step(0) == 1.0
-    assert StepSchedule.harmonic().step(4) == pytest.approx(0.2)
-    assert StepSchedule.fixed(0.3).step(17) == 0.3
-    assert StepSchedule.mod_ada(0.1).step(0) == pytest.approx(2.1)
-    assert StepSchedule.mod_ada(0.1).step(9) == pytest.approx(0.12)
-    assert StepSchedule.sqrt_decay().step(0) == 1.0
-    assert StepSchedule.sqrt_decay().step(3) == 0.5
-    assert StepSchedule.custom([0.5, 0.25]).step(1) == 0.25
+    assert SolverConfig(solvers.DA).step(0) == 1.0
+    assert SolverConfig(solvers.DA).step(4) == pytest.approx(0.2)
+    assert SolverConfig(solvers.ADA, 0.3).step(17) == 0.3
+    assert SolverConfig(solvers.MOD_ADA, 0.1).step(0) == pytest.approx(2.1)
+    assert SolverConfig(solvers.MOD_ADA, 0.1).step(9) == pytest.approx(0.12)
+    assert SolverConfig(solvers.DA, sqrt_steps=True).step(0) == 1.0
+    assert SolverConfig(solvers.DA, sqrt_steps=True).step(3) == 0.5
 
 
-def test_custom_schedule_exhaustion():
-    with pytest.raises(ScheduleError):
-        StepSchedule.custom([0.5]).step(1)
-
-
-def test_validate_schedule_harmonic_ok():
-    diag = validate_schedule(StepSchedule.harmonic(), 10_000)
-    assert diag.ok
-    # decays like 1/log N
-    assert diag.ratios[-1] < 0.1
-    assert diag.ratios[-1] < diag.ratios[len(diag.ratios) // 2]
-
-
-def test_validate_schedule_fixed_not_ok():
-    diag = validate_schedule(StepSchedule.fixed(0.5), 1000)
-    assert not diag.ok
-    assert_allclose(diag.ratios, 0.5)
-
-
-def test_validate_schedule_sqrt_ok():
-    assert validate_schedule(StepSchedule.sqrt_decay(), 10_000).ok
-
-
-def test_validate_schedule_rejects_bad_steps():
-    with pytest.raises(ScheduleError):
-        validate_schedule(StepSchedule.custom([2.0] * 20), 20)
+def test_da_steps_meet_the_decaying_step_condition():
+    # sum alpha_n^2 / sum alpha_n -> 0 with steps in (0, 1]: the condition
+    # of the decaying-step convergence theorem, checked over a finite
+    # horizon for both rules the studies run
+    for cfg in (SolverConfig(solvers.DA), SolverConfig(solvers.DA, sqrt_steps=True)):
+        steps = np.array([cfg.step(n) for n in range(1, 10_001)])
+        assert np.all((steps > 0) & (steps <= 1))
+        assert np.all(np.diff(steps) <= 0)
+        ratios = np.cumsum(steps**2) / np.cumsum(steps)
+        assert ratios[-1] < 0.1
+        assert np.all(np.diff(ratios[len(ratios) // 2:]) <= 1e-15)
 
 
 def test_config_couplings():
-    with pytest.raises(ScheduleError):
-        SolverConfig(solvers.ADA, StepSchedule.fixed(0.2), alpha_reg=0.1)
-    with pytest.raises(ScheduleError):
-        SolverConfig(solvers.MOD_ADA, StepSchedule.fixed(0.1), alpha_reg=0.1)
-    with pytest.raises(ScheduleError):
-        SolverConfig(solvers.DA, StepSchedule.fixed(0.1))
-    with pytest.raises(ScheduleError):
-        SolverConfig(solvers.DA, StepSchedule.harmonic(), alpha_reg=0.1)
+    for variant, kw in ((solvers.DA, dict(alpha_reg=0.1)),
+                        (solvers.ADA, dict(alpha_reg=0.0)),
+                        (solvers.MOD_ADA, dict(alpha_reg=-0.1)),
+                        (solvers.ADA, dict(alpha_reg=0.1, sqrt_steps=True)),
+                        ("ista", dict()),
+                        (solvers.DA, dict(max_iters=-1)),
+                        (solvers.DA, dict(stop_tol=0.0))):
+        with pytest.raises(ValueError):
+            SolverConfig(variant, **kw)
     # valid ones construct fine
-    SolverConfig.da()
-    SolverConfig.ada(0.1)
-    SolverConfig.mod_ada(0.01)
+    SolverConfig(solvers.DA)
+    SolverConfig(solvers.DA, sqrt_steps=True)
+    SolverConfig(solvers.ADA, 0.1)
+    SolverConfig(solvers.MOD_ADA, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +84,7 @@ def test_config_couplings():
 
 def test_toy_da_lambda_sequence():
     res = run(ToyObjective(), ZeroSubspace(1, 1),
-              SolverConfig.da(max_iters=5, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=5, stop_tol=1e-300))
     assert_allclose(res.trace.lambda_norm[1:], np.abs(TOY_LAMBDAS), atol=1e-12)
     assert res.Lambda_star[0, 0] == pytest.approx(7.0 / 60.0, abs=1e-12)
     assert res.n_iters == 5
@@ -111,7 +94,7 @@ def test_toy_da_dual_values_from_conjugate():
     from slra.envelope import toy_conjugate
 
     res = run(ToyObjective(), ZeroSubspace(1, 1),
-              SolverConfig.da(max_iters=5, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=5, stop_tol=1e-300))
     lams = [0.0, *TOY_LAMBDAS]
     expected = [-toy_conjugate(-l) for l in lams]
     assert_allclose(res.trace.dual, expected, atol=1e-12)
@@ -145,7 +128,7 @@ class ScriptedObjective:
 ])
 def test_da_best_row_is_latest_within_tolerance(duals, best):
     res = run(ScriptedObjective(duals), ZeroSubspace(1, 1),
-              SolverConfig.da(max_iters=len(duals) - 1, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=len(duals) - 1, stop_tol=1e-300))
     assert list(res.trace.best_n) == best
     res.trace.check_invariants()
 
@@ -167,14 +150,14 @@ def test_nonfinite_multiplier_carries_priced_rows():
     obj = ScriptedObjective([1.0, 2.0, 3.0, 4.0, 5.0], nan_row=2)
     with pytest.raises(solvers.SolverNumericalError,
                        match="non-finite multiplier at iteration 3") as exc:
-        run(obj, ZeroSubspace(1, 1), SolverConfig.da(max_iters=4, stop_tol=1e-300))
+        run(obj, ZeroSubspace(1, 1), SolverConfig(solvers.DA, max_iters=4, stop_tol=1e-300))
     assert list(exc.value.trace.n) == [0, 1, 2]
     exc.value.trace.check_invariants()
 
 
 def test_zero_iterations():
     obj, sub, _ = hankel_problem(0)
-    res = run(obj, sub, SolverConfig.da(max_iters=0))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=0))
     assert len(res.trace) == 1
     assert res.trace.dual[0] == pytest.approx(obj.dual_value_da(np.zeros(sub.shape)))
     assert np.isfinite(res.trace.primal[0])
@@ -189,7 +172,7 @@ def test_hankel_data_with_clean_split_converges_immediately():
     F = sub.from_vector(f)
     s = np.linalg.svd(F, compute_uv=False)
     obj = RankObjective(F, 0.5 * (s[1] + s[2]))
-    res = run(obj, sub, SolverConfig.da(max_iters=50, stop_tol=1e-8))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=50, stop_tol=1e-8))
     # hard-thresholding a rank-2 Hankel keeps it nearly Hankel: fast exit
     assert res.converged
     assert res.n_iters <= 5
@@ -198,16 +181,16 @@ def test_hankel_data_with_clean_split_converges_immediately():
 def test_zero_data_returns_zero():
     sub = HankelSubspace(5, 5)
     obj = RankObjective(np.zeros((5, 5)), 1.0)
-    res = run(obj, sub, SolverConfig.da(max_iters=20, stop_tol=1e-10))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=20, stop_tol=1e-10))
     assert res.converged
     assert_allclose(res.X_star, 0.0)
 
 
 def test_lambda_stays_in_complement():
     obj, sub, _ = hankel_problem(1)
-    for cfg in (SolverConfig.da(max_iters=40, stop_tol=1e-300),
-                SolverConfig.ada(0.1, max_iters=40, stop_tol=1e-300),
-                SolverConfig.mod_ada(0.1, max_iters=40, stop_tol=1e-300)):
+    for cfg in (SolverConfig(solvers.DA, max_iters=40, stop_tol=1e-300),
+                SolverConfig(solvers.ADA, 0.1, max_iters=40, stop_tol=1e-300),
+                SolverConfig(solvers.MOD_ADA, 0.1, max_iters=40, stop_tol=1e-300)):
         res = run(obj, sub, cfg)
         lam = res.Lambda_star
         assert np.linalg.norm(sub.project(lam)) <= 1e-10 * (1 + np.linalg.norm(lam))
@@ -215,17 +198,17 @@ def test_lambda_stays_in_complement():
 
 def test_weak_duality_along_traces():
     obj, sub, _ = hankel_problem(2)
-    for cfg in (SolverConfig.da(max_iters=60, stop_tol=1e-300),
-                SolverConfig.ada(0.2, max_iters=60, stop_tol=1e-300),
-                SolverConfig.mod_ada(0.2, max_iters=60, stop_tol=1e-300)):
+    for cfg in (SolverConfig(solvers.DA, max_iters=60, stop_tol=1e-300),
+                SolverConfig(solvers.ADA, 0.2, max_iters=60, stop_tol=1e-300),
+                SolverConfig(solvers.MOD_ADA, 0.2, max_iters=60, stop_tol=1e-300)):
         res = run(obj, sub, cfg)
         assert np.max(res.trace.dual) <= np.min(res.trace.primal) + 1e-8
 
 
 @pytest.mark.parametrize("make", [
-    lambda **kw: SolverConfig.da(**kw),
-    lambda **kw: SolverConfig.ada(0.1, **kw),
-    lambda **kw: SolverConfig.mod_ada(0.1, **kw),
+    lambda **kw: SolverConfig(solvers.DA, **kw),
+    lambda **kw: SolverConfig(solvers.ADA, 0.1, **kw),
+    lambda **kw: SolverConfig(solvers.MOD_ADA, 0.1, **kw),
 ], ids=["da", "ada", "mod_ada"])
 def test_primal_tracking_changes_only_the_primal_column(make):
     # one cosine-sum run serves the curves, distances and singular values
@@ -244,7 +227,7 @@ def test_primal_tracking_changes_only_the_primal_column(make):
 def test_ada_dual_monotone_increase_inequality():
     obj, sub, _ = hankel_problem(3, rows=15, cols=15)
     alpha = 0.15
-    res = run(obj, sub, SolverConfig.ada(alpha, max_iters=150, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=150, stop_tol=1e-300))
     inc = np.diff(res.trace.dual)
     req = res.trace.step_norm[1:] ** 2 / alpha
     assert np.all(inc - req >= -1e-9)
@@ -252,7 +235,7 @@ def test_ada_dual_monotone_increase_inequality():
 
 def test_ada_step_square_sums_plateau():
     obj, sub, _ = hankel_problem(4, rows=15, cols=15)
-    res = run(obj, sub, SolverConfig.ada(0.2, max_iters=400, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.ADA, 0.2, max_iters=400, stop_tol=1e-300))
     sq = res.trace.step_norm**2
     total = np.sum(sq)
     assert np.sum(sq[: len(sq) // 2]) >= 0.95 * total  # summable in practice
@@ -260,7 +243,7 @@ def test_ada_step_square_sums_plateau():
 
 def test_da_best_iterate_duals_monotone():
     obj, sub, _ = hankel_problem(5)
-    res = run(obj, sub, SolverConfig.da(max_iters=80, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=80, stop_tol=1e-300))
     best_duals = res.trace.dual[res.trace.best_n]
     assert np.all(np.diff(best_duals) >= -1e-12)
     res.trace.check_invariants()
@@ -269,10 +252,10 @@ def test_da_best_iterate_duals_monotone():
 def test_ada_fixed_point_and_kkt():
     obj, sub, _ = hankel_problem(6, rows=12, cols=12)
     alpha = 0.3
-    res = run(obj, sub, SolverConfig.ada(alpha, max_iters=3000, stop_tol=1e-9))
+    res = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=3000, stop_tol=1e-9))
     assert res.converged
     # X* is the projected tilted minimizer and nearly feasible
-    x_direct = obj.tilted_minimizer(res.Lambda_star, alpha)
+    x_direct = obj.update(res.Lambda_star, alpha).x
     assert np.linalg.norm(x_direct - sub.project(x_direct)) <= 1e-8 * (
         1 + np.linalg.norm(x_direct)
     )
@@ -282,8 +265,8 @@ def test_ada_fixed_point_and_kkt():
 def test_mod_ada_matches_ada_limit_quality():
     obj, sub, _ = hankel_problem(7, rows=15, cols=15)
     alpha = 0.1
-    r1 = run(obj, sub, SolverConfig.ada(alpha, max_iters=4000, stop_tol=1e-8))
-    r2 = run(obj, sub, SolverConfig.mod_ada(alpha, max_iters=4000, stop_tol=1e-8))
+    r1 = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=4000, stop_tol=1e-8))
+    r2 = run(obj, sub, SolverConfig(solvers.MOD_ADA, alpha, max_iters=4000, stop_tol=1e-8))
     v1 = obj.feasible_value(r1.X_star, alpha)
     v2 = obj.feasible_value(r2.X_star, alpha)
     assert v2 == pytest.approx(v1, rel=1e-5)
@@ -291,7 +274,7 @@ def test_mod_ada_matches_ada_limit_quality():
 
 def test_degenerate_status_surfaced():
     obj = RankObjective(np.diag([1.0, 3.0]), 1.0)  # singular value == sigma0
-    res = run(obj, ZeroSubspace(2, 2), SolverConfig.da(max_iters=3, stop_tol=1e-300))
+    res = run(obj, ZeroSubspace(2, 2), SolverConfig(solvers.DA, max_iters=3, stop_tol=1e-300))
     assert res.degenerate
     assert res.status == "degenerate_warning"
 
@@ -310,7 +293,7 @@ def test_numerical_failure_carries_priced_rows():
                 raise np.linalg.LinAlgError("SVD did not converge")
             return obj.update(lam, alpha, warm)
 
-    cfg = SolverConfig.da(max_iters=10, stop_tol=1e-300)
+    cfg = SolverConfig(solvers.DA, max_iters=10, stop_tol=1e-300)
     with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
         run(FailingObjective(), sub, cfg)
     assert list(exc.value.trace.n) == [0, 1]
@@ -385,14 +368,14 @@ def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
                               alpha, warm)
 
     with pytest.raises(solvers.SolverNumericalError, match="SVD failed at row 2") as exc:
-        run(NaNAtRow2(), HankelSubspace(96, 96), SolverConfig.da(max_iters=5))
+        run(NaNAtRow2(), HankelSubspace(96, 96), SolverConfig(solvers.DA, max_iters=5))
     assert list(exc.value.trace.n) == [0, 1]
 
 
 def test_shape_mismatch_rejected():
     obj = RankObjective(np.ones((3, 3)), 1.0)
     with pytest.raises(ValueError):
-        run(obj, HankelSubspace(2, 2), SolverConfig.da(max_iters=1))
+        run(obj, HankelSubspace(2, 2), SolverConfig(solvers.DA, max_iters=1))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +384,7 @@ def test_shape_mismatch_rejected():
 
 def test_trace_csv_round_trip():
     obj, sub, _ = hankel_problem(8)
-    res = run(obj, sub, SolverConfig.da(max_iters=25, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=25, stop_tol=1e-300))
     buf = io.StringIO()
     res.trace.write_csv(buf)
     buf.seek(0)
@@ -444,7 +427,7 @@ def test_trace_csv_rejects_garbage():
 def test_lambda_bound_constant_zero_trace():
     obj, sub, _ = hankel_problem(9)
     res = run(obj, RankObjectiveZeroSub := ZeroSubspace(*obj.shape),
-              SolverConfig.da(max_iters=0))
+              SolverConfig(solvers.DA, max_iters=0))
     rep = check_lambda_bound(res.trace, obj.F, obj.sigma0)
     assert rep.ok
 
@@ -452,7 +435,7 @@ def test_lambda_bound_constant_zero_trace():
 def test_lambda_bound_on_da_runs():
     for seed in range(6):
         obj, sub, _ = hankel_problem(20 + seed, rows=10, cols=10)
-        res = run(obj, sub, SolverConfig.da(max_iters=100, stop_tol=1e-300))
+        res = run(obj, sub, SolverConfig(solvers.DA, max_iters=100, stop_tol=1e-300))
         rep = check_lambda_bound(res.trace, obj.F, obj.sigma0)
         assert rep.ok
         assert rep.c1 == pytest.approx(
@@ -463,7 +446,7 @@ def test_lambda_bound_on_da_runs():
 
 def test_ada_rate_report_monotone_and_tail():
     obj, sub, _ = hankel_problem(10, rows=15, cols=15)
-    res = run(obj, sub, SolverConfig.ada(0.2, max_iters=300, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.ADA, 0.2, max_iters=300, stop_tol=1e-300))
     rep = ada_rate_report(res.trace, 0.2)
     assert rep.monotone_ok
     assert rep.tail_ok
