@@ -9,9 +9,12 @@ its curves, ground-truth distances, singular values and summary (see
 (``--snr-levels``, a comma list); its budget is
 ``harness.FREQEST_MAX_ITERS`` and its sigma0 the gap heuristic.
 A study given a global flag it does not read exits with a usage error:
-``freqest`` reads none of ``--iters``, ``--alpha`` and ``--sigma0``, and
+``freqest`` reads none of ``--iters``, ``--alpha`` and ``--sigma0``,
 ``toy``, a fixed table, reads none of those nor ``--trials`` and
-``--seed``.  Exit codes:
+``--seed``, and ``solve`` does not read ``--trials``.  ``solve`` draws
+no random numbers either, but accepts ``--seed`` so that a caller may
+pass one seed to every subcommand, as the ``bench/`` solve workload does.
+Exit codes:
 0 success, 1 numerical failure, 2 usage error.  The SLRA_THREADS
 environment variable caps the trial worker count.
 """
@@ -32,6 +35,7 @@ NUMERICAL_ERROR = 1
 _UNREAD_FLAGS = {
     "toy": ("iters", "alpha", "sigma0", "trials", "seed"),
     "freqest": ("iters", "alpha", "sigma0"),
+    "solve": ("trials",),
 }
 
 

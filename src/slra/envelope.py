@@ -12,6 +12,7 @@ objective |x^2 - 1| with the trivial constraint x = 0 is included; it is
 the standard example of dual ascent oscillating between primal minimizers.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -25,17 +26,15 @@ from .matops import f_alpha, f_hard, frobenius_inner, numerical_rank, singular_v
 DEGENERATE_RTOL = 1e-8
 
 #: truncated SVD in :meth:`RankObjective.update`: block columns beyond the
-#: previous row's captured count, the size gate (block * _SIZE_GATE must
-#: not exceed min(M, N)), subspace iteration passes per attempt that are
-#: always allowed, the most passes an attempt may take while each pass from
-#: the _PASSES-th on cuts the residual at least _PASS_CUT-fold, and the residual
-#: ||G V_k - U_k S_k||_F the captured triplets may leave, as a share of the
-#: leading Ritz value
+#: previous row's captured count, and the residual ||G V_k - U_k S_k||_F the
+#: captured triplets may leave, as a share of the leading Ritz value.  A
+#: row's passes of subspace iteration on a block of p columns are budgeted
+#: at B = min(M, N) / p, about the cost of one full SVD of G.  On one
+#: OpenBLAS thread a full SVD took 4.1-5.1 passes at 48x47 complex and
+#: p = 10 (B = 4.7), 5.4-7.2 at 64x63 (6.3), 20-26 at 129x129 (12.9) and
+#: 7.0-7.9 at 101x100 real with p = 20 (5), but only 1.3-1.8 at 30x29
+#: complex, where B = 2.9 overprices the full SVD
 _EXTRA_COLUMNS = 6
-_SIZE_GATE = 8
-_PASSES = 3
-_MAX_PASSES = 8
-_PASS_CUT = 100.0
 _RESIDUAL_RTOL = 1e-12
 
 
@@ -118,18 +117,22 @@ def _starts(warm, p, dg):
     return [v + gamma * (v - w.conj().T @ (w @ v)), v]
 
 
-def _truncated_svd(g, v, warm, dg, tau):
+def _truncated_svd(g, v, warm, dg, tau, budget):
     """Singular triplets of g at or above ``tau`` from a block subspace
-    iteration started at the block ``v``.
+    iteration started at the block ``v``, in at most ``budget`` passes.
 
-    Returns the passes taken and, when the truncation is certified,
-    (u, s, vh, block, beta) -- the captured triplets, the block's right
-    Ritz vectors as rows and a certified beta >= sigma_{k+1}(g) below
-    tau -- or else None.  ``dg`` is ||g - warm.g||_F."""
+    An attempt stops short of the budget once the residual cut of its last
+    pass, repeated, would not bring the residual to the accepted level
+    within the budget.  Returns the passes taken and, when the truncation
+    is certified, (u, s, vh, block, beta) -- the captured triplets, the
+    block's right Ritz vectors as rows and a certified
+    beta >= sigma_{k+1}(g) below tau -- or else None.  ``dg`` is
+    ||g - warm.g||_F."""
     p = v.shape[1]
-    last = np.inf
+    passes, last = 0, np.inf
     try:
-        for passes in range(1, _MAX_PASSES + 1):
+        while passes + 1 <= budget:
+            passes += 1
             q, _ = np.linalg.qr(g @ v)
             # Ritz triplets of Q^H G from its conjugate transpose
             # G^H Q = V S U_b^H, which is cheaper to factor; formed as
@@ -140,10 +143,17 @@ def _truncated_svd(g, v, warm, dg, tau):
                 return passes, None
             u = q @ ubh[:k].conj().T
             resid = float(np.linalg.norm(g @ v[:, :k] - u * s[:k]))
-            if np.isfinite(s[0]) and resid <= _RESIDUAL_RTOL * s[0]:
+            if not np.isfinite(s[0]):
+                return passes, None
+            if resid <= _RESIDUAL_RTOL * s[0]:
                 break
-            if passes >= _PASSES and not resid * _PASS_CUT <= last:
-                return passes, None  # converging too slowly to be worth more passes
+            cut = last / resid
+            if not cut > 1.0:  # stalled, or a NaN residual
+                return passes, None
+            # passes still needed, one when no cut is measured yet
+            need = max(1, math.ceil(math.log(resid / (_RESIDUAL_RTOL * s[0])) / math.log(cut)))
+            if passes + need > budget:
+                return passes, None
             last = resid
         else:
             return passes, None
@@ -231,18 +241,20 @@ class RankObjective:
         be truncated.  Every quantity here vanishes on singular values
         below sigma0, so only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
-        previous row's count.  When 8 (k + 6) <= min(M, N), passes of
-        block subspace iteration on k + 6 columns compute Q = orth(G V)
-        and the Ritz triplets of Q^H G (from the SVD of the tall G^H Q).
-        The first attempt starts from the previous row's block of right
-        singular vectors V, or, when the row before it was truncated too
-        with a block W of the same width, from the secant prediction
-        V + gamma (V - W W^H V), gamma = min(1, ||dG|| / ||dG_prev||),
-        which the dual-ascent steps make accurate enough to certify most
-        rows after one pass; a failed predicted attempt is retried once
-        from V.  Each attempt may take three passes, and a fourth and
-        later pass, up to 8, only while the previous pass cut the
-        residual at least 100-fold.
+        previous row's count.  Passes of block subspace iteration on
+        p = k + 6 columns compute Q = orth(G V) and the Ritz triplets of
+        Q^H G (from the SVD of the tall G^H Q).  A row may spend
+        B = min(M, N) / p passes, about the cost of one full SVD, and is
+        tried only when B >= 2.  The first attempt starts from the
+        previous row's block of right singular vectors V, or, when the
+        row before it was truncated too with a block W of the same width,
+        from the secant prediction V + gamma (V - W W^H V),
+        gamma = min(1, ||dG|| / ||dG_prev||), which the dual-ascent steps
+        make accurate enough to certify most rows after one pass; a failed
+        predicted attempt is retried from V with the passes left of B.
+        An attempt stops once the passes spent plus
+        ceil(log(resid / (1e-12 s_1)) / log(cut)), cut being the ratio of
+        its last two residuals, would exceed B.
         The triplets are accepted only when fewer Ritz values than columns
         reach tau, the captured triplets leave
         ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
@@ -265,10 +277,11 @@ class RankObjective:
         if warm is not None:
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
             columns = warm.captured + _EXTRA_COLUMNS
-            if not warm.wait and _SIZE_GATE * columns <= min(g.shape):
+            budget = min(g.shape) / columns  # passes worth one full SVD
+            if not warm.wait and budget >= 2:
                 dg = float(np.linalg.norm(g - warm.g))
                 for v in _starts(warm, columns, dg):
-                    n, part = _truncated_svd(g, v, warm, dg, tau)
+                    n, part = _truncated_svd(g, v, warm, dg, tau, budget - passes)
                     passes += n
                     if part is not None:
                         break

@@ -380,6 +380,17 @@ def _freqest_trial(args):
     )
 
 
+def _svd_use(rows, full_svds, passes):
+    """The share of ``rows`` priced by a full SVD, and the subspace
+    iteration passes per truncated row (None when no row was truncated)."""
+    rows, full_svds, passes = int(rows), int(full_svds), int(passes)
+    truncated = rows - full_svds
+    return {
+        "full_svd_fraction": full_svds / rows,
+        "passes_per_truncated_row": passes / truncated if truncated else None,
+    }
+
+
 def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
                       max_iters: int = FREQEST_MAX_ITERS):
     """Frequency-estimation comparison over the SNR grid.
@@ -388,30 +399,29 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     positive Frobenius difference means dual ascent wins) keyed by SNR,
     the share of solver rows priced by a full rather than a truncated
     SVD, and the subspace iteration passes per truncated row (None when
-    no row was truncated).
+    no row was truncated), pooled and under ``levels`` per SNR level.
     """
     items = []
     for li, snr in enumerate(snr_levels):
         for t in range(config.trials):
             items.append((config.seed + li * config.trials + t, float(snr), max_iters))
     results = _map_trials(_freqest_trial, items)
-    frob = np.array([r[0] for r in results]).reshape(len(snr_levels), config.trials)
-    l2 = np.array([r[1] for r in results]).reshape(len(snr_levels), config.trials)
-    conv = np.array([r[2] for r in results], dtype=bool)
-    iters = np.array([r[3] for r in results])
-    full_svds = sum(r[4] for r in results)
-    truncated = int(np.sum(iters + 1)) - full_svds
-    passes = sum(r[5] for r in results)
+    # one row per SNR level, one column per trial
+    field = lambda i: np.array([r[i] for r in results]).reshape(len(snr_levels), config.trials)
+    frob, l2, iters = field(0), field(1), field(3)
+    rows = np.sum(iters + 1, axis=1)
+    full_svds, passes = np.sum(field(4), axis=1), np.sum(field(5), axis=1)
     return {
         "snr_levels": np.asarray(snr_levels, dtype=float),
         "frob_diff": frob,
         "l2_diff": l2,
         "frob_positive_fraction": float(np.mean(frob > 0)),
         "l2_negative_fraction": float(np.mean(l2 < 0)),
-        "converged_fraction": float(np.mean(conv)),
+        "converged_fraction": float(np.mean(field(2))),
         "mean_iters": float(np.mean(iters)),
-        "full_svd_fraction": full_svds / int(np.sum(iters + 1)),
-        "passes_per_truncated_row": passes / truncated if truncated else None,
+        **_svd_use(np.sum(rows), np.sum(full_svds), np.sum(passes)),
+        "levels": [{"snr_dbw": float(snr), **_svd_use(*counts)}
+                   for snr, *counts in zip(snr_levels, rows, full_svds, passes)],
     }
 
 
@@ -462,6 +472,7 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
         "mean_iters": study["mean_iters"],
         "full_svd_fraction": study["full_svd_fraction"],
         "passes_per_truncated_row": study["passes_per_truncated_row"],
+        "levels": study["levels"],
     })
     return study
 
@@ -491,7 +502,8 @@ def load_solve_input(path):
 def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
               stop_tol: float = 1e-6, rank_tol: float = 1e-9):
     """Solve a user problem and persist the solution, multiplier, trace
-    and a JSON summary."""
+    and a JSON summary, which counts the rows priced by a full SVD
+    (``full_svds``) and the truncated-SVD passes (``passes``)."""
     F, sub = load_solve_input(input_path)
     s0 = _resolve_sigma0(F, config.sigma0, config.sigma0_gap_p)
     obj = RankObjective(F, s0)
@@ -512,5 +524,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
         "final_dual": float(res.trace.dual[-1]),
         "final_feas_residual": float(res.trace.feas_residual[-1]),
         "rank_x_star": numerical_rank(res.X_star, rank_tol),
+        "full_svds": res.full_svds,
+        "passes": res.passes,
     })
     return res

@@ -17,8 +17,9 @@ subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
 tracked): the objective may price a row from a warm-started truncated SVD,
 whose block subspace iteration starts from a secant prediction of the
 row's singular subspace out of the two previous rows (or from the previous
-row's block) and takes up to 8 passes per attempt, and falls back to the
-full SVD whenever it cannot certify the truncation (see
+row's block) and spends at most min(M, N) / p passes per row on a block
+of p columns, about the cost of one full SVD, and falls back to the full
+SVD whenever it cannot certify the truncation (see
 :meth:`slra.envelope.RankObjective.update`).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is

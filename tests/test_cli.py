@@ -147,7 +147,9 @@ def test_da_keeps_rank_on_exact_model(seed, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
 def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
-    # the golden problems are far below the truncated SVD's size gate
+    # the golden problems have at most 15 columns and capture enough values
+    # that a row's pass budget min(M, N) / (k + 6) stays below the two
+    # passes a truncated attempt needs, so none is made
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")
@@ -155,7 +157,7 @@ def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch
     original = solvers.run
     monkeypatch.setattr(solvers, "run", lambda *a: results.append(original(*a)) or results[-1])
     assert main(["--out", "out"] + CASES[case]) == 0
-    assert results[0].full_svds == results[0].n_iters + 1
+    assert results[0].full_svds == results[0].n_iters + 1 and results[0].passes == 0
 
 
 def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
@@ -170,6 +172,9 @@ def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
                                  "output_dir": str(tmp_path), "sigma0": "gap:4",
                                  "max_iters": 3}
     assert summary["passes_per_truncated_row"] > 0
+    assert [level["snr_dbw"] for level in summary["levels"]] == [5.0, 20.0]
+    for level in summary["levels"]:
+        assert 0 < level["full_svd_fraction"] <= 1 and level["passes_per_truncated_row"] > 0
     diffs = (tmp_path / "freqest_diffs.csv").read_text().splitlines()
     assert [float(row.split(",")[0]) for row in diffs[1:]] == [5.0, 20.0]
 
@@ -208,6 +213,20 @@ def test_flag_the_study_does_not_read_is_usage_error(study, flag, value, via_con
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == f"slra: error: {study} does not read --{flag}"
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_rejects_trials_and_accepts_seed(tmp_path, capsys, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    solve = ["--sigma0", "1.5", "--iters", "3", "solve", "--input", "matrix.npy"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--trials", "3", *solve])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        "slra: error: solve does not read --trials"
+    assert not (tmp_path / "out").exists()
+    assert main(["--seed", "9", *solve]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_iters"] == 3
 
 
 def test_describe_change_reports_relative_difference_and_fields(tmp_path):

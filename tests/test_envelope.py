@@ -248,16 +248,16 @@ def _passes_of_update(monkeypatch, obj, lam, warm):
     return upd, len(passes)
 
 
-def _path(noise, size=1.0):
-    """Rank 4 plus ``noise`` on 129x129 complex data, sigma0 between the
+def _path(noise, size=1.0, n=129):
+    """Rank 4 plus ``noise`` on n x n complex data, sigma0 between the
     4th and 5th values, a multiplier Lambda_0 and a step D that moves G by
     ``size`` in Frobenius norm; returns the objective, Lambda_0 and D."""
     rng = np.random.default_rng(7)
-    F = _complex(rng, 129, 4) @ _complex(rng, 4, 129) + noise * _complex(rng, 129, 129)
+    F = _complex(rng, n, 4) @ _complex(rng, 4, n) + noise * _complex(rng, n, n)
     s = np.linalg.svd(F, compute_uv=False)
     obj = RankObjective(F, 0.5 * (s[3] + s[4]))
-    lam0 = 0.1 * _complex(rng, 129, 129)
-    step = _complex(rng, 129, 129)
+    lam0 = 0.1 * _complex(rng, n, n)
+    step = _complex(rng, n, n)
     return obj, lam0, 2.0 * size * step / np.linalg.norm(step)  # G moves by ||dLambda|| / 2
 
 
@@ -278,24 +278,48 @@ def _truncated_rows(obj, lams):
     return warm
 
 
+def _plain_attempt(obj, lam, warm, budget):
+    """Passes and success of one attempt at ``lam`` from the previous
+    row's block, given ``budget`` passes."""
+    g = obj.F - lam * 0.5
+    dg = float(np.linalg.norm(g - warm.g))
+    v = warm.vh[:warm.captured + envelope._EXTRA_COLUMNS].conj().T
+    tau = obj.sigma0 * (1.0 - envelope.DEGENERATE_RTOL)
+    passes, part = envelope._truncated_svd(g, v, warm, dg, tau, budget)
+    return passes, part is not None
+
+
 def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
     # values 11 on sit at about 4% of the 4th: each pass cuts the residual
-    # about 1000-fold, and three passes leave 9e-12 s_1 after the step
+    # about 1000-fold, and three passes leave 9e-12 s_1 after the step, so
+    # the row takes four; given three, the attempt stops after the second
+    # pass, whose cut predicts the fourth
     obj, lam, warm = _unit_step_rows(0.3)
     fast, passes = _passes_of_update(monkeypatch, obj, lam, warm)
-    assert fast.warm.truncated and passes > envelope._PASSES
+    assert fast.warm.truncated and passes == 4
     assert fast.warm.captured == 4 and fast.warm.beta < obj.sigma0
     _assert_same_update(fast, obj.update(lam, 0.0))
-    monkeypatch.setattr(envelope, "_MAX_PASSES", envelope._PASSES)
-    assert not obj.update(lam, 0.0, warm).warm.truncated
+    assert _plain_attempt(obj, lam, warm, 3) == (2, False)
 
 
-def test_stalling_attempt_falls_back_after_the_base_passes(monkeypatch):
-    # values 11 on sit at about 13% of the 4th: the third pass cuts the
-    # residual only 85-fold, short of the 100-fold that earns a fourth
-    obj, lam, warm = _unit_step_rows(1.0)
+def test_slow_attempt_may_take_more_than_eight_passes(monkeypatch):
+    # values 11 on sit at about 37% of the 4th: the row certifies after ten
+    # passes, within the budget of 129 / 10 passes
+    obj, lam, warm = _unit_step_rows(3.0)
+    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    assert fast.warm.truncated and passes == fast.warm.passes == 10
+    assert fast.warm.captured == 4 and fast.warm.fallbacks == 0
+    _assert_same_update(fast, obj.update(lam, 0.0))
+
+
+def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeypatch):
+    # values 11 on sit at about 57% of the 4th: certifying takes 16 passes,
+    # more than the budget of 12.9, and the cut measured at the third pass
+    # predicts as much, so the attempt stops there and the row falls back
+    obj, lam, warm = _unit_step_rows(5.0)
+    assert _plain_attempt(obj, lam, warm, np.inf) == (16, True)
     upd, passes = _passes_of_update(monkeypatch, obj, lam, warm)
-    assert passes == envelope._PASSES
+    assert passes == upd.warm.passes == 3
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1  # next try 2 rows on
     _assert_same_update(upd, obj.update(lam, 0.0))
@@ -318,15 +342,36 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
 
 
 def test_failed_secant_start_is_retried_from_the_plain_start(monkeypatch):
-    # the path turns back to Lambda_0, so the prediction points away from
-    # the row's subspace and needs a fourth pass, which is not allowed
-    # here; the previous block certifies in three, and no fallback counts
+    # a predicted block spanning right singular vectors 5 to 14 of the row
+    # shows no value above tau, so it fails the certificate after one pass;
+    # the previous block certifies in three of the passes left, and no
+    # fallback counts
     obj, lam0, d = _path(0.3, 0.1)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
-    monkeypatch.setattr(envelope, "_MAX_PASSES", 3)
+    _, _, vh = np.linalg.svd(obj.F - lam0 * 0.5)
+    starts = envelope._starts
+    monkeypatch.setattr(envelope, "_starts",
+                        lambda *a: [vh[4:14].conj().T] + starts(*a)[1:])
     upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
-    assert passes == upd.warm.passes == 6
+    assert passes == upd.warm.passes == 4
     assert upd.warm.truncated and upd.warm.fallbacks == 0 and upd.warm.wait == 0
+    _assert_same_update(upd, obj.update(lam0, 0.0))
+
+
+def test_retry_gets_the_passes_left_of_the_budget(monkeypatch):
+    # at 96x96 the budget is 9.6 passes; after the path turns back, the
+    # predicted attempt stops after 6 and the plain retry, left 3.6,
+    # after 2, so the row falls back having spent 8
+    obj, lam0, d = _path(2.0, 10.0, 96)
+    warm = _truncated_rows(obj, [lam0, lam0 + d])
+    budgets = []
+    attempt = envelope._truncated_svd
+    monkeypatch.setattr(envelope, "_truncated_svd",
+                        lambda *a: budgets.append(a[-1]) or attempt(*a))
+    upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
+    assert budgets == pytest.approx([9.6, 3.6])
+    assert passes == upd.warm.passes == 8
+    assert not upd.warm.truncated and upd.warm.fallbacks == 1
     _assert_same_update(upd, obj.update(lam0, 0.0))
 
 

@@ -8,7 +8,13 @@ from slra import envelope, solvers
 from slra.envelope import PrimalUpdate, RankObjective, ToyObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
-from slra.signals import NoiseSpec, add_noise, gen_cos_sum
+from slra.signals import (
+    NoiseSpec,
+    add_noise,
+    gen_cos_sum,
+    sigma0_heuristic,
+    signal_to_hankel,
+)
 from slra.solvers import (
     SolverConfig,
     SolverTrace,
@@ -324,32 +330,63 @@ def _freqest_trial_run(monkeypatch, snr_dbw):
     return study, *calls[0]
 
 
-@pytest.mark.parametrize("snr_dbw", [15.0, 20.0])
-def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
-    study, obj, fast = _freqest_trial_run(monkeypatch, snr_dbw)
-    monkeypatch.setattr(envelope, "_SIZE_GATE", 10**9)  # never truncate
-    full_study, _, full = _freqest_trial_run(monkeypatch, snr_dbw)
+def _never_truncate(monkeypatch):
+    """Every truncated attempt fails without a pass: every row takes the
+    full SVD."""
+    monkeypatch.setattr(envelope, "_truncated_svd", lambda *a: (0, None))
 
-    truncated = fast.n_iters + 1 - fast.full_svds
-    if snr_dbw == 20.0:
-        # row 0 has no warm start; every later row is certified truncated
-        assert fast.full_svds == 1
-        assert 0 < study["full_svd_fraction"] <= 0.01
-    else:
-        # some attempts fall back, and the backoff prices more rows in full
-        assert 1 < fast.full_svds < truncated
-    # the secant start certifies most rows after one pass
-    assert study["passes_per_truncated_row"] == fast.passes / truncated <= 1.6
-    assert full_study["full_svd_fraction"] == 1.0
-    assert full.full_svds == full.n_iters + 1 and full.passes == 0
+
+def _assert_same_run(fast, full):
     assert fast.n_iters == full.n_iters
     assert_array_equal(fast.trace.best_n, full.trace.best_n)
     assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
     assert_allclose(fast.trace.lambda_norm, full.trace.lambda_norm, rtol=1e-9)
+    assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
+
+
+@pytest.mark.parametrize("snr_dbw", [0.0, 15.0, 20.0])
+def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
+    study, obj, fast = _freqest_trial_run(monkeypatch, snr_dbw)
+    _never_truncate(monkeypatch)
+    full_study, _, full = _freqest_trial_run(monkeypatch, snr_dbw)
+
+    truncated = fast.n_iters + 1 - fast.full_svds
+    if snr_dbw > 0:  # row 0 has no warm start; every later row is truncated
+        assert fast.full_svds == 1
+    else:  # a few early attempts fall back, and the backoff prices some rows
+        assert 1 < fast.full_svds < 0.02 * truncated
+    # the secant start certifies most rows after one pass; at 0 dBW each
+    # pass cuts the residual only a few fold
+    assert study["passes_per_truncated_row"] == fast.passes / truncated
+    assert fast.passes / truncated <= (1.6 if snr_dbw > 0 else 2.5)
+    assert study["levels"] == [{"snr_dbw": snr_dbw, **{
+        key: study[key] for key in ("full_svd_fraction", "passes_per_truncated_row")}}]
+    assert full_study["full_svd_fraction"] == 1.0
+    assert full.full_svds == full.n_iters + 1 and full.passes == 0
+    _assert_same_run(fast, full)
     # the residual ends near 1e-6, so its own rounding is about 5e-7 of it
     assert_allclose(fast.trace.feas_residual, full.trace.feas_residual,
                     rtol=0, atol=1e-9 * np.linalg.norm(obj.F))
-    assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
+
+
+@pytest.mark.parametrize("variant", solvers.VARIANTS)
+def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
+    # a noisy four-tone signal as ``slra solve`` builds it: 64x63 Hankel,
+    # sigma0 from the gap at 4, so a budget of 6.3 passes per row
+    rng = np.random.default_rng(11)
+    tones = -rng.uniform(0.0, 0.005, 4) + 1j * (0.3 + 0.7 * np.arange(4))
+    amps = np.exp(2j * np.pi * rng.uniform(size=4))
+    f = np.exp(np.multiply.outer(np.arange(126), tones)) @ amps
+    F = signal_to_hankel(add_noise(f, NoiseSpec(snr_dbw=15.0), rng=rng))
+    assert F.shape == (64, 63)
+    obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
+    cfg = SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1, max_iters=100)
+    fast = run(obj, sub, cfg)
+    _never_truncate(monkeypatch)
+    full = run(obj, sub, cfg)
+    assert fast.full_svds < (fast.n_iters + 1) / 2 and fast.passes > 0
+    assert full.full_svds == full.n_iters + 1
+    _assert_same_run(fast, full)
 
 
 def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
