@@ -51,7 +51,7 @@ class WarmStart(NamedTuple):
     truncated: bool    # the row was priced by the truncated SVD
     fallbacks: int     # truncated attempts of the run that fell back
     wait: int          # rows still to price by the full SVD before trying again
-    passes: int        # subspace iteration passes the row took, over all its attempts
+    passes: int        # subspace iteration passes of the row's truncated attempt
 
 
 @dataclass(frozen=True)
@@ -83,55 +83,46 @@ def _certify(g, vk, sk, below, tau):
     Positive definiteness of c^2 I - (g^H g - V_k S_k^2 V_k^H) puts g^H g
     below c^2 I plus a rank-k term, so at most k singular values of g reach
     c, whatever the accuracy of V_k and S_k (up to the rounding of g^H g).
-    Tried at c halfway from the first excluded Ritz value ``below`` to
-    ``tau``, then at ``tau``."""
+    Tried at one level, c halfway from the first excluded Ritz value
+    ``below`` to ``tau``; raises np.linalg.LinAlgError when the matrix is
+    not positive definite there."""
     gram = g.conj().T @ g - (vk * sk**2) @ vk.conj().T
-    eye = np.eye(gram.shape[0])
-    for c in (0.5 * (below + tau), tau):
-        try:
-            factor = np.linalg.cholesky(c * c * eye - gram)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(factor)):
-            return c
-    return None
+    c = 0.5 * (below + tau)
+    factor = np.linalg.cholesky(c * c * np.eye(gram.shape[0]) - gram)
+    return c if np.all(np.isfinite(factor)) else None
 
 
-def _starts(warm, p, dg):
-    """Start blocks of the truncated attempts at a row, in the order they
-    are tried.
+def _start(warm, p, dg):
+    """Start block of the truncated attempt at a row.
 
-    The plain start is the previous row's block V (padded when more values
-    were captured than it held).  When the row before it was truncated
-    too, with a block W of the same width, a secant start comes first:
-    V + gamma (V - W W^H V) extrapolates the move of the subspace along
-    the dual-ascent path, with gamma = min(1, ||dG|| / ||dG_prev||)."""
+    The previous row's block V, or, when the row before it was truncated
+    too with a block W of the same width, the secant prediction
+    V + gamma (V - W W^H V), which extrapolates the move of the subspace
+    along the dual-ascent path, with gamma = min(1, ||dG|| / ||dG_prev||)."""
     v = warm.vh[:p].conj().T
-    if v.shape[1] < p:  # more values were captured than the block held
-        pad = np.random.default_rng(0).standard_normal((v.shape[0], p - v.shape[1]))
-        return [np.hstack([v, pad])]
     w = warm.prev_vh
     if w is None or w.shape != warm.vh.shape or len(w) != p or not warm.dg > 0:
-        return [v]
+        return v
     gamma = min(1.0, dg / warm.dg)
-    return [v + gamma * (v - w.conj().T @ (w @ v)), v]
+    return v + gamma * (v - w.conj().T @ (w @ v))
 
 
 def _truncated_svd(g, v, warm, dg, tau, budget):
     """Singular triplets of g at or above ``tau`` from a block subspace
-    iteration started at the block ``v``, in at most ``budget`` passes.
+    iteration started at the block ``v``, in at most ``budget`` (>= 1)
+    passes.
 
-    An attempt stops short of the budget once the residual cut of its last
-    pass, repeated, would not bring the residual to the accepted level
-    within the budget.  Returns the passes taken and, when the truncation
-    is certified, (u, s, vh, block, beta) -- the captured triplets, the
-    block's right Ritz vectors as rows and a certified
+    The first pass always runs, and each later one only when the residual
+    cut of the pass before, repeated, brings the residual to the accepted
+    level within the budget.  Returns the passes taken and, when the
+    truncation is certified, (u, s, vh, block, beta) -- the captured
+    triplets, the block's right Ritz vectors as rows and a certified
     beta >= sigma_{k+1}(g) below tau -- or else None.  ``dg`` is
     ||g - warm.g||_F."""
     p = v.shape[1]
     passes, last = 0, np.inf
     try:
-        while passes + 1 <= budget:
+        while True:
             passes += 1
             q, _ = np.linalg.qr(g @ v)
             # Ritz triplets of Q^H G from its conjugate transpose
@@ -155,8 +146,6 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
             if passes + need > budget:
                 return passes, None
             last = resid
-        else:
-            return passes, None
         vh = v.conj().T
         # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| = ||dLambda|| / 2
         beta = warm.beta + dg
@@ -245,14 +234,16 @@ class RankObjective:
         p = k + 6 columns compute Q = orth(G V) and the Ritz triplets of
         Q^H G (from the SVD of the tall G^H Q).  A row may spend
         B = min(M, N) / p passes, about the cost of one full SVD, and is
-        tried only when B >= 2.  The first attempt starts from the
+        tried only when B >= 2.  When the previous row's block is narrower
+        than k + 6 columns, as after a truncated row that captured more
+        values than the row before it, the row runs on that block, which
+        holds at least k + 1 columns.  The row's one attempt starts from the
         previous row's block of right singular vectors V, or, when the
         row before it was truncated too with a block W of the same width,
         from the secant prediction V + gamma (V - W W^H V),
         gamma = min(1, ||dG|| / ||dG_prev||), which the dual-ascent steps
-        make accurate enough to certify most rows after one pass; a failed
-        predicted attempt is retried from V with the passes left of B.
-        An attempt stops once the passes spent plus
+        make accurate enough to certify most rows after one pass.
+        The attempt stops once the passes spent plus
         ceil(log(resid / (1e-12 s_1)) / log(cut)), cut being the ratio of
         its last two residuals, would exceed B.
         The triplets are accepted only when fewer Ritz values than columns
@@ -262,7 +253,7 @@ class RankObjective:
         by interlacing, exactly k singular values reach tau.  beta is
         exact after a full SVD and grows by ||Lambda - Lambda_prev|| / 2
         from row to row (Weyl); when k changes or beta reaches tau it is
-        re-established by a Cholesky factorization (see ``_certify``).
+        re-established by one Cholesky factorization (see ``_certify``).
         Otherwise the row falls back to the full SVD, and after the f-th
         fallback of a run the next attempt comes 2^f rows after the failed
         one.  A threshold tie can only sit among the captured values, so
@@ -276,16 +267,13 @@ class RankObjective:
         fallbacks, wait, part, dg, passes = 0, 0, None, 0.0, 0
         if warm is not None:
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
-            columns = warm.captured + _EXTRA_COLUMNS
+            columns = min(warm.captured + _EXTRA_COLUMNS, len(warm.vh))
             budget = min(g.shape) / columns  # passes worth one full SVD
             if not warm.wait and budget >= 2:
                 dg = float(np.linalg.norm(g - warm.g))
-                for v in _starts(warm, columns, dg):
-                    n, part = _truncated_svd(g, v, warm, dg, tau, budget - passes)
-                    passes += n
-                    if part is not None:
-                        break
-                else:
+                v = _start(warm, columns, dg)
+                passes, part = _truncated_svd(g, v, warm, dg, tau, budget)
+                if part is None:
                     fallbacks += 1
                     wait = 2**fallbacks - 1
         if part is None:

@@ -25,7 +25,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -179,6 +178,9 @@ def _map_trials(fn, items):
     if workers <= 1:
         with _single_blas_thread():
             return [fn(it) for it in items]
+    # imported here, so that a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pin_blas_single_threaded
     ) as ex:

@@ -15,11 +15,11 @@ The multiplier always stays in the orthogonal complement of the constraint
 subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
 (plus one values-only SVD per row when feasible primal values are
 tracked): the objective may price a row from a warm-started truncated SVD,
-whose block subspace iteration starts from a secant prediction of the
-row's singular subspace out of the two previous rows (or from the previous
-row's block) and spends at most min(M, N) / p passes per row on a block
-of p columns, about the cost of one full SVD, and falls back to the full
-SVD whenever it cannot certify the truncation (see
+one attempt per row, whose block subspace iteration starts from a secant
+prediction of the row's singular subspace out of the two previous rows
+(or else from the previous row's block) and spends at most min(M, N) / p
+passes on a block of p columns, about the cost of one full SVD, and falls
+back to the full SVD whenever it cannot certify the truncation (see
 :meth:`slra.envelope.RankObjective.update`).
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is

@@ -341,27 +341,10 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
     _assert_same_update(plain, full)
 
 
-def test_failed_secant_start_is_retried_from_the_plain_start(monkeypatch):
-    # a predicted block spanning right singular vectors 5 to 14 of the row
-    # shows no value above tau, so it fails the certificate after one pass;
-    # the previous block certifies in three of the passes left, and no
-    # fallback counts
-    obj, lam0, d = _path(0.3, 0.1)
-    warm = _truncated_rows(obj, [lam0, lam0 + d])
-    _, _, vh = np.linalg.svd(obj.F - lam0 * 0.5)
-    starts = envelope._starts
-    monkeypatch.setattr(envelope, "_starts",
-                        lambda *a: [vh[4:14].conj().T] + starts(*a)[1:])
-    upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
-    assert passes == upd.warm.passes == 4
-    assert upd.warm.truncated and upd.warm.fallbacks == 0 and upd.warm.wait == 0
-    _assert_same_update(upd, obj.update(lam0, 0.0))
-
-
-def test_retry_gets_the_passes_left_of_the_budget(monkeypatch):
+def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
     # at 96x96 the budget is 9.6 passes; after the path turns back, the
-    # predicted attempt stops after 6 and the plain retry, left 3.6,
-    # after 2, so the row falls back having spent 8
+    # predicted attempt stops after 6, and the row falls back to the full
+    # SVD with no second attempt
     obj, lam0, d = _path(2.0, 10.0, 96)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
     budgets = []
@@ -369,10 +352,19 @@ def test_retry_gets_the_passes_left_of_the_budget(monkeypatch):
     monkeypatch.setattr(envelope, "_truncated_svd",
                         lambda *a: budgets.append(a[-1]) or attempt(*a))
     upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
-    assert budgets == pytest.approx([9.6, 3.6])
-    assert passes == upd.warm.passes == 8
-    assert not upd.warm.truncated and upd.warm.fallbacks == 1
+    assert budgets == pytest.approx([9.6])
+    assert passes == upd.warm.passes == 6
+    assert not upd.warm.truncated
+    assert upd.warm.fallbacks == 1 and upd.warm.wait == 1
     _assert_same_update(upd, obj.update(lam0, 0.0))
+
+
+@pytest.mark.parametrize("noise", [0.3, 1.0, 3.0, 5.0])
+def test_no_attempt_spends_more_than_its_budget(noise):
+    obj, lam, warm = _unit_step_rows(noise)
+    for budget in range(2, 14):
+        passes, _ = _plain_attempt(obj, lam, warm, budget)
+        assert 1 <= passes <= budget
 
 
 def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
@@ -412,7 +404,8 @@ def test_value_crossing_sigma0_recertifies_and_matches_full_update():
     assert upd.warm.truncated and upd.warm.captured == 5
     assert upd.warm.beta < obj.sigma0
     _assert_same_update(upd, obj.update(zero, 0.0))
-    # the next row needs 11 block columns where the last one held 10
+    # the next row runs on the 10 columns the last one held, one short of
+    # k + 6, and still certifies
     again = obj.update(zero, 0.0, upd.warm)
     assert again.warm.truncated and again.warm.captured == 5
     _assert_same_update(again, obj.update(zero, 0.0))

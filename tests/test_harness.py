@@ -48,3 +48,13 @@ def test_missing_openblas_is_said_once(monkeypatch, capsys):
     finally:
         harness._openblas_threads.cache_clear()
     assert capsys.readouterr().err.count("BLAS threads are not pinned") == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, slra.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
