@@ -145,16 +145,15 @@ def main(argv=None) -> int:
             except ValueError:
                 parser.error(f"bad --snr-levels value {args.snr_levels!r}")
 
-    config = harness.ExperimentConfig(
-        experiment=args.experiment,
-        **{k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
-           if getattr(args, k) is not None},
-        sigma0=sigma0,
-        sigma0_gap_p=gap_p,
-        output_dir=args.out,
-    )
-
     try:
+        config = harness.ExperimentConfig(
+            experiment=args.experiment,
+            **{k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
+               if getattr(args, k) is not None},
+            sigma0=sigma0,
+            sigma0_gap_p=gap_p,
+            output_dir=args.out,
+        )
         if args.experiment == "converge":
             report = harness.cmd_converge(config)
             for m, v in report.gt_distance.items():

@@ -42,10 +42,9 @@ class WarmStart(NamedTuple):
     """What one :meth:`RankObjective.update` hands to the next row of the
     same solver run."""
 
-    g: np.ndarray      # F - Lambda/2 of the row
     vh: np.ndarray     # leading right singular vectors of g, as rows
     prev_vh: Optional[np.ndarray]  # the previous row's block, when both rows were truncated
-    dg: float          # ||g - g_prev||_F when the row tried the truncated SVD, else 0
+    dg: float          # bound on ||G - G_prev||_F of the row's G = F - Lambda/2, 0 at a cold row
     captured: int      # singular values of g at or above the cutoff tau
     beta: float        # certified bound beta >= sigma_{captured+1}(g)
     truncated: bool    # the row was priced by the truncated SVD
@@ -98,7 +97,8 @@ def _start(warm, p, dg):
     The previous row's block V, or, when the row before it was truncated
     too with a block W of the same width, the secant prediction
     V + gamma (V - W W^H V), which extrapolates the move of the subspace
-    along the dual-ascent path, with gamma = min(1, ||dG|| / ||dG_prev||)."""
+    along the dual-ascent path, with gamma = min(1, dg / dg_prev), the
+    bounds on ||dG|| of the row and of the previous row."""
     v = warm.vh[:p].conj().T
     w = warm.prev_vh
     if w is None or w.shape != warm.vh.shape or len(w) != p or not warm.dg > 0:
@@ -117,8 +117,9 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
     level within the budget.  Returns the passes taken and, when the
     truncation is certified, (u, s, vh, block, beta) -- the captured
     triplets, the block's right Ritz vectors as rows and a certified
-    beta >= sigma_{k+1}(g) below tau -- or else None.  ``dg`` is
-    ||g - warm.g||_F."""
+    beta >= sigma_{k+1}(g) below tau -- or else None.  ``dg`` bounds
+    ||g - g_prev||_F from above, g_prev being the G of the row that left
+    ``warm``."""
     p = v.shape[1]
     passes, last = 0, np.inf
     try:
@@ -147,7 +148,7 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
                 return passes, None
             last = resid
         vh = v.conj().T
-        # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| = ||dLambda|| / 2
+        # Weyl: sigma_{k+1} moves by at most ||g - g_prev|| <= dg
         beta = warm.beta + dg
         if k != warm.captured or not beta < tau:
             beta = _certify(g, v[:, :k], s[:k], s[k], tau)
@@ -217,8 +218,8 @@ class RankObjective:
         """Dual function of the plain scheme, -conjugate(-Lambda)."""
         return -self.conjugate_value(-np.asarray(lam))
 
-    def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None
-               ) -> PrimalUpdate:
+    def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None,
+               dlam: Optional[float] = None) -> PrimalUpdate:
         """Minimize envelope(X) + <X, Lambda> + (alpha/2)||X||^2 in closed
         form via one SVD of G = F - Lambda/2, returning the minimizer
         together with the quantities solvers track each iteration.
@@ -227,8 +228,16 @@ class RankObjective:
         tilted objective (hard-threshold rule, ties kept at sigma0).
 
         ``warm``, the previous row's ``PrimalUpdate.warm``, lets the SVD
-        be truncated.  Every quantity here vanishes on singular values
-        below sigma0, so only the k values at or above the cutoff
+        be truncated; it needs ``dlam``, an upper bound on
+        ||Lambda - Lambda_prev||_F, Lambda_prev being the multiplier of
+        that row.  Forming G = F - Lambda/2 rounds each entry by at most
+        eps/2 of its modulus, so dg = dlam / 2 + 2 eps ||F|| bounds
+        ||G - G_prev||_F of the computed matrices when ``dlam`` covers
+        eps (||Lambda|| + ||Lambda_prev||) / 2 beyond the exact distance,
+        as the margin of :func:`slra.solvers.run` does.
+
+        Every quantity here vanishes on singular values below sigma0, so
+        only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
         previous row's count.  Passes of block subspace iteration on
         p = k + 6 columns compute Q = orth(G V) and the Ritz triplets of
@@ -241,8 +250,8 @@ class RankObjective:
         previous row's block of right singular vectors V, or, when the
         row before it was truncated too with a block W of the same width,
         from the secant prediction V + gamma (V - W W^H V),
-        gamma = min(1, ||dG|| / ||dG_prev||), which the dual-ascent steps
-        make accurate enough to certify most rows after one pass.
+        gamma = min(1, dg / dg_prev), which the dual-ascent steps make
+        accurate enough to certify most rows after one pass.
         The attempt stops once the passes spent plus
         ceil(log(resid / (1e-12 s_1)) / log(cut)), cut being the ratio of
         its last two residuals, would exceed B.
@@ -251,9 +260,9 @@ class RankObjective:
         ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
         beta >= sigma_{k+1}(G) lies below tau.  Then,
         by interlacing, exactly k singular values reach tau.  beta is
-        exact after a full SVD and grows by ||Lambda - Lambda_prev|| / 2
-        from row to row (Weyl); when k changes or beta reaches tau it is
-        re-established by one Cholesky factorization (see ``_certify``).
+        exact after a full SVD and grows by dg from row to row (Weyl);
+        when k changes or beta reaches tau it is re-established by one
+        Cholesky factorization (see ``_certify``).
         Otherwise the row falls back to the full SVD, and after the f-th
         fallback of a run the next attempt comes 2^f rows after the failed
         one.  A threshold tie can only sit among the captured values, so
@@ -266,11 +275,13 @@ class RankObjective:
         tau = self.sigma0 * (1.0 - DEGENERATE_RTOL)
         fallbacks, wait, part, dg, passes = 0, 0, None, 0.0, 0
         if warm is not None:
+            if dlam is None:
+                raise ValueError("a warm start needs dlam")
+            dg = 0.5 * dlam + 2.0 * np.finfo(float).eps * math.sqrt(self._norm_sq)
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
             columns = min(warm.captured + _EXTRA_COLUMNS, len(warm.vh))
             budget = min(g.shape) / columns  # passes worth one full SVD
             if not warm.wait and budget >= 2:
-                dg = float(np.linalg.norm(g - warm.g))
                 v = _start(warm, columns, dg)
                 passes, part = _truncated_svd(g, v, warm, dg, tau, budget)
                 if part is None:
@@ -285,8 +296,10 @@ class RankObjective:
             u, s, vh, block, beta = part
             k = s.size
         fs = f_alpha(s, self.sigma0, alpha) if alpha > 0 else f_hard(s, self.sigma0)
-        nz = fs > 0  # thresholded-away components contribute exact zeros
-        x = (u[:, nz] * fs[nz]) @ vh[nz]
+        # fs is non-increasing, so the thresholded-away components, which
+        # contribute exact zeros, are a suffix
+        m = int(np.count_nonzero(fs > 0))
+        x = (u[:, :m] * fs[:m]) @ vh[:m]
         dual_da = self.data_norm_sq() - float(
             np.sum(np.maximum(s**2 - self.sigma0**2, 0.0))
         )
@@ -296,7 +309,7 @@ class RankObjective:
         )
         truncated = part is not None
         prev_vh = warm.vh if truncated and warm.truncated else None
-        warm = WarmStart(g, block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
+        warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
         return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate, warm)
 
     def dual_value_ada(self, lam, alpha: float) -> float:
@@ -359,7 +372,7 @@ class ToyObjective:
         v = self._scalar(x)
         return max(0.0, v * v - 1.0) + 0.5 * alpha * v * v
 
-    def update(self, lam, alpha: float = 0.0, warm=None) -> PrimalUpdate:
+    def update(self, lam, alpha: float = 0.0, warm=None, dlam=None) -> PrimalUpdate:
         lam_v = self._scalar(lam)
         if alpha == 0:
             # non-convex argmin; ties broken towards +1 for determinism

@@ -90,6 +90,8 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         self.output_dir = Path(self.output_dir)
 
     def to_json_dict(self):

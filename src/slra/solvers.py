@@ -20,7 +20,12 @@ prediction of the row's singular subspace out of the two previous rows
 (or else from the previous row's block) and spends at most min(M, N) / p
 passes on a block of p columns, about the cost of one full SVD, and falls
 back to the full SVD whenever it cannot certify the truncation (see
-:meth:`slra.envelope.RankObjective.update`).
+:meth:`slra.envelope.RankObjective.update`).  The certificate carries a
+bound on the row's (k+1)-th singular value from row to row by Weyl's
+inequality, which needs a bound on how far F - Lambda/2 moved; the run
+knows the multiplier's step as step * ||X - P(X)|| and hands the
+objective that figure plus a rounding margin, so no row sweeps the
+difference of two matrices for it.
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
 the conjugate-based dual function at Lambda^n.  For ``ada`` the recorded
@@ -241,15 +246,16 @@ _DUAL_AT_ROW = {
 def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
-    ``objective`` must expose ``update(Lambda, alpha, warm) ->
+    ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
     PrimalUpdate`` and ``feasible_value`` (see
     :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
-    the run.  Row k of the trace describes X^k (X^0 := 0) and Lambda^k;
-    the one SVD of F - Lambda^k/2 computed for row k prices its dual value
-    and yields the next primal iterate X^{k+1}.  Terminates when the
-    feasibility residual ||X^k - P(X^k)|| drops below ``stop_tol`` or
-    after ``max_iters`` updates.
+    the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
+    (None at row 0).  Row k of the trace describes X^k (X^0 := 0) and
+    Lambda^k; the one SVD of F - Lambda^k/2 computed for row k prices its
+    dual value and yields the next primal iterate X^{k+1}.  Terminates
+    when the feasibility residual ||X^k - P(X^k)|| drops below
+    ``stop_tol`` or after ``max_iters`` updates.
 
     ``da`` returns the projected minimizer of the same SVD that priced the
     best row: the latest row whose dual came within
@@ -267,14 +273,14 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     resid = step_norm = lam_norm = 0.0
     rows = []
     best, top = 0, -np.inf
-    warm = None
+    warm = dlam = None
     full_svds = passes = 0
     degenerate = converged = False
     failure = None
 
     for k in range(config.max_iters + 1):
         try:
-            upd = objective.update(lam, alpha, warm)
+            upd = objective.update(lam, alpha, warm, dlam)
         except np.linalg.LinAlgError as exc:
             failure = f"SVD failed at row {k}: {exc}"
             break
@@ -300,7 +306,11 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         step = config.step(k)
         lam = lam + step * r
         step_norm = step * resid
-        lam_norm = float(np.linalg.norm(lam))
+        prev_norm, lam_norm = lam_norm, float(np.linalg.norm(lam))
+        # the step's norm bounds ||Lambda^{k+1} - Lambda^k|| up to rounding:
+        # of the step, of its norm, of the sum and of forming F - Lambda/2
+        # from either multiplier, all within a few eps of the two norms
+        dlam = step_norm + 4.0 * np.finfo(float).eps * (lam_norm + prev_norm)
         if not np.isfinite(lam_norm):  # NaN or infinite entries, or overflow
             failure = f"non-finite multiplier at iteration {k + 1}"
             break

@@ -46,25 +46,27 @@ class ZeroSubspace(SubspaceOp):
 
 class HankelSubspace(SubspaceOp):
     """Matrices constant along antidiagonals, generated by a vector of
-    length L = rows + cols - 1 via H[i, j] = v[i + j]."""
+    length L = rows + cols - 1 via H[i, j] = v[i + j].
+
+    The antidiagonal sums behind the projection are taken by one gather of
+    the entries into antidiagonal order and one ``np.add.reduceat`` over
+    the antidiagonals, which numpy sums pairwise, for real and complex
+    input alike."""
 
     def __init__(self, rows: int, cols: int):
         super().__init__(rows, cols)
         self.length = rows + cols - 1
-        # Antidiagonal index map and the antidiagonal sizes, precomputed
-        # because projection is the inner-loop cost after the SVD.
+        # Antidiagonal index map, the flat positions in antidiagonal order,
+        # where each antidiagonal starts in that order, and the antidiagonal
+        # sizes, precomputed because projection is the inner-loop cost
+        # after the SVD.
         self._idx = np.add.outer(np.arange(rows), np.arange(cols))
-        self._flat_idx = self._idx.ravel()
-        self._counts = np.bincount(self._flat_idx, minlength=self.length)
+        self._order = np.argsort(self._idx.ravel(), kind="stable")
+        self._counts = np.bincount(self._idx.ravel(), minlength=self.length)
+        self._starts = np.concatenate(([0], np.cumsum(self._counts[:-1])))
 
     def _antidiag_means(self, x):
-        xr = x.ravel()
-        sums = np.bincount(self._flat_idx, weights=xr.real, minlength=self.length)
-        if np.iscomplexobj(x):
-            sums = sums + 1j * np.bincount(
-                self._flat_idx, weights=xr.imag, minlength=self.length
-            )
-        return sums / self._counts
+        return np.add.reduceat(x.take(self._order), self._starts) / self._counts
 
     def project(self, x):
         """Frobenius-nearest Hankel matrix: antidiagonal arithmetic means."""

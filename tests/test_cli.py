@@ -215,6 +215,17 @@ def test_flag_the_study_does_not_read_is_usage_error(study, flag, value, via_con
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("study", [["converge"], ["freqest", "--snr-levels", "20"]],
+                         ids=["converge", "freqest"])
+def test_trials_below_one_is_usage_error(study, trials, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--trials", str(trials), *study]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: trials must be at least 1, got {trials}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_rejects_trials_and_accepts_seed(tmp_path, capsys, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -229,7 +229,7 @@ def test_warm_update_matches_full_update(alpha):
     lam0 = 0.1 * _complex(rng, 129, 129)
     lam1 = lam0 + 1e-4 * _complex(rng, 129, 129)
     warm = obj.update(lam0, alpha).warm
-    fast = obj.update(lam1, alpha, warm)
+    fast = obj.update(lam1, alpha, warm, np.linalg.norm(lam1 - lam0))
     full = obj.update(lam1, alpha)
     assert fast.warm.truncated and not full.warm.truncated
     assert fast.warm.captured == full.warm.captured == 4
@@ -237,13 +237,14 @@ def test_warm_update_matches_full_update(alpha):
     _assert_same_update(fast, full)
 
 
-def _passes_of_update(monkeypatch, obj, lam, warm):
-    """The update at ``lam`` after ``warm``, and the subspace iteration
-    passes it took (one QR factorization each)."""
+def _passes_of_update(monkeypatch, obj, lam, warm, dlam):
+    """The update at ``lam`` after ``warm``, ``dlam`` away from its
+    multiplier, and the subspace iteration passes it took (one QR
+    factorization each)."""
     passes = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: passes.append(1) or qr(*a, **k))
-    upd = obj.update(lam, 0.0, warm)
+    upd = obj.update(lam, 0.0, warm, dlam)
     monkeypatch.setattr(np.linalg, "qr", qr)
     return upd, len(passes)
 
@@ -262,30 +263,31 @@ def _path(noise, size=1.0, n=129):
 
 
 def _unit_step_rows(noise):
-    """The objective of ``_path(noise)``, Lambda_0 + D, and the warm state
-    of Lambda_0."""
+    """The objective of ``_path(noise)``, Lambda_0 + D, the warm state of
+    Lambda_0 and ||D||."""
     obj, lam0, d = _path(noise)
-    return obj, lam0 + d, obj.update(lam0, 0.0).warm
+    lam = lam0 + d
+    return obj, lam, obj.update(lam0, 0.0).warm, np.linalg.norm(lam - lam0)
 
 
 def _truncated_rows(obj, lams):
     """The warm state after a cold row at lams[0] and a truncated row at
     each of ``lams``."""
-    warm = obj.update(lams[0], 0.0).warm
+    warm, prev = obj.update(lams[0], 0.0).warm, lams[0]
     for lam in lams:
-        warm = obj.update(lam, 0.0, warm).warm
+        warm, prev = obj.update(lam, 0.0, warm, np.linalg.norm(lam - prev)).warm, lam
         assert warm.truncated
     return warm
 
 
-def _plain_attempt(obj, lam, warm, budget):
-    """Passes and success of one attempt at ``lam`` from the previous
-    row's block, given ``budget`` passes."""
+def _plain_attempt(obj, lam, warm, dlam, budget):
+    """Passes and success of one attempt at ``lam``, ``dlam`` away from
+    the previous row's multiplier, from that row's block, given
+    ``budget`` passes."""
     g = obj.F - lam * 0.5
-    dg = float(np.linalg.norm(g - warm.g))
     v = warm.vh[:warm.captured + envelope._EXTRA_COLUMNS].conj().T
     tau = obj.sigma0 * (1.0 - envelope.DEGENERATE_RTOL)
-    passes, part = envelope._truncated_svd(g, v, warm, dg, tau, budget)
+    passes, part = envelope._truncated_svd(g, v, warm, 0.5 * dlam, tau, budget)
     return passes, part is not None
 
 
@@ -294,19 +296,19 @@ def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
     # about 1000-fold, and three passes leave 9e-12 s_1 after the step, so
     # the row takes four; given three, the attempt stops after the second
     # pass, whose cut predicts the fourth
-    obj, lam, warm = _unit_step_rows(0.3)
-    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    obj, lam, warm, dlam = _unit_step_rows(0.3)
+    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert fast.warm.truncated and passes == 4
     assert fast.warm.captured == 4 and fast.warm.beta < obj.sigma0
     _assert_same_update(fast, obj.update(lam, 0.0))
-    assert _plain_attempt(obj, lam, warm, 3) == (2, False)
+    assert _plain_attempt(obj, lam, warm, dlam, 3) == (2, False)
 
 
 def test_slow_attempt_may_take_more_than_eight_passes(monkeypatch):
     # values 11 on sit at about 37% of the 4th: the row certifies after ten
     # passes, within the budget of 129 / 10 passes
-    obj, lam, warm = _unit_step_rows(3.0)
-    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    obj, lam, warm, dlam = _unit_step_rows(3.0)
+    fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert fast.warm.truncated and passes == fast.warm.passes == 10
     assert fast.warm.captured == 4 and fast.warm.fallbacks == 0
     _assert_same_update(fast, obj.update(lam, 0.0))
@@ -316,9 +318,9 @@ def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeyp
     # values 11 on sit at about 57% of the 4th: certifying takes 16 passes,
     # more than the budget of 12.9, and the cut measured at the third pass
     # predicts as much, so the attempt stops there and the row falls back
-    obj, lam, warm = _unit_step_rows(5.0)
-    assert _plain_attempt(obj, lam, warm, np.inf) == (16, True)
-    upd, passes = _passes_of_update(monkeypatch, obj, lam, warm)
+    obj, lam, warm, dlam = _unit_step_rows(5.0)
+    assert _plain_attempt(obj, lam, warm, dlam, np.inf) == (16, True)
+    upd, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert passes == upd.warm.passes == 3
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1  # next try 2 rows on
@@ -332,8 +334,10 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
     obj, lam0, d = _path(0.3, 1e-3)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
     lam = lam0 + 2.0 * d
-    predicted, passes = _passes_of_update(monkeypatch, obj, lam, warm)
-    plain, plain_passes = _passes_of_update(monkeypatch, obj, lam, warm._replace(prev_vh=None))
+    dlam = np.linalg.norm(lam - (lam0 + d))
+    predicted, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
+    plain, plain_passes = _passes_of_update(monkeypatch, obj, lam, warm._replace(prev_vh=None),
+                                            dlam)
     assert predicted.warm.truncated and plain.warm.truncated
     assert (predicted.warm.passes, plain.warm.passes) == (passes, plain_passes) == (1, 3)
     full = obj.update(lam, 0.0)
@@ -351,7 +355,8 @@ def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
     attempt = envelope._truncated_svd
     monkeypatch.setattr(envelope, "_truncated_svd",
                         lambda *a: budgets.append(a[-1]) or attempt(*a))
-    upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm)
+    dlam = np.linalg.norm(lam0 - (lam0 + d))
+    upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm, dlam)
     assert budgets == pytest.approx([9.6])
     assert passes == upd.warm.passes == 6
     assert not upd.warm.truncated
@@ -361,16 +366,16 @@ def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
 
 @pytest.mark.parametrize("noise", [0.3, 1.0, 3.0, 5.0])
 def test_no_attempt_spends_more_than_its_budget(noise):
-    obj, lam, warm = _unit_step_rows(noise)
+    obj, lam, warm, dlam = _unit_step_rows(noise)
     for budget in range(2, 14):
-        passes, _ = _plain_attempt(obj, lam, warm, budget)
+        passes, _ = _plain_attempt(obj, lam, warm, dlam, budget)
         assert 1 <= passes <= budget
 
 
 def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
-    """An objective whose G at Lambda = 0 has singular values ``s_now``, and
-    the warm state of a previous row whose G had ``s_prev`` in the same
-    singular vectors."""
+    """An objective whose G at Lambda = 0 has singular values ``s_now``, the
+    warm state of a previous row whose G had ``s_prev`` in the same
+    singular vectors, and ||Lambda_prev|| of that row."""
     rng = np.random.default_rng(seed)
     n = len(s_prev)
     u, _ = np.linalg.qr(_complex(rng, n, n))
@@ -378,7 +383,7 @@ def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
     F = (u * s_now) @ v.conj().T
     obj = RankObjective(F, sigma0)
     lam_prev = 2.0 * (F - (u * s_prev) @ v.conj().T)
-    return obj, obj.update(lam_prev, 0.0).warm
+    return obj, obj.update(lam_prev, 0.0).warm, np.linalg.norm(lam_prev)
 
 
 def test_tie_below_the_block_falls_back_and_is_degenerate():
@@ -387,9 +392,9 @@ def test_tie_below_the_block_falls_back_and_is_degenerate():
     s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.01, np.linspace(0.6, 0.1, 91)]
     s_now = s_prev.copy()
     s_now[4] = 1.0
-    obj, warm = _two_rows(s_prev, s_now)
+    obj, warm, dlam = _two_rows(s_prev, s_now)
     assert warm.captured == 4 and not warm.truncated
-    upd = obj.update(np.zeros(obj.shape), 0.0, warm)
+    upd = obj.update(np.zeros(obj.shape), 0.0, warm, dlam)
     assert not upd.warm.truncated and upd.warm.fallbacks == 1
     assert upd.degenerate
 
@@ -398,32 +403,38 @@ def test_value_crossing_sigma0_recertifies_and_matches_full_update():
     s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.9, np.linspace(0.6, 0.1, 91)]
     s_now = s_prev.copy()
     s_now[4] = 1.2
-    obj, warm = _two_rows(s_prev, s_now)
+    obj, warm, dlam = _two_rows(s_prev, s_now)
     zero = np.zeros(obj.shape)
-    upd = obj.update(zero, 0.0, warm)
+    upd = obj.update(zero, 0.0, warm, dlam)
     assert upd.warm.truncated and upd.warm.captured == 5
     assert upd.warm.beta < obj.sigma0
     _assert_same_update(upd, obj.update(zero, 0.0))
     # the next row runs on the 10 columns the last one held, one short of
     # k + 6, and still certifies
-    again = obj.update(zero, 0.0, upd.warm)
+    again = obj.update(zero, 0.0, upd.warm, 0.0)
     assert again.warm.truncated and again.warm.captured == 5
     _assert_same_update(again, obj.update(zero, 0.0))
 
 
 def test_nonfinite_g_never_passes_the_certificate(monkeypatch):
     s = np.r_[50.0, 40.0, 30.0, 20.0, np.linspace(0.6, 0.1, 92)]
-    obj, warm = _two_rows(s, s)
+    obj, warm, dlam = _two_rows(s, s)
     attempts = []
     original = envelope._truncated_svd
     monkeypatch.setattr(envelope, "_truncated_svd",
                         lambda *a: attempts.append(original(*a)) or attempts[-1])
-    assert obj.update(np.zeros(obj.shape), 0.0, warm).warm.truncated
+    assert obj.update(np.zeros(obj.shape), 0.0, warm, dlam).warm.truncated
     bad = np.zeros(obj.shape)
     bad[3, 5] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        obj.update(bad, 0.0, warm)  # the fallback's full SVD fails
+        obj.update(bad, 0.0, warm, np.nan)  # the fallback's full SVD fails
     assert attempts[0][1] is not None and attempts[1][1] is None
+
+
+def test_warm_start_needs_the_move_of_lambda():
+    obj, warm, _ = _two_rows(np.r_[3.0, 2.0, 0.5], np.r_[3.0, 2.0, 0.5])
+    with pytest.raises(ValueError, match="dlam"):
+        obj.update(np.zeros(obj.shape), 0.0, warm)
 
 
 def test_rank_objective_validation():

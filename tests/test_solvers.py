@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from slra import envelope, solvers
+from slra import envelope, harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective, ToyObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
@@ -122,7 +122,7 @@ class ScriptedObjective:
     def feasible_value(self, x, alpha=0.0):
         return 0.0
 
-    def update(self, lam, alpha, warm):
+    def update(self, lam, alpha, warm, dlam):
         k, self.row = self.row, self.row + 1
         x = np.full((1, 1), np.nan if k == self.nan_row else 1.0)
         return PrimalUpdate(x, self.duals[k], lambda: 0.0, 1.0, False)
@@ -293,11 +293,11 @@ def test_numerical_failure_carries_priced_rows():
         feasible_value = staticmethod(obj.feasible_value)
         calls = 0
 
-        def update(self, lam, alpha, warm):
+        def update(self, lam, alpha, warm, dlam):
             self.calls += 1
             if self.calls == 3:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return obj.update(lam, alpha, warm)
+            return obj.update(lam, alpha, warm, dlam)
 
     cfg = SolverConfig(solvers.DA, max_iters=10, stop_tol=1e-300)
     with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
@@ -389,6 +389,62 @@ def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
     _assert_same_run(fast, full)
 
 
+def _weyl_steps(monkeypatch):
+    """For every warm row of the runs to come, (dg, ||G - G_prev||_F,
+    ||Lambda - Lambda_prev||_F / 2): the bound the update took for the
+    Weyl step, the move of the computed G = F - Lambda/2 it bounds, and
+    half the move of the multiplier."""
+    steps, prev = [], {}
+    update = RankObjective.update
+
+    def recording(self, lam, alpha=0.0, warm=None, dlam=None):
+        upd = update(self, lam, alpha, warm, dlam)
+        g = self.F - lam * 0.5  # as the update forms it
+        if warm is not None:
+            steps.append((upd.warm.dg, float(np.linalg.norm(g - prev["g"])),
+                          0.5 * float(np.linalg.norm(lam - prev["lam"]))))
+        prev.update(g=g, lam=lam)
+        return upd
+
+    monkeypatch.setattr(RankObjective, "update", recording)
+    return steps
+
+
+@pytest.mark.parametrize("trial", ["freqest 0 dBW", "freqest 20 dBW", "converge"])
+def test_weyl_step_bounds_the_move_of_g_on_every_warm_row(monkeypatch, trial):
+    steps = _weyl_steps(monkeypatch)
+    if trial == "converge":  # da, ada and mod_ada, 100 rows after row 0 each
+        c = ExperimentConfig("converge")
+        harness._cossum_trial((1, 100, c.alpha, c.sigma0, c.sigma0_gap_p, c.noise_sigma))
+        rows = 3 * 100
+    else:
+        snr_dbw = float(trial.split()[1])
+        rows = harness._freqest_trial((0, snr_dbw, harness.FREQEST_MAX_ITERS))[3]
+    dg, dist, _ = np.array(steps).T
+    assert len(dg) == rows
+    assert np.all(dg >= dist)
+
+
+def test_weyl_step_covers_the_rounding_of_forming_g(monkeypatch):
+    # noise-free four tones at amplitude 1000: X^k is Hankel up to
+    # rounding, so each step of Lambda is smaller than the rounding of
+    # forming F - Lambda/2, and only the margin for that rounding keeps
+    # the bound above the move of G
+    rng = np.random.default_rng(5)
+    tones = -rng.uniform(0.0, 0.005, 4) + 1j * (0.3 + 0.7 * np.arange(4))
+    f = np.exp(np.multiply.outer(np.arange(60), tones)) @ np.exp(2j * np.pi * rng.uniform(size=4))
+    sub = HankelSubspace(30, 31)
+    F = 1000.0 * sub.from_vector(f)
+    steps = _weyl_steps(monkeypatch)
+    res = run(RankObjective(F, sigma0_heuristic(F, 4)), sub,
+              SolverConfig(solvers.DA, max_iters=50, stop_tol=1e-300))
+    assert res.full_svds == 1 and res.n_iters == 50
+    dg, dist, half_step = np.array(steps).T
+    assert len(dg) == 50
+    assert np.all(half_step < dist)
+    assert np.all(dg >= dist)
+
+
 def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
     rng = np.random.default_rng(3)
     c = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -399,10 +455,10 @@ def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
         feasible_value = staticmethod(obj.feasible_value)
         row = 0
 
-        def update(self, lam, alpha, warm):
+        def update(self, lam, alpha, warm, dlam):
             self.row += 1
             return obj.update(np.full(lam.shape, np.nan) if self.row == 3 else lam,
-                              alpha, warm)
+                              alpha, warm, dlam)
 
     with pytest.raises(solvers.SolverNumericalError, match="SVD failed at row 2") as exc:
         run(NaNAtRow2(), HankelSubspace(96, 96), SolverConfig(solvers.DA, max_iters=5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from slra.matops import frobenius_inner
 from slra.subspace import HankelSubspace, ZeroSubspace
@@ -129,6 +129,57 @@ def test_projector_axioms(seed, m, n, cplx):
     assert np.linalg.norm(px) <= np.linalg.norm(x) + 1e-12
     # complement annihilates the projection
     assert np.linalg.norm(sub.complement(px)) <= 1e-12 * scale
+
+
+#: tall, wide and square matrices, a row and a column
+SHAPES = [(7, 4), (4, 7), (6, 6), (1, 9), (9, 1), (129, 129)]
+
+
+def _antidiagonal_means(x):
+    """Independent oracle: the mean of each antidiagonal i + j = d, read as
+    the diagonal of the column-reversed matrix at offset cols - 1 - d."""
+    rows, cols = x.shape
+    return np.array([np.diagonal(x[:, ::-1], cols - 1 - d).mean()
+                     for d in range(rows + cols - 1)])
+
+
+def _random(rng, shape, cplx):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if cplx else x
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_project_is_antidiagonal_means(shape, cplx):
+    rng = np.random.default_rng(5)
+    sub = HankelSubspace(*shape)
+    for _ in range(5):
+        x = _random(rng, shape, cplx)
+        means = _antidiagonal_means(x)
+        px = sub.project(x)
+        assert px.dtype == x.dtype
+        assert _rel(sub.to_vector(x), means) <= 1e-15
+        assert _rel(px, means[np.add.outer(np.arange(shape[0]), np.arange(shape[1]))]) <= 1e-15
+        # idempotent: a constant antidiagonal averages back to itself up
+        # to the rounding of its sum
+        assert _rel(sub.project(px), px) <= 1e-15
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_vector_round_trip_on_every_shape(shape, cplx):
+    rng = np.random.default_rng(6)
+    sub = HankelSubspace(*shape)
+    for _ in range(5):
+        v = _random(rng, sub.length, cplx)
+        assert _rel(sub.to_vector(sub.from_vector(v)), v) <= 1e-15
+    # a one-row or one-column matrix holds each entry once: no rounding
+    if min(shape) == 1:
+        assert_array_equal(sub.to_vector(sub.from_vector(v)), v)
 
 
 def test_zero_subspace():
