@@ -20,6 +20,7 @@ environment variable caps the trial worker count.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,10 @@ def _parse_sigma0(value):
     return float(value), None
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process: building
+    it costs about ten times as much as parsing one request."""
     p = argparse.ArgumentParser(
         prog="slra",
         description="Structured low-rank approximation experiments "

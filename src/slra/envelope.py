@@ -19,7 +19,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .matops import f_alpha, f_hard, frobenius_inner, numerical_rank, singular_values
+from .matops import (
+    f_alpha,
+    f_hard,
+    frobenius_inner,
+    frobenius_norm,
+    numerical_rank,
+    singular_values,
+)
 
 #: relative half-width around sigma0 inside which a hard-threshold input is
 #: flagged as degenerate (the minimizer stops being unique there)
@@ -36,6 +43,8 @@ DEGENERATE_RTOL = 1e-8
 #: complex, where B = 2.9 overprices the full SVD
 _EXTRA_COLUMNS = 6
 _RESIDUAL_RTOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 class WarmStart(NamedTuple):
@@ -73,7 +82,7 @@ class PrimalUpdate:
 
 def _env_terms(svals, sigma0):
     # sum_j sigma0^2 - max(sigma0 - sigma_j, 0)^2; vanishes at sigma_j = 0
-    return float(np.sum(sigma0**2 - np.maximum(sigma0 - svals, 0.0) ** 2))
+    return float((sigma0**2 - np.maximum(sigma0 - svals, 0.0) ** 2).sum())
 
 
 def _certify(g, vk, sk, below, tau):
@@ -134,7 +143,7 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
             if k == p:  # the block cannot show where the values above tau end
                 return passes, None
             u = q @ ubh[:k].conj().T
-            resid = float(np.linalg.norm(g @ v[:, :k] - u * s[:k]))
+            resid = frobenius_norm(g @ v[:, :k] - u * s[:k])
             if not np.isfinite(s[0]):
                 return passes, None
             if resid <= _RESIDUAL_RTOL * s[0]:
@@ -195,17 +204,12 @@ class RankObjective:
         """sigma0^2 * rank(X) + ||X - F||^2 at numerical-rank tolerance
         ``rel_tol``."""
         x = self._check(x)
-        return self.sigma0**2 * numerical_rank(x, rel_tol) + float(
-            np.linalg.norm(x - self.F) ** 2
-        )
+        return self.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - self.F) ** 2
 
     def envelope_value(self, x) -> float:
         """Convex envelope: sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2)
         + ||X - F||^2."""
-        x = self._check(x)
-        return _env_terms(singular_values(x), self.sigma0) + float(
-            np.linalg.norm(x - self.F) ** 2
-        )
+        return self.feasible_value(x)
 
     def conjugate_value(self, lam) -> float:
         """Fenchel conjugate: sum_j max(sigma_j^2(Lambda/2 + F) - sigma0^2, 0)
@@ -277,7 +281,7 @@ class RankObjective:
         if warm is not None:
             if dlam is None:
                 raise ValueError("a warm start needs dlam")
-            dg = 0.5 * dlam + 2.0 * np.finfo(float).eps * math.sqrt(self._norm_sq)
+            dg = 0.5 * dlam + 2.0 * _EPS * math.sqrt(self._norm_sq)
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
             columns = min(warm.captured + _EXTRA_COLUMNS, len(warm.vh))
             budget = min(g.shape) / columns  # passes worth one full SVD
@@ -300,17 +304,15 @@ class RankObjective:
         # contribute exact zeros, are a suffix
         m = int(np.count_nonzero(fs > 0))
         x = (u[:, :m] * fs[:m]) @ vh[:m]
-        dual_da = self.data_norm_sq() - float(
-            np.sum(np.maximum(s**2 - self.sigma0**2, 0.0))
-        )
-        env = lambda: _env_terms(fs, self.sigma0) + float(np.linalg.norm(x - self.F) ** 2)
-        degenerate = bool(
-            alpha == 0 and np.any(np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0)
+        dual_da = self._norm_sq - float(np.maximum(s**2 - self.sigma0**2, 0.0).sum())
+        env = lambda: _env_terms(fs, self.sigma0) + frobenius_norm(x - self.F) ** 2
+        degenerate = alpha == 0 and bool(
+            (np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0).any()
         )
         truncated = part is not None
         prev_vh = warm.vh if truncated and warm.truncated else None
         warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
-        return PrimalUpdate(x, dual_da, env, float(np.sum(fs**2)), degenerate, warm)
+        return PrimalUpdate(x, dual_da, env, float((fs**2).sum()), degenerate, warm)
 
     def dual_value_ada(self, lam, alpha: float) -> float:
         """Dual value of the fully augmented problem at Lambda: the
@@ -326,9 +328,12 @@ class RankObjective:
         """Primal objective reported for a feasible point: the envelope,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = self._check(x)
-        val = self.envelope_value(x)
+        if not np.isfinite(x).all():
+            raise ValueError("matrix has non-finite entries")
+        val = _env_terms(np.linalg.svd(x, compute_uv=False), self.sigma0)
+        val += frobenius_norm(x - self.F) ** 2
         if alpha > 0:
-            val += 0.5 * alpha * float(np.real(np.vdot(x, x)))
+            val += 0.5 * alpha * float(np.vdot(x, x).real)
         return val
 
 

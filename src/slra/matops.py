@@ -2,6 +2,8 @@
 numerical rank, and the scalar threshold maps of the singular value
 functional calculus."""
 
+import math
+
 import numpy as np
 
 
@@ -29,6 +31,15 @@ def frobenius_inner(a, b) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
+def frobenius_norm(a) -> float:
+    """Frobenius norm of an array of any shape, sqrt(Re(sum(conj(a_ij) * a_ij))).
+
+    No validation: the inner loop of the solvers calls it a few times per
+    row, where ``np.linalg.norm`` costs about twice as much on complex
+    input (it sums the real and imaginary parts separately)."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values only (non-increasing), skipping the vector computation."""
     a = _as_matrix(a)
@@ -46,7 +57,7 @@ def f_hard(x, sigma0: float):
     x = np.asarray(x, dtype=float)
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("threshold input must be non-negative")
     out = np.where(x >= sigma0, x, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -59,6 +70,9 @@ def f_alpha(x, sigma0: float, alpha: float):
     ``[sigma0, (1 + alpha/2) * sigma0)`` and ``x / (1 + alpha/2)`` above.
     Continuous and monotone for ``alpha > 0``; ``alpha == 0`` delegates to
     the hard threshold ``f_hard``. Satisfies ``0 <= f_alpha(x) <= x``.
+
+    Each branch is evaluated on its own entries only: over all of them
+    the ramp overflows for a tiny ``alpha``.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -67,17 +81,13 @@ def f_alpha(x, sigma0: float, alpha: float):
     x = np.asarray(x, dtype=float)
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("threshold input must be non-negative")
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    knee = (1.0 + alpha / 2.0) * sigma0
-    out = np.zeros_like(xv)
-    ramp = (xv >= sigma0) & (xv < knee)
-    out[ramp] = (2.0 / alpha) * (xv[ramp] - sigma0)
-    top = xv >= knee
-    out[top] = xv[top] / (1.0 + alpha / 2.0)
-    return float(out[0]) if scalar else out
+    divisor = 1.0 + alpha / 2.0
+    top = x >= divisor * sigma0
+    out = np.where(top, x / divisor, 0.0)
+    np.multiply(2.0 / alpha, x - sigma0, out=out, where=(x >= sigma0) & ~top)
+    return float(out) if out.ndim == 0 else out
 
 
 def numerical_rank(a, rel_tol: float = 1e-9) -> int:

@@ -173,8 +173,8 @@ def save_signal_csv(path, f, indices=None):
         indices = np.arange(f.size)
     with open(path, "w") as fh:
         fh.write("index,re,im\n")
-        for j, v in zip(indices, f):
-            fh.write(f"{j:.17g},{np.real(v):.17g},{np.imag(v):.17g}\n")
+        fh.writelines(f"{j:.17g},{re:.17g},{im:.17g}\n" for j, re, im in
+                      zip(np.asarray(indices).tolist(), f.real.tolist(), f.imag.tolist()))
 
 
 def load_signal_csv(path) -> tuple:

@@ -39,11 +39,12 @@ only bounded below with an extra factor 1/2).
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import frobenius_inner
+from .matops import frobenius_norm
 from .subspace import SubspaceOp
 
 DA = "da"
@@ -51,17 +52,16 @@ ADA = "ada"
 MOD_ADA = "mod_ada"
 VARIANTS = (DA, ADA, MOD_ADA)
 
-#: multiplier must stay in the complement up to this relative tolerance
+#: multiplier must stay in the complement up to this share of
+#: 1 + ||Lambda|| + ||X||, X being the iterate whose residual it last took
 _LAMBDA_SUBSPACE_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
 
 #: a row becomes the best iterate when its dual is within this share of
 #: max(1, |running maximum|) of the running maximum, so that the choice
 #: does not hang on rounding once the dual flattens
 _BEST_DUAL_RTOL = 1e-12
-
-
-def _best_dual_tol(top):
-    return _BEST_DUAL_RTOL * np.maximum(1.0, np.abs(top))
 
 
 class SolverNumericalError(RuntimeError):
@@ -118,6 +118,8 @@ class SolverConfig:
 
 
 _TRACE_COLUMNS = ("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm", "best_n")
+#: one CSV row of the trace, with the line end of ``csv.writer``
+_TRACE_ROW = "{},{:.12e},{:.12e},{:.12e},{:.12e},{:.12e},{}\r\n"
 
 
 @dataclass
@@ -140,17 +142,9 @@ class SolverTrace:
         own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
         fh = open(path_or_file, "w", newline="") if own else path_or_file
         try:
-            w = csv.writer(fh)
-            w.writerow(_TRACE_COLUMNS)
-            for i in range(len(self)):
-                w.writerow(
-                    [int(self.n[i])]
-                    + [
-                        format(float(getattr(self, c)[i]), ".12e")
-                        for c in _TRACE_COLUMNS[1:-1]
-                    ]
-                    + [int(self.best_n[i])]
-                )
+            fh.write(",".join(_TRACE_COLUMNS) + "\r\n")
+            columns = (getattr(self, c).tolist() for c in _TRACE_COLUMNS)
+            fh.writelines(map(_TRACE_ROW.format, *columns))
         finally:
             if own:
                 fh.close()
@@ -187,7 +181,7 @@ class SolverTrace:
         that much on each side: best_n[k] may lie up to twice the
         tolerance below the maximum, and no later row may reach it."""
         top = np.fmax.accumulate(self.dual)
-        tol = _best_dual_tol(top)
+        tol = _BEST_DUAL_RTOL * np.maximum(1.0, np.abs(top))
         for k in range(len(self)):
             b = int(self.best_n[k])
             if not (0 <= b <= k):
@@ -234,11 +228,11 @@ _DUAL_AT_ROW = {
     # there; row 0 has no such X^k and takes the plain dual, a lower bound
     ADA: lambda upd, lam, alpha, prev, px: upd.dual_da if prev is None else (
         prev.envelope_at_x
-        + 0.5 * alpha * float(np.real(np.vdot(px, px)))
-        + frobenius_inner(prev.x, lam)
+        + 0.5 * alpha * float(np.vdot(px, px).real)
+        + float(np.vdot(prev.x, lam).real)
     ),
     MOD_ADA: lambda upd, lam, alpha, prev, px: (
-        upd.envelope_at_x + frobenius_inner(upd.x, lam) + 0.5 * alpha * upd.x_norm_sq
+        upd.envelope_at_x + float(np.vdot(upd.x, lam).real) + 0.5 * alpha * upd.x_norm_sq
     ),
 }
 
@@ -289,7 +283,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         passes += 0 if warm is None else warm.passes
         degenerate = degenerate or upd.degenerate
         dual = dual_at_row(upd, lam, alpha, prev, px)
-        if not rows or dual >= top - _best_dual_tol(top):
+        if not rows or dual >= top - _BEST_DUAL_RTOL * max(1.0, abs(top)):
             best, x_best = k, upd.x
         top = max(top, dual)
         rows.append((
@@ -302,20 +296,21 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
 
         prev, px = upd, subspace.project(upd.x)
         r = upd.x - px
-        resid = float(np.linalg.norm(r))
+        resid = frobenius_norm(r)
         step = config.step(k)
         lam = lam + step * r
         step_norm = step * resid
-        prev_norm, lam_norm = lam_norm, float(np.linalg.norm(lam))
+        prev_norm, lam_norm = lam_norm, frobenius_norm(lam)
         # the step's norm bounds ||Lambda^{k+1} - Lambda^k|| up to rounding:
         # of the step, of its norm, of the sum and of forming F - Lambda/2
         # from either multiplier, all within a few eps of the two norms
-        dlam = step_norm + 4.0 * np.finfo(float).eps * (lam_norm + prev_norm)
-        if not np.isfinite(lam_norm):  # NaN or infinite entries, or overflow
+        dlam = step_norm + 4.0 * _EPS * (lam_norm + prev_norm)
+        if not math.isfinite(lam_norm):  # NaN or infinite entries, or overflow
             failure = f"non-finite multiplier at iteration {k + 1}"
             break
-        lam_in_m = float(np.linalg.norm(subspace.project(lam)))
-        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + lam_norm):
+        # the rounding of X - P(X) leaves P(Lambda) a few eps of ||X||
+        lam_in_m = frobenius_norm(subspace.project(lam))
+        if lam_in_m > _LAMBDA_SUBSPACE_TOL * (1.0 + lam_norm + math.sqrt(upd.x_norm_sq)):
             failure = f"multiplier left the complement subspace at iteration {k + 1}"
             break
         converged = resid < config.stop_tol

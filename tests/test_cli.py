@@ -17,6 +17,7 @@ directories of cases that no longer exist.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from slra import harness, solvers
-from slra.cli import _parse_snr_levels, main
+from slra.cli import _parse_snr_levels, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,9 +59,11 @@ def _four_tones(rng, n):
     return amps, zetas, np.exp(np.multiply.outer(np.arange(n), zetas)) @ amps
 
 
-def write_model_json(path, rng, n):
-    """Noise-free four-tone model on the grid 0..n-1 (exact rank 4)."""
+def write_model_json(path, rng, n, amplitude=1.0):
+    """Noise-free four-tone model on the grid 0..n-1 (exact rank 4), each
+    tone of modulus ``amplitude``."""
     amps, zetas, _ = _four_tones(rng, n)
+    amps = amplitude * amps
     doc = {
         "terms": [{"c_re": c.real, "c_im": c.imag, "zeta_re": z.real, "zeta_im": z.imag}
                   for c, z in zip(amps, zetas)],
@@ -141,6 +144,19 @@ def test_da_keeps_rank_on_exact_model(seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--sigma0", "gap:4", "--out", "out", "solve",
                  "--input", "model.json", "--variant", "da"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["rank_x_star"] == 4
+
+
+@pytest.mark.parametrize("variant", solvers.VARIANTS)
+def test_noise_free_model_of_large_amplitude_stays_in_the_complement(variant, tmp_path,
+                                                                     monkeypatch):
+    # the rounding of X - P(X) leaves P(Lambda) a few eps of ||X|| ~ 1e7
+    # here, far above the 1e-10 that an absolute bound allowed
+    write_model_json(tmp_path / "model.json", np.random.default_rng(0), 60, amplitude=1e6)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:4", "--out", "out", "solve",
+                 "--input", "model.json", "--variant", variant]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["rank_x_star"] == 4
 
@@ -240,6 +256,46 @@ def test_solve_rejects_trials_and_accepts_seed(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_iters"] == 3
 
 
+def test_cached_parser_serves_requests_as_fresh_parsers_do(tmp_path, capsys, monkeypatch):
+    # a config file, a usage error and defaults of one request must not
+    # leak into the next one that the same parser parses
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    cfg = _config(tmp_path, {"alpha": 0.5, "iters": 7, "stop_tol": 1e-3})
+    requests = [
+        ["--config", cfg, "--sigma0", "gap:4", "--out", "a", "solve", "--input", "signal.csv",
+         "--variant", "ada"],
+        ["--out", "b", "toy"],
+        ["--trials", "3", "--sigma0", "1.5", "solve", "--input", "matrix.npy"],
+        ["--iters", "4", "--sigma0", "1.5", "--out", "c", "solve", "--input", "matrix.npy"],
+        ["--trials", "1", "--out", "d", "freqest", "--snr-levels", "20"],
+    ]
+
+    def serve(fresh):
+        codes = []
+        for argv in requests:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        files = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                 for d in "abcd" for p in sorted((tmp_path / d).iterdir())}
+        for d in "abcd":
+            shutil.rmtree(tmp_path / d)
+        return codes, files, capsys.readouterr()
+
+    cached, fresh = serve(False), serve(True)
+    assert cached[0] == [0, 0, 2, 0, 0]
+    assert cached == fresh
+    assert build_parser() is build_parser()
+    # the second solve ran on the defaults, not on the first one's config
+    summary = json.loads(fresh[1]["c/summary.json"])
+    assert summary["n_iters"] == 4 and summary["status"] == "max_iters"
+
+
 def test_describe_change_reports_relative_difference_and_fields(tmp_path):
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
     old.write_text("a,b\n1.0,2.0\nx,4.0\n")
@@ -331,7 +387,6 @@ def describe_change(old, new):
 
 
 if __name__ == "__main__":
-    import shutil
     import tempfile
 
     for stale in sorted(p for p in GOLDEN.iterdir() if p.name not in CASES):

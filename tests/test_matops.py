@@ -9,6 +9,7 @@ from slra.matops import (
     f_alpha,
     f_hard,
     frobenius_inner,
+    frobenius_norm,
     numerical_rank,
     singular_values,
 )
@@ -59,6 +60,19 @@ def test_frobenius_inner_shape_mismatch():
         frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
 
 
+def test_frobenius_norm_matches_numpy_on_real_and_complex_input():
+    rng = np.random.default_rng(7)
+    for shape in ((48, 47), (129, 129), (1, 9), (5,), (3, 4, 2)):
+        for a in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                  1e150 * rng.standard_normal(shape), 1e-150 * rng.standard_normal(shape)):
+            ref = np.linalg.norm(a.ravel())
+            assert isinstance(frobenius_norm(a), float)
+            assert abs(frobenius_norm(a) - ref) <= 4 * np.finfo(float).eps * ref
+    assert frobenius_norm(np.zeros((3, 2), dtype=complex)) == 0.0
+    assert frobenius_norm(np.array([[3.0, 4j]])) == 5.0
+
+
 def test_svd_diagonal():
     assert_allclose(singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
 
@@ -106,6 +120,57 @@ def test_f_alpha_shape_over_grid():
         assert_allclose(y[hi], x[hi] / (1 + alpha / 2))
         mid = (x >= 1.0) & ~hi
         assert_allclose(y[mid], (2 / alpha) * (x[mid] - 1.0))
+
+
+def _masked_f_hard(x, sigma0):
+    """The hard threshold as an explicit mask, the reference of the map."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xv)
+    keep = xv >= sigma0
+    out[keep] = xv[keep]
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _masked_f_alpha(x, sigma0, alpha):
+    """The three branches of f_alpha as masked assignments, each branch's
+    formula evaluated on its own entries only."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    knee = (1.0 + alpha / 2.0) * sigma0
+    out = np.zeros_like(xv)
+    ramp = (xv >= sigma0) & (xv < knee)
+    out[ramp] = (2.0 / alpha) * (xv[ramp] - sigma0)
+    top = xv >= knee
+    out[top] = xv[top] / (1.0 + alpha / 2.0)
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _threshold_inputs(sigma0, alpha):
+    """Random vectors spanning all branches, plus the ties at sigma0 and
+    at the knee and their neighbouring floats."""
+    rng = np.random.default_rng(11)
+    knee = (1.0 + alpha / 2.0) * sigma0
+    ties = [sigma0, knee]
+    ties += [np.nextafter(t, d) for t in ties for d in (0.0, np.inf)]
+    yield np.array(ties + [0.0, np.inf])
+    for size in (1, 5, 47, 129):
+        yield rng.uniform(0.0, 3.0 * knee, size)
+    yield from ties
+
+
+@pytest.mark.parametrize("sigma0, alpha", [
+    (1.0, 0.2), (0.37, 1.3), (2.5, 1e-9), (1.0, 2.2e-308), (3.0, 0.0),
+])
+def test_threshold_maps_equal_the_masked_formulas_bit_for_bit(sigma0, alpha):
+    with np.errstate(all="raise"):
+        for x in _threshold_inputs(sigma0, alpha):
+            got_hard = f_hard(x, sigma0)
+            got = f_alpha(x, sigma0, alpha)
+            want = (_masked_f_alpha(x, sigma0, alpha) if alpha > 0
+                    else _masked_f_hard(x, sigma0))
+            if np.ndim(x) == 0:
+                assert type(got) is float and type(got_hard) is float
+            assert np.array_equal(got_hard, _masked_f_hard(x, sigma0))
+            assert np.array_equal(got, want)
 
 
 def test_f_alpha_rejects_negative():

@@ -197,6 +197,24 @@ def test_signal_csv_round_trip(tmp_path):
     assert_allclose(back, f)
 
 
+def test_signal_csv_bytes_match_the_entrywise_writer(tmp_path):
+    # the writer formats whole columns; the reference formats each numpy
+    # entry, as signal CSVs have always been written
+    rng = np.random.default_rng(8)
+    cases = [
+        (rng.standard_normal(94) + 1j * rng.standard_normal(94), None),
+        (rng.standard_normal(7), None),
+        (np.array([np.nan, -0.0, 5e-324, 1e300j]), np.array([-1.5, 0.0, 2.0, 1e20])),
+        (np.arange(3), np.array([4, 5, 6])),
+    ]
+    for f, indices in cases:
+        idx = np.arange(f.size) if indices is None else indices
+        ref = "index,re,im\n" + "".join(
+            f"{j:.17g},{np.real(v):.17g},{np.imag(v):.17g}\n" for j, v in zip(idx, f))
+        save_signal_csv(tmp_path / "sig.csv", f, indices)
+        assert (tmp_path / "sig.csv").read_text() == ref
+
+
 def test_model_json_round_trip(tmp_path):
     m = four_tone_model()
     path = tmp_path / "model.json"

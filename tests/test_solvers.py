@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -506,6 +507,31 @@ def test_trace_csv_significant_digits():
     assert "1.234567890123e+02" in text
     back = SolverTrace.read_csv(io.StringIO(text))
     assert np.isnan(back.primal[1])
+
+
+def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
+    # the writer formats whole columns; the reference formats each entry
+    # through csv.writer, as the trace CSV has always been written
+    obj, sub, _ = hankel_problem(8)
+    traces = [run(obj, sub, SolverConfig(solvers.ADA, alpha_reg=0.1, max_iters=12)).trace,
+              SolverTrace.from_rows([(0, np.nan, -np.inf, 0.0, -0.0, 5e-324, 0),
+                                     (1, np.inf, 1e300, 1.2345678901234e-7, 3.0, 1.0, 0)])]
+    for tr in traces:
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm",
+                    "best_n"))
+        for i in range(len(tr)):
+            w.writerow([int(tr.n[i])]
+                       + [format(float(getattr(tr, c)[i]), ".12e")
+                          for c in ("primal", "dual", "feas_residual", "lambda_norm",
+                                    "step_norm")]
+                       + [int(tr.best_n[i])])
+        buf = io.StringIO(newline="")
+        tr.write_csv(buf)
+        assert buf.getvalue() == ref.getvalue()
+        tr.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == ref.getvalue().encode()
 
 
 def test_trace_csv_rejects_garbage():
