@@ -36,8 +36,6 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     SolverTrace,
-    ada_rate_report,
-    check_lambda_bound,
     run,
 )
 from .subspace import (

@@ -182,8 +182,8 @@ class RankObjective:
             raise ValueError("F must be a matrix")
         if not np.all(np.isfinite(f)):
             raise ValueError("F has non-finite entries")
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "_norm_sq", float(np.real(np.vdot(f, f))))
 
@@ -197,30 +197,19 @@ class RankObjective:
             raise ValueError(f"expected shape {self.F.shape}, got {x.shape}")
         return x
 
-    def data_norm_sq(self) -> float:
-        return self._norm_sq
-
     def primal_value(self, x, rel_tol: float = 1e-9) -> float:
         """sigma0^2 * rank(X) + ||X - F||^2 at numerical-rank tolerance
         ``rel_tol``."""
         x = self._check(x)
         return self.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - self.F) ** 2
 
-    def envelope_value(self, x) -> float:
-        """Convex envelope: sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2)
-        + ||X - F||^2."""
-        return self.feasible_value(x)
-
-    def conjugate_value(self, lam) -> float:
-        """Fenchel conjugate: sum_j max(sigma_j^2(Lambda/2 + F) - sigma0^2, 0)
-        - ||F||^2."""
-        lam = self._check(lam)
-        s = singular_values(lam * 0.5 + self.F)
-        return float(np.sum(np.maximum(s**2 - self.sigma0**2, 0.0))) - self.data_norm_sq()
-
     def dual_value_da(self, lam) -> float:
-        """Dual function of the plain scheme, -conjugate(-Lambda)."""
-        return -self.conjugate_value(-np.asarray(lam))
+        """Dual function of the plain scheme, -conjugate(-Lambda) =
+        ||F||^2 - sum_j max(sigma_j^2(F - Lambda/2) - sigma0^2, 0), from
+        its own values-only SVD."""
+        lam = self._check(lam)
+        s = singular_values(self.F - lam * 0.5)
+        return self._norm_sq - float(np.sum(np.maximum(s**2 - self.sigma0**2, 0.0)))
 
     def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None,
                dlam: Optional[float] = None) -> PrimalUpdate:
@@ -325,7 +314,8 @@ class RankObjective:
         return upd.envelope_at_x + frobenius_inner(upd.x, lam) + 0.5 * alpha * upd.x_norm_sq
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
-        """Primal objective reported for a feasible point: the envelope,
+        """Primal objective reported for a feasible point: the envelope
+        sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = self._check(x)
         if not np.isfinite(x).all():
@@ -369,9 +359,6 @@ class ToyObjective:
         if lam.shape != (1, 1):
             raise ValueError("toy objective works on 1x1 matrices")
         return float(np.real(lam[0, 0]))
-
-    def dual_value_da(self, lam) -> float:
-        return -toy_conjugate(-self._scalar(lam))
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
         v = self._scalar(x)

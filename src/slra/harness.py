@@ -104,7 +104,6 @@ class ExperimentConfig:
 class AggregateReport:
     """Arithmetic means over the trials of the cosine-sum study."""
 
-    trials: int
     primal_curves: dict   # method -> array over iterations
     dual_curves: dict
     gt_distance: dict     # method -> mean normalized distance
@@ -114,7 +113,10 @@ class AggregateReport:
 def _worker_count() -> int:
     env = os.environ.get("SLRA_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SLRA_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -259,7 +261,6 @@ def run_cossum_study(config: ExperimentConfig) -> AggregateReport:
     prim, dual = mean("primal"), mean("dual")
     sv_out = mean("sv_out")
     return AggregateReport(
-        trials=config.trials,
         primal_curves={m: prim[i] for i, m in enumerate(METHODS)},
         dual_curves={m: dual[i] for i, m in enumerate(METHODS)},
         gt_distance=dict(zip(METHODS, mean("dist"))),
@@ -508,6 +509,8 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
     """Solve a user problem and persist the solution, multiplier, trace
     and a JSON summary, which counts the rows priced by a full SVD
     (``full_svds``) and the truncated-SVD passes (``passes``)."""
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     F, sub = load_solve_input(input_path)
     s0 = _resolve_sigma0(F, config.sigma0, config.sigma0_gap_p)
     obj = RankObjective(F, s0)

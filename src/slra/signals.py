@@ -1,4 +1,4 @@
-"""Exponential-sum signals, the random cosine-sum generator, seeded noise,
+"""Exponential-sum signals, the random cosine-sum generator, Gaussian noise,
 and conversions to and from Hankel data matrices.
 
 A P-term exponential sum sampled on an integer grid generates (outside
@@ -81,15 +81,14 @@ def sample_signal(model: SignalModel) -> np.ndarray:
     return coeffs @ np.exp(args)
 
 
-def gen_cos_sum(seed, n_samples: int = 200) -> np.ndarray:
-    """Random sum of four damped cosines a * exp(b t) * cos(10 c t + d pi)
-    sampled at ``n_samples`` equally spaced points in [-1, 1].
+def gen_cos_sum(rng: np.random.Generator, n_samples: int = 200) -> np.ndarray:
+    """Random sum of four damped cosines a * exp(b t) * cos(10 c t + d pi),
+    drawn from ``rng``, at ``n_samples`` equally spaced points in [-1, 1].
 
     Per term, a and d are uniform on [0, 1] while b and c are standard
     normal.  Each term contributes two complex exponentials, so the
     generated Hankel matrix has rank at most 8.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     t = np.linspace(-1.0, 1.0, n_samples)
     f = np.zeros(n_samples)
     for _ in range(4):
@@ -103,13 +102,12 @@ def gen_cos_sum(seed, n_samples: int = 200) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Seeded noise: either a fixed per-entry standard deviation ``sigma``
+    """Noise level: either a fixed per-entry standard deviation ``sigma``
     or a target signal-to-noise ratio ``snr_dbw`` (noise std =
     RMS(signal) * 10^(-snr/20)).  Exactly one of the two must be set."""
 
     sigma: Optional[float] = None
     snr_dbw: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if (self.sigma is None) == (self.snr_dbw is None):
@@ -118,16 +116,14 @@ class NoiseSpec:
             raise ValueError("sigma must be non-negative")
 
 
-def add_noise(f, spec: NoiseSpec, rng=None) -> np.ndarray:
-    """Add zero-mean Gaussian noise to an array (vector or matrix).
+def add_noise(f, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+    """Add zero-mean Gaussian noise, drawn from the caller's generator
+    ``rng``, to an array (vector or matrix).
 
     Complex input gets independent real/imaginary components with half the
     variance each, so the per-entry variance is sigma^2 in both cases.
-    A fresh generator is seeded from the spec unless one is passed in.
     """
     f = np.asarray(f)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     if spec.sigma is not None:
         sigma = spec.sigma
     else:

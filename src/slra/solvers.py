@@ -33,9 +33,10 @@ dual is the Lagrangian of the partially augmented objective (quadratic
 penalty restricted to the subspace component) evaluated at the pair
 (X^n, Lambda^n); by the optimality of X^n for the updated multiplier this
 equals the partially augmented dual function, the quantity that increases
-by at least ``alpha^-1 * ||step||^2`` per iteration.  Evaluating the fully
-augmented conjugate instead would lose that guarantee (its increments are
-only bounded below with an extra factor 1/2).
+by at least ``alpha^-1 * ||step||^2`` per iteration, as
+``tests/test_solvers.py::test_ada_dual_rise_and_rate`` asserts.  Evaluating
+the fully augmented conjugate instead would lose that guarantee (its
+increments are only bounded below with an extra factor 1/2).
 """
 
 import csv
@@ -80,7 +81,7 @@ class SolverConfig:
     ``da`` takes decaying steps 1/(n+1), or min(1, 1/sqrt(n+1)) with
     ``sqrt_steps``, and needs ``alpha_reg == 0``.  ``ada`` takes the fixed
     step ``alpha_reg``, its augmentation weight, and ``mod_ada`` the steps
-    2/(n+1)^2 + ``alpha_reg``, which decay to it; both need
+    2/(n+1)^2 + ``alpha_reg``, which decay to it; both need a finite
     ``alpha_reg > 0``.
     """
 
@@ -96,13 +97,13 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0 < self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
         if self.variant == DA:
             if self.alpha_reg != 0:
                 raise ValueError("da requires alpha_reg == 0")
-        elif not self.alpha_reg > 0:
-            raise ValueError(f"{self.variant} requires alpha_reg > 0")
+        elif not 0 < self.alpha_reg < math.inf:
+            raise ValueError(f"{self.variant} needs a finite alpha_reg > 0, got {self.alpha_reg}")
         if self.sqrt_steps and self.variant != DA:
             raise ValueError("sqrt_steps applies to da only")
 
@@ -327,86 +328,4 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         n_iters=k,
         full_svds=full_svds,
         passes=passes,
-    )
-
-
-@dataclass
-class LambdaBoundReport:
-    """A-priori multiplier bound check for decaying-step runs.
-
-    With c1 = 3||F|| + 2 sqrt(K) sigma0, c2 = ||F||^2 and p(R) =
-    -R^2/2 + c1 R + c2, every update satisfies
-    ||Lambda^{n+1}|| <= max(sqrt(R0^2 + alpha_n * p_max), ||Lambda^n||),
-    where R0 is the larger root of p and p_max its maximum.
-    """
-
-    c1: float
-    c2: float
-    r0: float
-    p_max: float
-    margins: np.ndarray  # bound - ||Lambda^{n}||, one per update
-    ok: bool
-
-
-def check_lambda_bound(trace: SolverTrace, F, sigma0: float) -> LambdaBoundReport:
-    """Verify the boundedness inequality on a recorded decaying-step trace.
-
-    The step sizes are recovered from the trace itself
-    (step_norm = alpha_n * feas_residual); zero-residual updates keep the
-    multiplier unchanged and satisfy the bound trivially.
-    """
-    F = np.asarray(F)
-    k_min = min(F.shape)
-    c1 = 3.0 * float(np.linalg.norm(F)) + 2.0 * np.sqrt(k_min) * sigma0
-    c2 = float(np.linalg.norm(F)) ** 2
-    r0 = c1 + np.sqrt(c1 * c1 + 2.0 * c2)
-    p_max = 0.5 * c1 * c1 + c2
-    margins = []
-    ok = True
-    for i in range(1, len(trace)):
-        if trace.feas_residual[i] > 0:
-            alpha_n = trace.step_norm[i] / trace.feas_residual[i]
-        else:
-            alpha_n = 1.0  # no movement; any step satisfies the bound
-        bound = max(np.sqrt(r0 * r0 + alpha_n * p_max), trace.lambda_norm[i - 1])
-        margin = bound - trace.lambda_norm[i]
-        margins.append(margin)
-        if margin < -1e-9 * (1.0 + bound):
-            ok = False
-    return LambdaBoundReport(
-        c1=c1, c2=c2, r0=r0, p_max=p_max, margins=np.array(margins), ok=ok
-    )
-
-
-@dataclass
-class AdaRateReport:
-    """Diagnostics of the fixed-step dual ascent convergence behaviour."""
-
-    gaps: np.ndarray          # d_n = max observed dual - dual_n
-    scaled_gaps: np.ndarray   # n * d_n
-    min_increment_slack: float  # min over n of (dual_{n+1}-dual_n) - ||step||^2/alpha
-    monotone_ok: bool
-    tail_ok: bool
-
-
-def ada_rate_report(trace: SolverTrace, alpha: float) -> AdaRateReport:
-    """Check the per-iteration dual increase inequality and the decay of
-    n * (sup - dual_n) over the last quartile of a fixed-step trace."""
-    d = trace.dual
-    increments = np.diff(d)
-    required = trace.step_norm[1:] ** 2 / alpha
-    slack = increments - required
-    monotone_ok = bool(np.all(slack >= -1e-9))
-    gaps = np.max(d) - d
-    scaled = trace.n * gaps
-    q = max(2, len(scaled) // 4)
-    tail = scaled[-q:]
-    tol = 1e-9 * (1.0 + float(np.max(scaled, initial=0.0)))
-    tail_ok = bool(np.all(np.diff(tail) <= tol))
-    return AdaRateReport(
-        gaps=gaps,
-        scaled_gaps=scaled,
-        min_increment_slack=float(np.min(slack, initial=0.0)),
-        monotone_ok=monotone_ok,
-        tail_ok=tail_ok,
     )

@@ -1,9 +1,10 @@
 """Linear matrix subspaces exposed through their orthogonal projectors.
 
-Solvers only consume the projector pair (onto the subspace and onto its
-orthogonal complement), so new structures (Toeplitz, block Hankel, ...)
-plug in by subclassing :class:`SubspaceOp`.  The Hankel subspace is the
-principal instance; its projector is antidiagonal averaging.
+Solvers only consume the projector P onto the subspace (the one onto its
+orthogonal complement is X - P(X)), so new structures (Toeplitz, block
+Hankel, ...) plug in by subclassing :class:`SubspaceOp`.  The Hankel
+subspace is the principal instance; its projector is antidiagonal
+averaging.
 """
 
 import numpy as np
@@ -29,11 +30,6 @@ class SubspaceOp:
 
     def project(self, x):
         raise NotImplementedError
-
-    def complement(self, x):
-        """Projection onto the orthogonal complement, X - P(X)."""
-        x = self._check_shape(x)
-        return x - self.project(x)
 
 
 class ZeroSubspace(SubspaceOp):

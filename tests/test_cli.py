@@ -242,6 +242,29 @@ def test_trials_below_one_is_usage_error(study, trials, tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, argv, threads", [
+    ("sigma0", ["--sigma0", "inf", "solve", "--input", "matrix.npy"], None),
+    ("alpha", ["--alpha", "inf", "--sigma0", "gap:4", "solve", "--input", "matrix.npy",
+               "--variant", "ada"], None),
+    *(("rank_tol", ["--sigma0", "1.5", "solve", "--input", "matrix.npy", "--rank-tol", tol],
+       None) for tol in ("0", "1", "2")),
+    ("sigma0", ["--config", "inf.json", "solve", "--input", "matrix.npy"], None),
+    ("SLRA_THREADS", ["--trials", "1", "converge"], "abc"),
+], ids=["sigma0-inf", "alpha-inf", "rank-tol-0", "rank-tol-1", "rank-tol-2", "config-1e999",
+        "threads-abc"])
+def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, capsys,
+                                                monkeypatch):
+    write_inputs(tmp_path)
+    (tmp_path / "inf.json").write_text('{"sigma0": 1e999}')  # JSON reads inf
+    monkeypatch.chdir(tmp_path)
+    if threads is not None:
+        monkeypatch.setenv("SLRA_THREADS", threads)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_rejects_trials_and_accepts_seed(tmp_path, capsys, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)

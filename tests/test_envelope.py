@@ -33,31 +33,34 @@ def test_primal_value_hand_example(diag_obj):
 
 
 def test_envelope_value_at_zero(diag_obj):
-    assert diag_obj.envelope_value(np.zeros((2, 2))) == pytest.approx(4.25)
+    assert diag_obj.feasible_value(np.zeros((2, 2))) == pytest.approx(4.25)
 
 
 def test_envelope_value_hand_example(diag_obj):
-    assert diag_obj.envelope_value(np.diag([2.0, 0.25])) == pytest.approx(1.5)
+    assert diag_obj.feasible_value(np.diag([2.0, 0.25])) == pytest.approx(1.5)
 
 
 def test_envelope_equals_primal_above_threshold(diag_obj):
     x = np.diag([2.0, 1.5])
-    assert diag_obj.envelope_value(x) == pytest.approx(diag_obj.primal_value(x))
+    assert diag_obj.feasible_value(x) == pytest.approx(diag_obj.primal_value(x))
 
 
 def test_conjugate_at_minus_two_f(diag_obj):
-    assert diag_obj.conjugate_value(-2.0 * diag_obj.F) == pytest.approx(-4.25)
+    # conjugate(Lambda) = -dual_value_da(-Lambda)
+    assert -diag_obj.dual_value_da(2.0 * diag_obj.F) == pytest.approx(-4.25)
 
 
 def test_conjugate_at_zero(diag_obj):
-    assert diag_obj.conjugate_value(np.zeros((2, 2))) == pytest.approx(-1.25)
+    assert -diag_obj.dual_value_da(np.zeros((2, 2))) == pytest.approx(-1.25)
 
 
 def test_dual_value_da_definition(diag_obj):
+    # ||F||^2 - sum_j max(sigma_j^2(F - Lambda/2) - sigma0^2, 0)
     lam = np.array([[0.3, -0.1], [0.2, 0.4]])
-    assert diag_obj.dual_value_da(lam) == pytest.approx(
-        -diag_obj.conjugate_value(-lam)
-    )
+    s = np.linalg.svd(diag_obj.F - lam / 2, compute_uv=False)
+    excess = np.maximum(s**2 - diag_obj.sigma0**2, 0.0)
+    expected = np.linalg.norm(diag_obj.F) ** 2 - np.sum(excess)
+    assert diag_obj.dual_value_da(lam) == pytest.approx(expected)
 
 
 def test_dual_value_da_at_two_f(diag_obj):
@@ -99,7 +102,7 @@ def test_fenchel_young_and_equality_case():
         f = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         obj = RankObjective(f, 1.0)
         lam = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        conj = obj.conjugate_value(lam)
+        conj = -obj.dual_value_da(-lam)
         for _ in range(10):
             x = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
             gap = obj.primal_value(x) + conj - frobenius_inner(x, lam)
@@ -118,7 +121,7 @@ def test_envelope_below_primal():
         f = rng.standard_normal((m, n))
         obj = RankObjective(f, float(rng.uniform(0.2, 2.0)))
         x = rng.standard_normal((m, n)) * rng.uniform(0.1, 3.0)
-        assert obj.envelope_value(x) <= obj.primal_value(x) + 1e-9
+        assert obj.feasible_value(x) <= obj.primal_value(x) + 1e-9
 
 
 def test_envelope_midpoint_convexity():
@@ -127,8 +130,8 @@ def test_envelope_midpoint_convexity():
     for _ in range(200):
         x = rng.standard_normal((8, 6)) * rng.uniform(0.1, 2.0)
         y = rng.standard_normal((8, 6)) * rng.uniform(0.1, 2.0)
-        mid = obj.envelope_value((x + y) / 2)
-        assert mid <= (obj.envelope_value(x) + obj.envelope_value(y)) / 2 + 1e-9
+        mid = obj.feasible_value((x + y) / 2)
+        assert mid <= (obj.feasible_value(x) + obj.feasible_value(y)) / 2 + 1e-9
 
 
 def test_conjugate_matches_tilted_scan():
@@ -141,11 +144,11 @@ def test_conjugate_matches_tilted_scan():
         lam = rng.standard_normal((4, 4)) * 0.5
         target = obj.dual_value_da(lam)
         x_star = obj.update(lam, 0.0).x
-        val_star = obj.envelope_value(x_star) + frobenius_inner(x_star, lam)
+        val_star = obj.feasible_value(x_star) + frobenius_inner(x_star, lam)
         assert val_star == pytest.approx(target, abs=1e-8)
         for _ in range(40):
             x = x_star + rng.standard_normal((4, 4)) * rng.uniform(0, 0.5)
-            val = obj.envelope_value(x) + frobenius_inner(x, lam)
+            val = obj.feasible_value(x) + frobenius_inner(x, lam)
             assert val >= target - 1e-9
 
 
@@ -163,7 +166,7 @@ def test_augmented_minimizer_beats_perturbations():
             e = rng.standard_normal((5, 4))
             e *= rng.uniform(0, 0.1 * np.linalg.norm(upd.x) + 0.1) / np.linalg.norm(e)
             x = upd.x + e
-            val = (obj.envelope_value(x) + frobenius_inner(x, lam)
+            val = (obj.feasible_value(x) + frobenius_inner(x, lam)
                    + 0.5 * alpha * np.linalg.norm(x) ** 2)
             assert val >= base - 1e-9
 
@@ -194,7 +197,7 @@ def test_dual_value_ada_definition(diag_obj):
 def test_dual_value_ada_at_zero_tilt(diag_obj):
     alpha = 0.2
     x = diag_obj.update(np.zeros((2, 2)), alpha).x
-    expected = diag_obj.envelope_value(x) + 0.5 * alpha * np.linalg.norm(x) ** 2
+    expected = diag_obj.feasible_value(x) + 0.5 * alpha * np.linalg.norm(x) ** 2
     assert diag_obj.dual_value_ada(np.zeros((2, 2)), alpha) == pytest.approx(expected)
 
 
@@ -204,7 +207,7 @@ def test_update_matches_standalone_ops(diag_obj):
     u, s, vh = np.linalg.svd(diag_obj.F - lam / 2)
     assert_allclose(upd.x, (u * f_hard(s, diag_obj.sigma0)) @ vh, atol=1e-12)
     assert upd.dual_da == pytest.approx(diag_obj.dual_value_da(lam))
-    assert upd.envelope_at_x == pytest.approx(diag_obj.envelope_value(upd.x))
+    assert upd.envelope_at_x == pytest.approx(diag_obj.feasible_value(upd.x))
     assert upd.x_norm_sq == pytest.approx(np.linalg.norm(upd.x) ** 2)
 
 
@@ -438,8 +441,9 @@ def test_warm_start_needs_the_move_of_lambda():
 
 
 def test_rank_objective_validation():
-    with pytest.raises(ValueError):
-        RankObjective(np.ones((2, 2)), 0.0)
+    for sigma0 in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            RankObjective(np.ones((2, 2)), sigma0)
     with pytest.raises(ValueError):
         RankObjective(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
@@ -491,7 +495,7 @@ def test_toy_objective_update_tie_break():
 def test_toy_objective_dual_consistency():
     obj = ToyObjective()
     lam = np.array([[0.7]])
-    assert obj.dual_value_da(lam) == pytest.approx(-toy_conjugate(-0.7))
+    assert obj.update(lam).dual_da == pytest.approx(-toy_conjugate(-0.7))
 
 
 @given(st.floats(-3.0, 3.0), st.floats(0.01, 1.0))

@@ -75,12 +75,13 @@ def test_kronecker_rank_matches_term_count():
 
 
 def test_gen_cos_sum_deterministic():
-    assert_allclose(gen_cos_sum(42), gen_cos_sum(42))
-    assert not np.allclose(gen_cos_sum(42), gen_cos_sum(43))
+    draw = lambda seed: gen_cos_sum(np.random.default_rng(seed))
+    assert_allclose(draw(42), draw(42))
+    assert not np.allclose(draw(42), draw(43))
 
 
 def test_gen_cos_sum_properties():
-    f = gen_cos_sum(7)
+    f = gen_cos_sum(np.random.default_rng(7))
     assert f.shape == (200,)
     assert np.isrealobj(f)
     h = HankelSubspace(101, 100).from_vector(f)
@@ -89,7 +90,8 @@ def test_gen_cos_sum_properties():
 
 def test_gen_cos_sum_rank_eight_typically():
     hits = sum(
-        numerical_rank(HankelSubspace(101, 100).from_vector(gen_cos_sum(s)), 1e-8) == 8
+        numerical_rank(HankelSubspace(101, 100).from_vector(
+            gen_cos_sum(np.random.default_rng(s))), 1e-8) == 8
         for s in range(20)
     )
     assert hits >= 15  # degenerate draws allowed, but rare
@@ -106,31 +108,31 @@ def test_noise_spec_validation():
 
 def test_add_noise_zero_sigma():
     f = np.arange(5.0)
-    assert_allclose(add_noise(f, NoiseSpec(sigma=0.0, seed=1)), f)
+    assert_allclose(add_noise(f, NoiseSpec(sigma=0.0), rng=np.random.default_rng(1)), f)
 
 
 def test_add_noise_seeded_determinism():
     f = np.ones(100)
-    a = add_noise(f, NoiseSpec(sigma=0.5, seed=9))
-    b = add_noise(f, NoiseSpec(sigma=0.5, seed=9))
+    a = add_noise(f, NoiseSpec(sigma=0.5), rng=np.random.default_rng(9))
+    b = add_noise(f, NoiseSpec(sigma=0.5), rng=np.random.default_rng(9))
     assert_allclose(a, b)
 
 
 def test_add_noise_complex_variance_split():
     f = np.zeros(200_000, dtype=complex)
-    noisy = add_noise(f, NoiseSpec(sigma=2.0, seed=3))
+    noisy = add_noise(f, NoiseSpec(sigma=2.0), rng=np.random.default_rng(3))
     # per-entry variance sigma^2 split evenly between components
     assert np.var(noisy.real) == pytest.approx(2.0, rel=0.05)
     assert np.var(noisy.imag) == pytest.approx(2.0, rel=0.05)
 
 
 def test_add_noise_real_variance():
-    noisy = add_noise(np.zeros(200_000), NoiseSpec(sigma=0.3, seed=4))
+    noisy = add_noise(np.zeros(200_000), NoiseSpec(sigma=0.3), rng=np.random.default_rng(4))
     assert np.var(noisy) == pytest.approx(0.09, rel=0.05)
 
 
 def test_add_noise_zero_mean_rate():
-    noisy = add_noise(np.zeros(10_000), NoiseSpec(sigma=1.0, seed=5))
+    noisy = add_noise(np.zeros(10_000), NoiseSpec(sigma=1.0), rng=np.random.default_rng(5))
     assert abs(np.mean(noisy)) <= 4.0 / np.sqrt(10_000)
 
 
@@ -138,7 +140,7 @@ def test_snr_mode_hits_target():
     rng = np.random.default_rng(6)
     f = rng.standard_normal(10_000) * 3.0
     for snr in (0.0, 10.0, 25.0):
-        noisy = add_noise(f, NoiseSpec(snr_dbw=snr, seed=7))
+        noisy = add_noise(f, NoiseSpec(snr_dbw=snr), rng=np.random.default_rng(7))
         noise = noisy - f
         measured = 20 * np.log10(np.linalg.norm(f) / np.linalg.norm(noise))
         assert measured == pytest.approx(snr, abs=0.5)
@@ -146,14 +148,14 @@ def test_snr_mode_hits_target():
 
 def test_snr_mode_complex():
     f = sample_signal(four_tone_model())
-    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0, seed=8))
+    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0), rng=np.random.default_rng(8))
     measured = 20 * np.log10(np.linalg.norm(f) / np.linalg.norm(noisy - f))
     assert measured == pytest.approx(10.0, abs=0.7)
 
 
 def test_add_noise_matrix_input():
     h = np.ones((30, 20))
-    noisy = add_noise(h, NoiseSpec(sigma=0.1, seed=9))
+    noisy = add_noise(h, NoiseSpec(sigma=0.1), rng=np.random.default_rng(9))
     assert noisy.shape == h.shape
     assert np.std(noisy - h) == pytest.approx(0.1, rel=0.2)
 
@@ -170,7 +172,7 @@ def test_sigma0_heuristic_exact_rank():
 
 def test_sigma0_heuristic_ordering():
     f = sample_signal(four_tone_model())
-    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0, seed=10))
+    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0), rng=np.random.default_rng(10))
     F = signal_to_hankel(noisy)
     s = np.linalg.svd(F, compute_uv=False)
     s0 = sigma0_heuristic(F, 4)
