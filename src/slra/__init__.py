@@ -6,12 +6,7 @@ ascent, with closed-form primal updates through the singular value
 functional calculus.
 """
 
-from .envelope import (
-    RankObjective,
-    ToyObjective,
-    toy_conjugate,
-    toy_tilted_minimizers,
-)
+from .envelope import RankObjective, toy_tilted_minimizers
 from .esprit import esprit_estimate, esprit_hankel_error
 from .matops import (
     f_alpha,
@@ -38,10 +33,6 @@ from .solvers import (
     SolverTrace,
     run,
 )
-from .subspace import (
-    HankelSubspace,
-    SubspaceOp,
-    ZeroSubspace,
-)
+from .subspace import HankelSubspace, SubspaceOp
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ its curves, ground-truth distances, singular values and summary (see
 A study given a global flag it does not read exits with a usage error:
 ``freqest`` reads none of ``--iters``, ``--alpha`` and ``--sigma0``,
 ``toy``, a fixed table, reads none of those nor ``--trials`` and
-``--seed``, and ``solve`` does not read ``--trials``.  ``solve`` draws
+``--seed``, and ``solve`` does not read ``--trials``, nor ``--alpha``
+with ``--variant da``, whose steps decay on their own.  ``solve`` draws
 no random numbers either, but accepts ``--seed`` so that a caller may
 pass one seed to every subcommand, as the ``bench/`` solve workload does.
 Exit codes:
@@ -129,6 +130,8 @@ def main(argv=None) -> int:
               if getattr(args, name) is not None]
     if unread:
         parser.error(f"{args.experiment} does not read {', '.join(unread)}")
+    if args.experiment == "solve" and args.variant == solvers.DA and args.alpha is not None:
+        parser.error("solve --variant da does not read --alpha")
 
     if args.sigma0 is not None:
         try:

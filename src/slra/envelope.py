@@ -7,9 +7,9 @@ The objective on (M, N) matrices is
 
 whose conjugate and envelope are spectral functions of ``Lambda/2 + F`` and
 ``X`` respectively.  The quadratic penalty keeps the envelope tight near F,
-so no shrinkage applies to singular values above sigma0.  A 1-D toy
-objective |x^2 - 1| with the trivial constraint x = 0 is included; it is
-the standard example of dual ascent oscillating between primal minimizers.
+so no shrinkage applies to singular values above sigma0.  The argmin set
+of the tilted scalar toy |x^2 - 1| + lam * x steps the toy table of
+:func:`slra.harness.toy_table`.
 """
 
 import math
@@ -327,13 +327,6 @@ class RankObjective:
         return val
 
 
-def toy_conjugate(lam: float) -> float:
-    """Conjugate of |x^2 - 1| on the reals: |lam| for |lam| <= 2,
-    1 + lam^2 / 4 beyond."""
-    a = abs(float(lam))
-    return a if a <= 2.0 else 1.0 + a * a / 4.0
-
-
 def toy_tilted_minimizers(lam: float) -> tuple:
     """Argmin set of x -> |x^2 - 1| + lam * x.
 
@@ -345,46 +338,3 @@ def toy_tilted_minimizers(lam: float) -> tuple:
     if abs(lam) <= 2.0:
         return (-np.sign(lam),)
     return (-lam / 2.0,)
-
-
-class ToyObjective:
-    """|x^2 - 1| on the reals, modeled as 1x1 matrices so solvers treat it
-    like any other objective; the constraint subspace is {0}."""
-
-    shape = (1, 1)
-
-    @staticmethod
-    def _scalar(lam):
-        lam = np.asarray(lam)
-        if lam.shape != (1, 1):
-            raise ValueError("toy objective works on 1x1 matrices")
-        return float(np.real(lam[0, 0]))
-
-    def feasible_value(self, x, alpha: float = 0.0) -> float:
-        v = self._scalar(x)
-        return max(0.0, v * v - 1.0) + 0.5 * alpha * v * v
-
-    def update(self, lam, alpha: float = 0.0, warm=None, dlam=None) -> PrimalUpdate:
-        lam_v = self._scalar(lam)
-        if alpha == 0:
-            # non-convex argmin; ties broken towards +1 for determinism
-            x = max(toy_tilted_minimizers(lam_v))
-        else:
-            # envelope max(0, x^2-1) + lam*x + (alpha/2) x^2: compare the
-            # stationary points of both branches and the kinks at +-1
-            cands = [-1.0, 1.0]
-            if abs(lam_v / alpha) <= 1.0:
-                cands.append(-lam_v / alpha)
-            flat = -lam_v / (2.0 + alpha)
-            if abs(flat) >= 1.0:
-                cands.append(flat)
-            val = lambda t: max(0.0, t * t - 1.0) + lam_v * t + 0.5 * alpha * t * t
-            x = min(sorted(cands, reverse=True), key=val)
-        xm = np.array([[x]], dtype=float)
-        return PrimalUpdate(
-            x=xm,
-            dual_da=-toy_conjugate(-lam_v),
-            envelope=lambda: max(0.0, x * x - 1.0),
-            x_norm_sq=x * x,
-            degenerate=False,
-        )

@@ -87,15 +87,16 @@ def esprit_estimate(f, P: int, rows: int, cols: int, delta: float = 1.0,
     )
 
 
-def esprit_hankel_error(f_noisy, f_true, P: int, rows: int, cols: int,
-                        delta: float = 1.0, indices=None) -> tuple:
-    """Frobenius and l2 approximation errors of the ESPRIT reconstruction.
+def esprit_hankel_error(f, P: int, rows: int, cols: int, delta: float, indices) -> tuple:
+    """Frobenius and l2 residuals of the ESPRIT reconstruction against the
+    signal it was fitted to.
 
-    Fits on the noisy signal, builds the Hankel matrix of the
-    reconstruction and returns (||A - H(f_true)||_F, ||a - f_true||_2).
+    Fits on ``f``, builds the Hankel matrix of the reconstruction a and
+    returns (||A - H(f)||_F, ||a - f||_2).
     """
-    est = esprit_estimate(f_noisy, P, rows, cols, delta, indices)
+    est = esprit_estimate(f, P, rows, cols, delta, indices)
     sub = HankelSubspace(rows, cols)
-    frob = float(np.linalg.norm(sub.from_vector(est.reconstruction) - sub.from_vector(np.asarray(f_true))))
-    l2 = float(np.linalg.norm(est.reconstruction - np.asarray(f_true)))
+    f = np.asarray(f)
+    frob = float(np.linalg.norm(sub.from_vector(est.reconstruction) - sub.from_vector(f)))
+    l2 = float(np.linalg.norm(est.reconstruction - f))
     return frob, l2

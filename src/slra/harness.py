@@ -23,6 +23,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import solvers
-from .envelope import RankObjective, ToyObjective
+from .envelope import RankObjective, toy_tilted_minimizers
 from .esprit import esprit_hankel_error
 from .matops import numerical_rank
 from .signals import (
@@ -48,7 +49,7 @@ from .signals import (
     signal_to_hankel,
 )
 from .solvers import SolverConfig
-from .subspace import HankelSubspace, ZeroSubspace
+from .subspace import HankelSubspace
 
 METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
@@ -92,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         self.output_dir = Path(self.output_dir)
 
     def to_json_dict(self):
@@ -314,23 +317,15 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
 
 
 def toy_table(n_iters: int = 5):
-    """Scalar-toy dual ascent: returns [(n, x_n, lambda_n)] with harmonic
-    steps, and cross-checks the solver trace on the same problem."""
-    obj = ToyObjective()
-    lam = np.zeros((1, 1))
-    rows = []
+    """Plain dual ascent on the scalar toy |x^2 - 1| subject to x = 0, with
+    harmonic steps: returns [(n, x_n, lambda_n)], x_n the larger minimizer
+    of |x^2 - 1| + lambda_{n-1} x and lambda_n = lambda_{n-1} + x_n / n
+    (the complement of {0} is everything, so the whole of x_n enters)."""
+    lam, rows = 0.0, []
     for n in range(1, n_iters + 1):
-        upd = obj.update(lam, 0.0)
-        lam = lam + (1.0 / n) * upd.x  # the complement of {0} is everything
-        rows.append((n, float(upd.x[0, 0]), float(lam[0, 0])))
-
-    res = solvers.run(
-        ToyObjective(), ZeroSubspace(1, 1),
-        SolverConfig(solvers.DA, max_iters=n_iters, stop_tol=_NO_STOP),
-    )
-    for (n, _, lam_n) in rows:
-        if abs(abs(lam_n) - res.trace.lambda_norm[n]) > 1e-12:
-            raise AssertionError("solver trace disagrees with the direct recursion")
+        x = float(max(toy_tilted_minimizers(lam)))
+        lam = lam + (1.0 / n) * x
+        rows.append((n, x, lam))
     return rows
 
 
@@ -344,8 +339,7 @@ def cmd_toy(config: ExperimentConfig):
             raise AssertionError(f"toy multiplier {lam_n} != {ref} at n={n}")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "toy_table.csv", ("n", "x", "lambda"),
-               [(n, float(x), float(l)) for n, x, l in rows])
+    _write_csv(out / "toy_table.csv", ("n", "x", "lambda"), rows)
     return rows
 
 
@@ -371,9 +365,7 @@ def _freqest_trial(args):
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
     l2_da = float(np.linalg.norm(sub.to_vector(res.X_star) - noisy))
-    frob_es, l2_es = esprit_hankel_error(
-        noisy, noisy, 4, rows, cols, model.delta, model.indices
-    )
+    frob_es, l2_es = esprit_hankel_error(noisy, 4, rows, cols, model.delta, model.indices)
     scale = 10.0 ** (snr_dbw / 20.0)
     return (
         (frob_es - frob_da) * scale,

@@ -39,11 +39,6 @@ class SignalModel:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=float))
 
-    @classmethod
-    def symmetric(cls, terms, n_half: int, delta: float = 1.0):
-        """Grid j = -n_half .. n_half (2 * n_half + 1 points)."""
-        return cls(terms, np.arange(-n_half, n_half + 1), delta)
-
 
 # exponents and amplitudes of the four-tone benchmark signal
 TAB4_ZETAS = (5924.0j, 804.24j, 695.88j, 7937.6j)
@@ -55,19 +50,16 @@ TAB4_COEFFS = (
 )
 
 
-def four_tone_model(delta: float = 2.0 / 256.0, n_points: int = 257) -> SignalModel:
-    """The four-tone benchmark: 257 samples on a symmetric grid.
+def four_tone_model() -> SignalModel:
+    """The four-tone benchmark: 257 samples on the symmetric grid
+    j = -128 .. 128 with spacing delta = 2/256.
 
     The sample spacing is not pinned down by the frequencies themselves;
-    ``delta`` defaults to a length-2 interval over 257 points and all
-    downstream comparisons are between methods on identical data, so the
-    choice only fixes the aliasing branch.
+    delta spreads the grid over a length-2 interval, and all downstream
+    comparisons are between methods on identical data, so the choice only
+    fixes the aliasing branch.
     """
-    if n_points % 2 == 0:
-        raise ValueError("symmetric grid needs an odd number of points")
-    return SignalModel.symmetric(
-        tuple(zip(TAB4_COEFFS, TAB4_ZETAS)), n_points // 2, delta
-    )
+    return SignalModel(tuple(zip(TAB4_COEFFS, TAB4_ZETAS)), np.arange(-128, 129), 2.0 / 256.0)
 
 
 def sample_signal(model: SignalModel) -> np.ndarray:
@@ -179,28 +171,6 @@ def load_signal_csv(path) -> tuple:
     if rows.shape[1] != 3:
         raise ValueError("signal CSV must have columns (index, re, im)")
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
-
-
-def save_model_json(path, model: SignalModel):
-    """Serialize a model; the grid must be uniform to fit the file schema."""
-    idx = model.indices
-    if idx.size > 1:
-        steps = np.diff(idx)
-        if not np.allclose(steps, steps[0]):
-            raise ValueError("model grid is not uniform")
-        step = float(steps[0])
-    else:
-        step = 1.0
-    doc = {
-        "terms": [
-            {"c_re": z.real, "c_im": z.imag, "zeta_re": w.real, "zeta_im": w.imag}
-            for z, w in model.terms
-        ],
-        "delta": model.delta,
-        "grid": {"start": float(idx[0]), "count": int(idx.size), "step": step},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
 
 
 def load_model_json(path) -> SignalModel:

@@ -138,17 +138,12 @@ class SolverTrace:
     def __len__(self):
         return len(self.n)
 
-    def write_csv(self, path_or_file):
+    def write_csv(self, path):
         """One row per iteration, header included, >= 12 significant digits."""
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
+        with open(path, "w", newline="") as fh:
             fh.write(",".join(_TRACE_COLUMNS) + "\r\n")
             columns = (getattr(self, c).tolist() for c in _TRACE_COLUMNS)
             fh.writelines(map(_TRACE_ROW.format, *columns))
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def from_rows(cls, rows):
@@ -160,14 +155,9 @@ class SolverTrace:
         return cls(**cols)
 
     @classmethod
-    def read_csv(cls, path_or_file):
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, newline="") if own else path_or_file
-        try:
+    def read_csv(cls, path):
+        with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        finally:
-            if own:
-                fh.close()
         if not rows or tuple(rows[0]) != _TRACE_COLUMNS:
             raise ValueError("not a solver trace CSV (bad header)")
         return cls.from_rows([[float(v) for v in r] for r in rows[1:]])

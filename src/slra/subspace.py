@@ -32,14 +32,6 @@ class SubspaceOp:
         raise NotImplementedError
 
 
-class ZeroSubspace(SubspaceOp):
-    """The trivial subspace {0}; its complement is the whole space."""
-
-    def project(self, x):
-        x = self._check_shape(x)
-        return np.zeros_like(x)
-
-
 class HankelSubspace(SubspaceOp):
     """Matrices constant along antidiagonals, generated by a vector of
     length L = rows + cols - 1 via H[i, j] = v[i + j].

@@ -242,6 +242,38 @@ def test_trials_below_one_is_usage_error(study, trials, tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("variant", [["--variant", "da"], []], ids=["da", "default"])
+@pytest.mark.parametrize("given", [["--alpha", "0.5"], ["--alpha", "inf"], ["--alpha", "-3"],
+                                   {"alpha": 0.5}], ids=["flag", "flag-inf", "flag-neg", "config"])
+def test_solve_da_does_not_read_alpha(given, variant, tmp_path, capsys, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if isinstance(given, dict):
+        given = ["--config", _config(tmp_path, given)]
+    with pytest.raises(SystemExit) as exc:
+        main([*given, "--sigma0", "1.5", "solve", "--input", "matrix.npy", *variant])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in err if line.startswith("slra: error:")] == \
+        ["slra: error: solve --variant da does not read --alpha"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "inf"])
+def test_alpha_is_checked_before_any_trial(alpha, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+
+    def no_trial(args):
+        pytest.fail("a trial ran before --alpha was checked")
+
+    monkeypatch.setattr(harness, "_cossum_trial", no_trial)
+    assert main(["--alpha", alpha, "--trials", "1", "--iters", "5", "converge"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "alpha" in err[0] and "alpha_reg" not in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, argv, threads", [
     ("sigma0", ["--sigma0", "inf", "solve", "--input", "matrix.npy"], None),
     ("alpha", ["--alpha", "inf", "--sigma0", "gap:4", "solve", "--input", "matrix.npy",

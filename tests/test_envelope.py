@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from doubles import ToyObjective, toy_conjugate
 from slra import envelope
-from slra.envelope import (
-    RankObjective,
-    ToyObjective,
-    toy_conjugate,
-    toy_tilted_minimizers,
-)
+from slra.envelope import RankObjective, toy_tilted_minimizers
 from slra.matops import f_hard, frobenius_inner
 
 
@@ -496,14 +490,3 @@ def test_toy_objective_dual_consistency():
     obj = ToyObjective()
     lam = np.array([[0.7]])
     assert obj.update(lam).dual_da == pytest.approx(-toy_conjugate(-0.7))
-
-
-@given(st.floats(-3.0, 3.0), st.floats(0.01, 1.0))
-@settings(deadline=None)
-def test_toy_augmented_update_minimizes(lam, alpha):
-    obj = ToyObjective()
-    upd = obj.update(np.array([[lam]]), alpha)
-    x0 = float(upd.x[0, 0])
-    val = lambda t: max(0.0, t * t - 1.0) + lam * t + 0.5 * alpha * t * t
-    xs = np.linspace(-4, 4, 4001)
-    assert val(x0) <= np.min([val(t) for t in xs]) + 1e-4

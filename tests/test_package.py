@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: names that only the tests call, each kept for the reason given
 ALLOWED = {
     "primal_value": "the paper's non-convex objective, the tests' reference",
-    "save_model_json": "the writer of the solve model-JSON input",
 }
 
 

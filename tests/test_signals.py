@@ -17,12 +17,34 @@ from slra.signals import (
     load_model_json,
     load_signal_csv,
     sample_signal,
-    save_model_json,
     save_signal_csv,
     sigma0_heuristic,
     signal_to_hankel,
 )
 from slra.subspace import HankelSubspace
+
+
+def save_model_json(path, model: SignalModel):
+    """Write a model in the model-JSON input format of ``slra solve``; the
+    grid must be uniform to fit the file schema."""
+    idx = model.indices
+    if idx.size > 1:
+        steps = np.diff(idx)
+        if not np.allclose(steps, steps[0]):
+            raise ValueError("model grid is not uniform")
+        step = float(steps[0])
+    else:
+        step = 1.0
+    doc = {
+        "terms": [
+            {"c_re": z.real, "c_im": z.imag, "zeta_re": w.real, "zeta_im": w.imag}
+            for z, w in model.terms
+        ],
+        "delta": model.delta,
+        "grid": {"start": float(idx[0]), "count": int(idx.size), "step": step},
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
 
 
 def random_exponential_model(rng, P, n_half=25, min_sep=0.1):
@@ -33,11 +55,11 @@ def random_exponential_model(rng, P, n_half=25, min_sep=0.1):
             break
     coeffs = rng.uniform(0.5, 2.0, size=P) * np.exp(2j * np.pi * rng.uniform(size=P))
     terms = tuple((c, 1j * a) for c, a in zip(coeffs, angles))
-    return SignalModel.symmetric(terms, n_half)
+    return SignalModel(terms, np.arange(-n_half, n_half + 1))
 
 
 def test_sample_constant_term():
-    m = SignalModel.symmetric(((1.0, 0.0),), 3)
+    m = SignalModel(((1.0, 0.0),), np.arange(-3, 4))
     assert_allclose(sample_signal(m), np.ones(7))
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from doubles import ToyObjective, ZeroSubspace, toy_conjugate
 from slra import envelope, harness, solvers
-from slra.envelope import PrimalUpdate, RankObjective, ToyObjective
+from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
 from slra.signals import (
@@ -21,7 +22,7 @@ from slra.solvers import (
     SolverTrace,
     run,
 )
-from slra.subspace import HankelSubspace, ZeroSubspace
+from slra.subspace import HankelSubspace
 
 TOY_LAMBDAS = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
 
@@ -98,8 +99,6 @@ def test_toy_da_lambda_sequence():
 
 
 def test_toy_da_dual_values_from_conjugate():
-    from slra.envelope import toy_conjugate
-
     res = run(ToyObjective(), ZeroSubspace(1, 1),
               SolverConfig(solvers.DA, max_iters=5, stop_tol=1e-300))
     lams = [0.0, *TOY_LAMBDAS]
@@ -476,13 +475,11 @@ def test_shape_mismatch_rejected():
 # trace serialization
 # ---------------------------------------------------------------------------
 
-def test_trace_csv_round_trip():
+def test_trace_csv_round_trip(tmp_path):
     obj, sub, _ = hankel_problem(8)
     res = run(obj, sub, SolverConfig(solvers.DA, max_iters=25, stop_tol=1e-300))
-    buf = io.StringIO()
-    res.trace.write_csv(buf)
-    buf.seek(0)
-    back = SolverTrace.read_csv(buf)
+    res.trace.write_csv(tmp_path / "trace.csv")
+    back = SolverTrace.read_csv(tmp_path / "trace.csv")
     for col in ("n", "primal", "dual", "feas_residual", "lambda_norm",
                 "step_norm", "best_n"):
         a, b = getattr(res.trace, col), getattr(back, col)
@@ -490,7 +487,7 @@ def test_trace_csv_round_trip():
     back.check_invariants()
 
 
-def test_trace_csv_significant_digits():
+def test_trace_csv_significant_digits(tmp_path):
     tr = SolverTrace(
         n=np.array([0, 1]),
         primal=np.array([1.2345678901234e2, np.nan]),
@@ -500,12 +497,12 @@ def test_trace_csv_significant_digits():
         step_norm=np.array([0.0, 1.0]),
         best_n=np.array([0, 1]),
     )
-    buf = io.StringIO()
-    tr.write_csv(buf)
-    text = buf.getvalue()
+    path = tmp_path / "trace.csv"
+    tr.write_csv(path)
+    text = path.read_text()
     assert text.splitlines()[0] == "n,primal,dual,feas_residual,lambda_norm,step_norm,best_n"
     assert "1.234567890123e+02" in text
-    back = SolverTrace.read_csv(io.StringIO(text))
+    back = SolverTrace.read_csv(path)
     assert np.isnan(back.primal[1])
 
 
@@ -527,16 +524,14 @@ def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
                           for c in ("primal", "dual", "feas_residual", "lambda_norm",
                                     "step_norm")]
                        + [int(tr.best_n[i])])
-        buf = io.StringIO(newline="")
-        tr.write_csv(buf)
-        assert buf.getvalue() == ref.getvalue()
         tr.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == ref.getvalue().encode()
 
 
-def test_trace_csv_rejects_garbage():
+def test_trace_csv_rejects_garbage(tmp_path):
+    (tmp_path / "trace.csv").write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        SolverTrace.read_csv(io.StringIO("a,b\n1,2\n"))
+        SolverTrace.read_csv(tmp_path / "trace.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from slra.matops import frobenius_inner
-from slra.subspace import HankelSubspace, ZeroSubspace
+from slra.subspace import HankelSubspace
 
 
 def nearest_hankel_lstsq(x):
@@ -181,13 +181,6 @@ def test_vector_round_trip_on_every_shape(shape, cplx):
     # a one-row or one-column matrix holds each entry once: no rounding
     if min(shape) == 1:
         assert_array_equal(sub.to_vector(sub.from_vector(v)), v)
-
-
-def test_zero_subspace():
-    sub = ZeroSubspace(2, 2)
-    x = np.ones((2, 2))
-    assert_allclose(sub.project(x), 0.0)
-    assert_allclose(x - sub.project(x), x)
 
 
 def test_antidiagonal_counts():
