@@ -112,6 +112,8 @@ def _apply_config_file(args, parser):
     actions = {a.dest: a for p in (parser, *sub.choices.values()) for a in p._actions}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
+        if attr in (sub.dest, "config"):
+            parser.error(f"config key {key!r} names no flag to override")
         if not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
         types = _config_types(actions[attr])

@@ -37,11 +37,14 @@ DEGENERATE_RTOL = 1e-8
 #: captured triplets may leave, as a share of the leading Ritz value.  A
 #: row's passes of subspace iteration on a block of p columns are budgeted
 #: at B = min(M, N) / p, about the cost of one full SVD of G.  On one
-#: OpenBLAS thread a full SVD took 4.1-5.1 passes at 48x47 complex and
-#: p = 10 (B = 4.7), 5.4-7.2 at 64x63 (6.3), 20-26 at 129x129 (12.9) and
-#: 7.0-7.9 at 101x100 real with p = 20 (5), but only 1.3-1.8 at 30x29
-#: complex, where B = 2.9 overprices the full SVD
-_EXTRA_COLUMNS = 6
+#: OpenBLAS thread a full SVD took 5.7-7.1 passes at 48x47 complex and
+#: p = 6 (B = 7.8), 9.7-10.4 at 64x63 (10.5), 25-26 at 129x129 (21.5) and
+#: 8.1-8.5 at 101x100 real with p = 16 (6.2), but only 2.5-2.8 at 30x29
+#: complex, where B = 4.8 overprices the full SVD.  Two extra columns: the
+#: values just past the k-th form a flat noise bulk, so the residual cut
+#: of a pass hardly depends on p, while six cost 17-46% more per pass at
+#: these sizes
+_EXTRA_COLUMNS = 2
 _RESIDUAL_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
@@ -233,11 +236,13 @@ class RankObjective:
         only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
         previous row's count.  Passes of block subspace iteration on
-        p = k + 6 columns compute Q = orth(G V) and the Ritz triplets of
-        Q^H G (from the SVD of the tall G^H Q).  A row may spend
+        p = k + 2 columns compute Q = orth(G V) and the Ritz triplets of
+        Q^H G (from the SVD of the tall G^H Q): one column beyond the k
+        shows where the values above tau end, and one more absorbs a value
+        that crosses tau between rows.  A row may spend
         B = min(M, N) / p passes, about the cost of one full SVD, and is
         tried only when B >= 2.  When the previous row's block is narrower
-        than k + 6 columns, as after a truncated row that captured more
+        than k + 2 columns, as after a truncated row that captured more
         values than the row before it, the row runs on that block, which
         holds at least k + 1 columns.  The row's one attempt starts from the
         previous row's block of right singular vectors V, or, when the

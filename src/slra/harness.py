@@ -491,6 +491,8 @@ def load_solve_input(path):
         F = np.load(path)
         if F.ndim != 2:
             raise ValueError("matrix input must be 2-d")
+        if not np.issubdtype(F.dtype, np.number):
+            raise ValueError(f"matrix input must be numeric, got dtype {F.dtype}")
     else:
         raise ValueError(f"unsupported input format {path.suffix!r}")
     return F, HankelSubspace(*F.shape)

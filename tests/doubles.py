@@ -5,12 +5,16 @@ primal minimizers.
 ``ToyObjective`` models the toy on 1x1 matrices, so that
 :func:`slra.solvers.run` treats it like any other objective, and
 ``ZeroSubspace`` is the trivial subspace {0}, whose complement is the whole
-space.  The module name does not match ``test_*.py``: the tests import it,
-pytest does not collect it.
+space.  ``never_truncate`` stubs out the truncated SVD, so that a run
+prices every row by the full SVD, and ``assert_same_run`` compares a run
+with that reference path.  The module name does not match ``test_*.py``:
+the tests import it, pytest does not collect it.
 """
 
 import numpy as np
+from numpy.testing import assert_allclose, assert_array_equal
 
+from slra import envelope
 from slra.envelope import PrimalUpdate, toy_tilted_minimizers
 from slra.subspace import SubspaceOp
 
@@ -59,3 +63,20 @@ class ZeroSubspace(SubspaceOp):
 
     def project(self, x):
         return np.zeros_like(self._check_shape(x))
+
+
+def never_truncate(monkeypatch):
+    """Every truncated attempt fails without a pass: every row takes the
+    full SVD."""
+    monkeypatch.setattr(envelope, "_truncated_svd", lambda *a: (0, None))
+
+
+def assert_same_run(fast, full):
+    """``fast`` matches the full-SVD run ``full``: the same iterations and
+    best rows, duals and ||Lambda|| within 1e-9 relative, X_star within
+    1e-12."""
+    assert fast.n_iters == full.n_iters
+    assert_array_equal(fast.trace.best_n, full.trace.best_n)
+    assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
+    assert_allclose(fast.trace.lambda_norm, full.trace.lambda_norm, rtol=1e-9)
+    assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doubles import assert_same_run, never_truncate
 from slra import harness, solvers
 from slra.cli import _parse_snr_levels, build_parser, main
 
@@ -162,18 +163,24 @@ def test_noise_free_model_of_large_amplitude_stays_in_the_complement(variant, tm
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
-def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
-    # the golden problems have at most 15 columns and capture enough values
-    # that a row's pass budget min(M, N) / (k + 6) stays below the two
-    # passes a truncated attempt needs, so none is made
+def test_golden_solves_match_the_full_svd_path(case, tmp_path, monkeypatch):
+    # the golden problems have 12 to 15 columns and capture few values, so
+    # a row's pass budget min(M, N) / (k + 2) reaches the two passes a
+    # truncated attempt needs; whatever rows the attempts certify, the
+    # solve matches one that prices every row by the full SVD
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")
     results = []
     original = solvers.run
     monkeypatch.setattr(solvers, "run", lambda *a: results.append(original(*a)) or results[-1])
-    assert main(["--out", "out"] + CASES[case]) == 0
-    assert results[0].full_svds == results[0].n_iters + 1 and results[0].passes == 0
+    assert main(["--out", "fast"] + CASES[case]) == 0
+    never_truncate(monkeypatch)
+    assert main(["--out", "full"] + CASES[case]) == 0
+    fast, full = results
+    assert fast.passes > 0
+    assert full.full_svds == full.n_iters + 1 and full.passes == 0
+    assert_same_run(fast, full)
 
 
 def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
@@ -379,6 +386,29 @@ def test_config_type_error_is_usage_error(doc, tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("slra: error:") and repr(next(iter(doc))) in err[-1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "solve"}, {"experiment": "bogus"}, {"config": "x.json"},
+], ids=["experiment-solve", "experiment-bogus", "config"])
+def test_config_key_that_is_no_flag_is_usage_error(doc, tmp_path):
+    # the subcommand comes from the command line alone, and a config file
+    # names no further config file
+    proc = _slra(["--config", _config(tmp_path, doc), "--out", "o", "toy"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == \
+        f"slra: error: config key {next(iter(doc))!r} names no flag to override"
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_numeric_matrix_input_is_usage_error(tmp_path, capsys, monkeypatch):
+    np.save(tmp_path / "text.npy", np.array([["a", "b"], ["c", "d"]]))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "1.5", "solve", "--input", "text.npy"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: matrix input must be numeric, got dtype <U1"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_type_error_subprocess(tmp_path):

@@ -289,10 +289,10 @@ def _plain_attempt(obj, lam, warm, dlam, budget):
 
 
 def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
-    # values 11 on sit at about 4% of the 4th: each pass cuts the residual
-    # about 1000-fold, and three passes leave 9e-12 s_1 after the step, so
-    # the row takes four; given three, the attempt stops after the second
-    # pass, whose cut predicts the fourth
+    # values 7 on sit at about 4% of the 4th: each pass cuts the residual
+    # 700- to 1100-fold, and three passes leave 1.3e-11 s_1 after the step,
+    # so the row takes four; given three, the attempt stops after the
+    # second pass, whose cut predicts the fourth
     obj, lam, warm, dlam = _unit_step_rows(0.3)
     fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert fast.warm.truncated and passes == 4
@@ -302,21 +302,21 @@ def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
 
 
 def test_slow_attempt_may_take_more_than_eight_passes(monkeypatch):
-    # values 11 on sit at about 37% of the 4th: the row certifies after ten
-    # passes, within the budget of 129 / 10 passes
+    # values 7 on sit at about 40% of the 4th: the row certifies after
+    # eleven passes, within the budget of 129 / 6 passes
     obj, lam, warm, dlam = _unit_step_rows(3.0)
     fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
-    assert fast.warm.truncated and passes == fast.warm.passes == 10
+    assert fast.warm.truncated and passes == fast.warm.passes == 11
     assert fast.warm.captured == 4 and fast.warm.fallbacks == 0
     _assert_same_update(fast, obj.update(lam, 0.0))
 
 
 def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeypatch):
-    # values 11 on sit at about 57% of the 4th: certifying takes 16 passes,
-    # more than the budget of 12.9, and the cut measured at the third pass
+    # values 7 on sit at about 77% of the 4th: certifying takes 35 passes,
+    # more than the budget of 21.5, and the cut measured at the third pass
     # predicts as much, so the attempt stops there and the row falls back
-    obj, lam, warm, dlam = _unit_step_rows(5.0)
-    assert _plain_attempt(obj, lam, warm, dlam, np.inf) == (16, True)
+    obj, lam, warm, dlam = _unit_step_rows(7.0)
+    assert _plain_attempt(obj, lam, warm, dlam, np.inf) == (35, True)
     upd, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert passes == upd.warm.passes == 3
     assert not upd.warm.truncated
@@ -343,10 +343,10 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
 
 
 def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
-    # at 96x96 the budget is 9.6 passes; after the path turns back, the
-    # predicted attempt stops after 6, and the row falls back to the full
-    # SVD with no second attempt
-    obj, lam0, d = _path(2.0, 10.0, 96)
+    # at 80x80 the budget is 13.3 passes; after the path turns back, the
+    # predicted attempt stops after 7 of the 14 it would need, and the row
+    # falls back to the full SVD with no second attempt
+    obj, lam0, d = _path(2.5, 10.0, 80)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
     budgets = []
     attempt = envelope._truncated_svd
@@ -354,17 +354,17 @@ def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
                         lambda *a: budgets.append(a[-1]) or attempt(*a))
     dlam = np.linalg.norm(lam0 - (lam0 + d))
     upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm, dlam)
-    assert budgets == pytest.approx([9.6])
-    assert passes == upd.warm.passes == 6
+    assert budgets == pytest.approx([80 / 6])
+    assert passes == upd.warm.passes == 7
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1
     _assert_same_update(upd, obj.update(lam0, 0.0))
 
 
-@pytest.mark.parametrize("noise", [0.3, 1.0, 3.0, 5.0])
+@pytest.mark.parametrize("noise", [0.3, 1.0, 3.0, 5.0, 7.0])
 def test_no_attempt_spends_more_than_its_budget(noise):
     obj, lam, warm, dlam = _unit_step_rows(noise)
-    for budget in range(2, 14):
+    for budget in range(2, 23):
         passes, _ = _plain_attempt(obj, lam, warm, dlam, budget)
         assert 1 <= passes <= budget
 
@@ -384,7 +384,7 @@ def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
 
 
 def test_tie_below_the_block_falls_back_and_is_degenerate():
-    # the fifth direction is outside the previous row's 10-column block,
+    # the fifth direction is outside the previous row's 6-column block,
     # and its value moved up to sigma0 exactly: no Ritz value can see it
     s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.01, np.linspace(0.6, 0.1, 91)]
     s_now = s_prev.copy()
@@ -406,11 +406,27 @@ def test_value_crossing_sigma0_recertifies_and_matches_full_update():
     assert upd.warm.truncated and upd.warm.captured == 5
     assert upd.warm.beta < obj.sigma0
     _assert_same_update(upd, obj.update(zero, 0.0))
-    # the next row runs on the 10 columns the last one held, one short of
-    # k + 6, and still certifies
+    # the next row runs on the 6 columns the last one held, one short of
+    # k + 2, and still certifies
     again = obj.update(zero, 0.0, upd.warm, 0.0)
     assert again.warm.truncated and again.warm.captured == 5
     _assert_same_update(again, obj.update(zero, 0.0))
+
+
+def test_two_values_crossing_sigma0_in_one_row_fall_back(monkeypatch):
+    # both values of the k + 2 block beyond the four captured ones reach
+    # sigma0, so no Ritz value shows where the values above it end
+    s_prev = np.r_[50.0, 40.0, 30.0, 20.0, 0.9, 0.8, np.linspace(0.6, 0.1, 90)]
+    s_now = s_prev.copy()
+    s_now[4:6] = 1.2, 1.1
+    obj, warm, dlam = _two_rows(s_prev, s_now)
+    assert warm.captured == 4 and len(warm.vh) == 4 + envelope._EXTRA_COLUMNS == 6
+    zero = np.zeros(obj.shape)
+    upd, passes = _passes_of_update(monkeypatch, obj, zero, warm, dlam)
+    assert passes == upd.warm.passes == 1  # the k == p exit of the first pass
+    assert not upd.warm.truncated and upd.warm.fallbacks == 1
+    assert upd.warm.captured == 6
+    _assert_same_update(upd, obj.update(zero, 0.0))
 
 
 def test_nonfinite_g_never_passes_the_certificate(monkeypatch):

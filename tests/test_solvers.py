@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from doubles import ToyObjective, ZeroSubspace, toy_conjugate
-from slra import envelope, harness, solvers
+from doubles import ToyObjective, ZeroSubspace, assert_same_run, never_truncate, toy_conjugate
+from slra import harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.matops import frobenius_inner
@@ -330,31 +330,15 @@ def _freqest_trial_run(monkeypatch, snr_dbw):
     return study, *calls[0]
 
 
-def _never_truncate(monkeypatch):
-    """Every truncated attempt fails without a pass: every row takes the
-    full SVD."""
-    monkeypatch.setattr(envelope, "_truncated_svd", lambda *a: (0, None))
-
-
-def _assert_same_run(fast, full):
-    assert fast.n_iters == full.n_iters
-    assert_array_equal(fast.trace.best_n, full.trace.best_n)
-    assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
-    assert_allclose(fast.trace.lambda_norm, full.trace.lambda_norm, rtol=1e-9)
-    assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
-
-
 @pytest.mark.parametrize("snr_dbw", [0.0, 15.0, 20.0])
 def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
     study, obj, fast = _freqest_trial_run(monkeypatch, snr_dbw)
-    _never_truncate(monkeypatch)
+    never_truncate(monkeypatch)
     full_study, _, full = _freqest_trial_run(monkeypatch, snr_dbw)
 
     truncated = fast.n_iters + 1 - fast.full_svds
-    if snr_dbw > 0:  # row 0 has no warm start; every later row is truncated
-        assert fast.full_svds == 1
-    else:  # a few early attempts fall back, and the backoff prices some rows
-        assert 1 < fast.full_svds < 0.02 * truncated
+    # row 0 has no warm start; every later row is truncated, at 0 dBW too
+    assert fast.full_svds == 1
     # the secant start certifies most rows after one pass; at 0 dBW each
     # pass cuts the residual only a few fold
     assert study["passes_per_truncated_row"] == fast.passes / truncated
@@ -363,7 +347,7 @@ def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
         key: study[key] for key in ("full_svd_fraction", "passes_per_truncated_row")}}]
     assert full_study["full_svd_fraction"] == 1.0
     assert full.full_svds == full.n_iters + 1 and full.passes == 0
-    _assert_same_run(fast, full)
+    assert_same_run(fast, full)
     # the residual ends near 1e-6, so its own rounding is about 5e-7 of it
     assert_allclose(fast.trace.feas_residual, full.trace.feas_residual,
                     rtol=0, atol=1e-9 * np.linalg.norm(obj.F))
@@ -382,11 +366,25 @@ def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
     obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
     cfg = SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1, max_iters=100)
     fast = run(obj, sub, cfg)
-    _never_truncate(monkeypatch)
+    never_truncate(monkeypatch)
     full = run(obj, sub, cfg)
     assert fast.full_svds < (fast.n_iters + 1) / 2 and fast.passes > 0
     assert full.full_svds == full.n_iters + 1
-    _assert_same_run(fast, full)
+    assert_same_run(fast, full)
+
+
+@pytest.mark.parametrize("variant", [solvers.DA, solvers.MOD_ADA])
+def test_cosine_sum_run_matches_full_svd_path(monkeypatch, variant):
+    # a converge trial's problem: 101x100 real Hankel data, sigma0 = 0.8 and
+    # 100 iterations; all but a few rows are truncated
+    obj, sub, _ = hankel_problem(1, rows=101, cols=100, sigma0=0.8)
+    cfg = harness._method_config(variant, 0.1, 100)
+    fast = run(obj, sub, cfg)
+    never_truncate(monkeypatch)
+    full = run(obj, sub, cfg)
+    assert fast.n_iters == 100 and fast.full_svds < 5 and fast.passes > 0
+    assert full.full_svds == full.n_iters + 1
+    assert_same_run(fast, full)
 
 
 def _weyl_steps(monkeypatch):
