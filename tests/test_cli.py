@@ -163,11 +163,11 @@ def test_noise_free_model_of_large_amplitude_stays_in_the_complement(variant, tm
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
-def test_golden_solves_match_the_full_svd_path(case, tmp_path, monkeypatch):
+def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
     # the golden problems have 12 to 15 columns and capture few values, so
     # a row's pass budget min(M, N) / (k + 2) reaches the two passes a
-    # truncated attempt needs; whatever rows the attempts certify, the
-    # solve matches one that prices every row by the full SVD
+    # truncated attempt needs; whatever rows the attempts certify, each
+    # solve matches the same solve with every row priced by a full SVD
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")
