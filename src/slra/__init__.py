@@ -11,7 +11,6 @@ from .esprit import esprit_estimate, esprit_hankel_error
 from .matops import (
     f_alpha,
     f_hard,
-    frobenius_inner,
     numerical_rank,
 )
 from .signals import (

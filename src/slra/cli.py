@@ -58,24 +58,30 @@ def build_parser():
                     "(dual ascent on Hankel subspaces).",
     )
     # None marks a flag not given; the defaults are ExperimentConfig's
-    p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+    defaults = harness.ExperimentConfig
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"base seed (default {defaults.seed})")
     p.add_argument("--trials", type=int, default=None,
-                   help="Monte-Carlo trials per setting (default 100)")
+                   help=f"Monte-Carlo trials per setting (default {defaults.trials})")
     p.add_argument("--iters", type=int, default=None,
-                   help="iteration budget (default 100)")
+                   help=f"iteration budget (default {defaults.iters})")
     p.add_argument("--alpha", type=float, default=None,
-                   help="augmentation weight / fixed step (default 0.1)")
+                   help=f"augmentation weight / fixed step (default {defaults.alpha})")
     p.add_argument("--sigma0", type=str, default=None,
-                   help="penalty level: explicit value or 'gap:P' heuristic")
-    p.add_argument("--out", type=str, default="out", help="output directory")
+                   help="penalty level: explicit value or 'gap:P' heuristic "
+                        f"(default {defaults.sigma0})")
+    p.add_argument("--out", type=str, default=None,
+                   help=f"output directory (default {defaults.output_dir})")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file whose entries override the flags")
     sub = p.add_subparsers(dest="experiment", required=True)
     for name in ("converge", "toy"):
         sub.add_parser(name)
     pf = sub.add_parser("freqest")
+    levels = harness.FREQEST_SNR_LEVELS
     pf.add_argument("--snr-levels", type=str, default=None,
-                    help="comma-separated SNR levels in dBW (default 0, 2.5, ..., 25)")
+                    help="comma-separated SNR levels in dBW "
+                         f"(default {levels[0]:g}, {levels[1]:g}, ..., {levels[-1]:g})")
     ps = sub.add_parser("solve")
     ps.add_argument("--input", required=True,
                     help="signal CSV (index,re,im), model JSON, or .npy matrix")
@@ -108,6 +114,8 @@ def _apply_config_file(args, parser):
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"config file must hold a JSON object, got {overrides!r}")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for p in (parser, *sub.choices.values()) for a in p._actions}
     for key, value in overrides.items():
@@ -135,34 +143,28 @@ def main(argv=None) -> int:
     if args.experiment == "solve" and args.variant == solvers.DA and args.alpha is not None:
         parser.error("solve --variant da does not read --alpha")
 
+    # only the values given reach the harness, which owns the defaults
+    given = {k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
+             if getattr(args, k) is not None}
+    if args.out is not None:
+        given["output_dir"] = args.out
     if args.sigma0 is not None:
         try:
-            sigma0, gap_p = _parse_sigma0(str(args.sigma0))
+            given["sigma0"], given["sigma0_gap_p"] = _parse_sigma0(str(args.sigma0))
         except ValueError:
             parser.error(f"bad --sigma0 value {args.sigma0!r}")
     elif args.experiment == "solve":
         parser.error("solve requires --sigma0 (explicit value or gap:P)")
-    else:
-        # the cosine-sum protocol default; freqest pins its own heuristic
-        sigma0, gap_p = harness.COSSUM_SIGMA0, None
 
-    if args.experiment == "freqest":
-        snr_levels = harness.FREQEST_SNR_LEVELS
-        if args.snr_levels is not None:
-            try:
-                snr_levels = _parse_snr_levels(args.snr_levels)
-            except ValueError:
-                parser.error(f"bad --snr-levels value {args.snr_levels!r}")
+    freqest_args = {}
+    if args.experiment == "freqest" and args.snr_levels is not None:
+        try:
+            freqest_args["snr_levels"] = _parse_snr_levels(args.snr_levels)
+        except ValueError:
+            parser.error(f"bad --snr-levels value {args.snr_levels!r}")
 
     try:
-        config = harness.ExperimentConfig(
-            experiment=args.experiment,
-            **{k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
-               if getattr(args, k) is not None},
-            sigma0=sigma0,
-            sigma0_gap_p=gap_p,
-            output_dir=args.out,
-        )
+        config = harness.ExperimentConfig(args.experiment, **given)
         if args.experiment == "converge":
             report = harness.cmd_converge(config)
             for m, v in report.gt_distance.items():
@@ -173,7 +175,7 @@ def main(argv=None) -> int:
             for n, x, lam in rows:
                 print(f"{n},{x:+.0f},{lam:.12f}")
         elif args.experiment == "freqest":
-            study = harness.cmd_freqest(config, snr_levels)
+            study = harness.cmd_freqest(config, **freqest_args)
             print(f"frobenius diff > 0 in {study['frob_positive_fraction']:.1%} "
                   f"of trials; l2 diff < 0 in {study['l2_negative_fraction']:.1%}")
         else:

@@ -9,7 +9,7 @@ whose conjugate and envelope are spectral functions of ``Lambda/2 + F`` and
 ``X`` respectively.  The quadratic penalty keeps the envelope tight near F,
 so no shrinkage applies to singular values above sigma0.  The argmin set
 of the tilted scalar toy |x^2 - 1| + lam * x steps the toy table of
-:func:`slra.harness.toy_table`.
+:func:`slra.harness.cmd_toy`.
 """
 
 import math
@@ -22,9 +22,7 @@ import numpy as np
 from .matops import (
     f_alpha,
     f_hard,
-    frobenius_inner,
     frobenius_norm,
-    numerical_rank,
     singular_values,
 )
 
@@ -32,18 +30,16 @@ from .matops import (
 #: flagged as degenerate (the minimizer stops being unique there)
 DEGENERATE_RTOL = 1e-8
 
-#: truncated SVD in :meth:`RankObjective.update`: block columns beyond the
-#: previous row's captured count, and the residual ||G V_k - U_k S_k||_F the
-#: captured triplets may leave, as a share of the leading Ritz value.  A
-#: row's passes of subspace iteration on a block of p columns are budgeted
-#: at B = min(M, N) / p, about the cost of one full SVD of G.  On one
-#: OpenBLAS thread a full SVD took 5.7-7.1 passes at 48x47 complex and
-#: p = 6 (B = 7.8), 9.7-10.4 at 64x63 (10.5), 25-26 at 129x129 (21.5) and
-#: 8.1-8.5 at 101x100 real with p = 16 (6.2), but only 2.5-2.8 at 30x29
-#: complex, where B = 4.8 overprices the full SVD.  Two extra columns: the
-#: values just past the k-th form a flat noise bulk, so the residual cut
-#: of a pass hardly depends on p, while six cost 17-46% more per pass at
-#: these sizes
+#: truncated SVD of :meth:`RankObjective.update`, whose docstring gives the
+#: policy: block columns beyond the previous row's captured count, and the
+#: residual the captured triplets may leave, as a share of the leading Ritz
+#: value.  Two extra columns, because the values just past the k-th form a
+#: flat noise bulk, so the residual cut of a pass hardly depends on p,
+#: while six cost 17-46% more per pass.  On one OpenBLAS thread a full SVD
+#: cost 5.7-7.1 passes at 48x47 complex and p = 6 (budget B = 7.8),
+#: 9.7-10.4 at 64x63 (10.5), 25-26 at 129x129 (21.5) and 8.1-8.5 at
+#: 101x100 real with p = 16 (6.2), but only 2.5-2.8 at 30x29 complex,
+#: where B = 4.8 overprices it
 _EXTRA_COLUMNS = 2
 _RESIDUAL_RTOL = 1e-12
 
@@ -200,12 +196,6 @@ class RankObjective:
             raise ValueError(f"expected shape {self.F.shape}, got {x.shape}")
         return x
 
-    def primal_value(self, x, rel_tol: float = 1e-9) -> float:
-        """sigma0^2 * rank(X) + ||X - F||^2 at numerical-rank tolerance
-        ``rel_tol``."""
-        x = self._check(x)
-        return self.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - self.F) ** 2
-
     def dual_value_da(self, lam) -> float:
         """Dual function of the plain scheme, -conjugate(-Lambda) =
         ||F||^2 - sum_j max(sigma_j^2(F - Lambda/2) - sigma0^2, 0), from
@@ -316,7 +306,7 @@ class RankObjective:
             raise ValueError("alpha must be positive")
         lam = self._check(lam)
         upd = self.update(lam, alpha)
-        return upd.envelope_at_x + frobenius_inner(upd.x, lam) + 0.5 * alpha * upd.x_norm_sq
+        return upd.envelope_at_x + float(np.vdot(upd.x, lam).real) + 0.5 * alpha * upd.x_norm_sq
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
         """Primal objective reported for a feasible point: the envelope

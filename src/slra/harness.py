@@ -19,7 +19,6 @@ says that nothing is pinned, and the last digits may then follow the
 BLAS thread count.
 """
 
-import contextlib
 import ctypes
 import functools
 import json
@@ -60,6 +59,9 @@ FREQEST_SNR_LEVELS = tuple(np.arange(0.0, 25.0 + 1e-9, 2.5))
 FREQEST_MAX_ITERS = 2000
 FREQEST_GAP_P = 4
 
+#: bins of each SNR level's histogram in ``freqest_hist.csv``
+FREQEST_HIST_BINS = 24
+
 #: exact multiplier values of the first five scalar-toy iterations
 TOY_LAMBDA_TABLE = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
 
@@ -70,6 +72,9 @@ TOY_LAMBDA_TABLE = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
 #: heuristic would force an exact rank-8 first iterate and erase the slow
 #: fixed-step behaviour the table documents.
 COSSUM_SIGMA0 = 0.8
+
+#: noise standard deviation of the cosine-sum protocol (``noise_sigma``)
+COSSUM_NOISE_SIGMA = 0.1
 
 #: never-satisfied residual threshold: forces a fixed iteration count
 _NO_STOP = 1e-300
@@ -86,7 +91,6 @@ class ExperimentConfig:
     alpha: float = 0.1
     sigma0: Optional[float] = COSSUM_SIGMA0  # explicit penalty level
     sigma0_gap_p: Optional[int] = None       # or spectral-gap heuristic order
-    noise_sigma: Optional[float] = 0.1
     seed: int = 0
     output_dir: Path = Path("out")
 
@@ -96,11 +100,6 @@ class ExperimentConfig:
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         self.output_dir = Path(self.output_dir)
-
-    def to_json_dict(self):
-        d = asdict(self)
-        d["output_dir"] = str(d["output_dir"])
-        return d
 
 
 @dataclass
@@ -155,41 +154,35 @@ def _openblas_threads():
     return None
 
 
-def _pin_blas_single_threaded():
-    # at the matrix sizes used here, threaded BLAS kernels are slower than
-    # single-threaded ones and oversubscribe the trial worker pool
-    threads = _openblas_threads()
-    if threads is not None:
-        threads[1](1)
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """One BLAS thread inside the block, the previous count after it."""
+def _set_blas_threads(n):
+    """Set the OpenBLAS thread count to ``n``; returns the count before,
+    or ``n`` itself when no OpenBLAS is found, so that setting the returned
+    count back is always a restore."""
     threads = _openblas_threads()
     if threads is None:
-        yield
-        return
+        return n
     get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    previous = get()
+    set_(n)
+    return previous
 
 
 def _map_trials(fn, items):
+    # at the matrix sizes used here, threaded BLAS kernels are slower than
+    # single-threaded ones and oversubscribe the trial worker pool
     items = list(items)
     workers = min(_worker_count(), len(items)) if items else 1
     if workers <= 1:
-        with _single_blas_thread():
+        previous = _set_blas_threads(1)
+        try:
             return [fn(it) for it in items]
+        finally:
+            _set_blas_threads(previous)
     # imported here, so that a run without a pool never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pin_blas_single_threaded
+        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
     ) as ex:
         chunk = max(1, len(items) // (4 * workers))
         return list(ex.map(fn, items, chunksize=chunk))
@@ -219,13 +212,13 @@ def _resolve_sigma0(F, sigma0, gap_p):
 def _cossum_trial(args):
     """One random-instance run of all three methods; returns curves,
     normalized ground-truth distances and leading singular values."""
-    (trial_seed, iters, alpha, sigma0, gap_p, noise_sigma) = args
+    (trial_seed, iters, alpha, sigma0, gap_p) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
     rows, cols = 101, 100
     sub = HankelSubspace(rows, cols)
     h_gt = sub.from_vector(f)
-    noisy = add_noise(h_gt, NoiseSpec(sigma=noise_sigma), rng=rng)
+    noisy = add_noise(h_gt, NoiseSpec(sigma=COSSUM_NOISE_SIGMA), rng=rng)
     obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0, gap_p))
     gt_norm = float(np.linalg.norm(h_gt))
 
@@ -250,31 +243,6 @@ def _cossum_trial(args):
     return out
 
 
-def run_cossum_study(config: ExperimentConfig) -> AggregateReport:
-    """Random cosine-sum protocol: rank-8 101x100 Hankel ground truth,
-    elementwise Gaussian noise, all three methods for a fixed iteration
-    budget."""
-    items = [
-        (config.seed + t, config.iters, config.alpha, config.sigma0,
-         config.sigma0_gap_p, config.noise_sigma)
-        for t in range(config.trials)
-    ]
-    results = _map_trials(_cossum_trial, items)
-    mean = lambda key: np.mean(np.stack([r[key] for r in results]), axis=0)
-    prim, dual = mean("primal"), mean("dual")
-    sv_out = mean("sv_out")
-    return AggregateReport(
-        primal_curves={m: prim[i] for i, m in enumerate(METHODS)},
-        dual_curves={m: dual[i] for i, m in enumerate(METHODS)},
-        gt_distance=dict(zip(METHODS, mean("dist"))),
-        singvals={
-            "noisy": mean("sv_noisy"),
-            "ground_truth": mean("sv_gt"),
-            **{m: sv_out[i] for i, m in enumerate(METHODS)},
-        },
-    )
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -290,10 +258,30 @@ def _write_json(path, doc):
 
 
 def cmd_converge(config: ExperimentConfig) -> AggregateReport:
-    """Mean primal and dual curves, mean normalized distance
-    ||H - H_gt|| / ||H_gt|| to the ground truth, and mean leading singular
-    values of data, truth and the three methods, from one study run."""
-    report = run_cossum_study(config)
+    """Random cosine-sum protocol: rank-8 101x100 Hankel ground truth,
+    elementwise Gaussian noise, all three methods for a fixed iteration
+    budget.  Writes and returns the mean primal and dual curves, mean
+    normalized distance ||H - H_gt|| / ||H_gt|| to the ground truth, and
+    mean leading singular values of data, truth and the three methods."""
+    items = [
+        (config.seed + t, config.iters, config.alpha, config.sigma0,
+         config.sigma0_gap_p)
+        for t in range(config.trials)
+    ]
+    results = _map_trials(_cossum_trial, items)
+    mean = lambda key: np.mean(np.stack([r[key] for r in results]), axis=0)
+    prim, dual = mean("primal"), mean("dual")
+    sv_out = mean("sv_out")
+    report = AggregateReport(
+        primal_curves={m: prim[i] for i, m in enumerate(METHODS)},
+        dual_curves={m: dual[i] for i, m in enumerate(METHODS)},
+        gt_distance=dict(zip(METHODS, mean("dist"))),
+        singvals={
+            "noisy": mean("sv_noisy"),
+            "ground_truth": mean("sv_gt"),
+            **{m: sv_out[i] for i, m in enumerate(METHODS)},
+        },
+    )
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = [(m, n, float(report.primal_curves[m][n]), float(report.dual_curves[m][n]))
@@ -306,7 +294,8 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
                [(series, j, float(v)) for series, vals in report.singvals.items()
                 for j, v in enumerate(vals, start=1)])
     _write_json(out / "converge_summary.json", {
-        "config": config.to_json_dict(),
+        "config": {**asdict(config), "output_dir": str(out),
+                   "noise_sigma": COSSUM_NOISE_SIGMA},
         "final_gap": {
             m: float(report.primal_curves[m][-1] - report.dual_curves[m][-1])
             for m in METHODS
@@ -316,27 +305,20 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
     return report
 
 
-def toy_table(n_iters: int = 5):
-    """Plain dual ascent on the scalar toy |x^2 - 1| subject to x = 0, with
-    harmonic steps: returns [(n, x_n, lambda_n)], x_n the larger minimizer
-    of |x^2 - 1| + lambda_{n-1} x and lambda_n = lambda_{n-1} + x_n / n
-    (the complement of {0} is everything, so the whole of x_n enters)."""
+def cmd_toy(config: ExperimentConfig):
+    """Persist and return the five-iteration toy table: plain dual ascent on
+    the scalar toy |x^2 - 1| subject to x = 0, with harmonic steps, as rows
+    (n, x_n, lambda_n), x_n the larger minimizer of
+    |x^2 - 1| + lambda_{n-1} x and lambda_n = lambda_{n-1} + x_n / n
+    (the complement of {0} is everything, so the whole of x_n enters).  The
+    multiplier column must match the known exact values to 1e-12."""
     lam, rows = 0.0, []
-    for n in range(1, n_iters + 1):
+    for n, ref in enumerate(TOY_LAMBDA_TABLE, start=1):
         x = float(max(toy_tilted_minimizers(lam)))
         lam = lam + (1.0 / n) * x
+        if abs(lam - ref) > 1e-12:
+            raise AssertionError(f"toy multiplier {lam} != {ref} at n={n}")
         rows.append((n, x, lam))
-    return rows
-
-
-def cmd_toy(config: ExperimentConfig):
-    """Print and persist the five-iteration toy table; the multiplier
-    column must match the known exact values to 1e-12."""
-    rows = toy_table(5)
-    for (n, _, lam_n) in rows:
-        ref = TOY_LAMBDA_TABLE[n - 1]
-        if abs(lam_n - ref) > 1e-12:
-            raise AssertionError(f"toy multiplier {lam_n} != {ref} at n={n}")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "toy_table.csv", ("n", "x", "lambda"), rows)
@@ -422,15 +404,15 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     }
 
 
-def _histogram_rows(norm_name, snr_levels, diffs, n_bins=24):
+def _histogram_rows(norm_name, snr_levels, diffs):
     lo, hi = float(np.min(diffs)), float(np.max(diffs))
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, FREQEST_HIST_BINS + 1)
     rows = []
     for li, snr in enumerate(snr_levels):
         counts, _ = np.histogram(diffs[li], bins=edges)
-        for b in range(n_bins):
+        for b in range(FREQEST_HIST_BINS):
             rows.append((norm_name, float(snr), float(edges[b]),
                          float(edges[b + 1]), int(counts[b])))
     return rows
@@ -462,14 +444,8 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
             "experiment": config.experiment, "trials": config.trials, "seed": config.seed,
             "output_dir": str(out), "sigma0": f"gap:{FREQEST_GAP_P}", "max_iters": max_iters,
         },
-        "snr_levels": [float(v) for v in snr_levels],
-        "frob_positive_fraction": study["frob_positive_fraction"],
-        "l2_negative_fraction": study["l2_negative_fraction"],
-        "converged_fraction": study["converged_fraction"],
-        "mean_iters": study["mean_iters"],
-        "full_svd_fraction": study["full_svd_fraction"],
-        "passes_per_truncated_row": study["passes_per_truncated_row"],
-        "levels": study["levels"],
+        **{k: v for k, v in study.items() if k not in ("frob_diff", "l2_diff")},
+        "snr_levels": snr_levels.tolist(),
     })
     return study
 
@@ -498,8 +474,8 @@ def load_solve_input(path):
     return F, HankelSubspace(*F.shape)
 
 
-def cmd_solve(input_path, config: ExperimentConfig, variant: str = solvers.DA,
-              stop_tol: float = 1e-6, rank_tol: float = 1e-9):
+def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: float,
+              rank_tol: float):
     """Solve a user problem and persist the solution, multiplier, trace
     and a JSON summary, which counts the rows priced by a full SVD
     (``full_svds``) and the truncated-SVD passes (``passes``)."""

@@ -14,23 +14,6 @@ def _as_matrix(a):
     return a
 
 
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def frobenius_inner(a, b) -> float:
-    """Real Frobenius inner product Re(sum(conj(a_ij) * b_ij)).
-
-    Symmetric on complex matrices and reduces to the usual trace inner
-    product for real ones; ``frobenius_inner(a, a)`` is the squared
-    Frobenius norm of ``a``.
-    """
-    a, b = _as_matrix(a), _as_matrix(b)
-    _check_same_shape(a, b)
-    return float(np.real(np.vdot(a, b)))
-
-
 def frobenius_norm(a) -> float:
     """Frobenius norm of an array of any shape, sqrt(Re(sum(conj(a_ij) * a_ij))).
 

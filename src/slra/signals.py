@@ -140,29 +140,21 @@ def sigma0_heuristic(F, P: int) -> float:
     return float(0.5 * (s[P - 1] + s[P]))
 
 
-def hankel_shape(n_samples: int) -> tuple:
-    """Near-square Hankel shape (rows, cols), rows >= cols, using all
-    rows + cols - 1 = n_samples values."""
-    rows = n_samples // 2 + 1
-    return rows, n_samples + 1 - rows
-
-
 def signal_to_hankel(f) -> np.ndarray:
-    """Near-square Hankel matrix generated by a signal vector."""
+    """Near-square Hankel matrix generated by a signal vector: rows >= cols,
+    using all rows + cols - 1 = f.size values."""
     f = np.asarray(f)
-    rows, cols = hankel_shape(f.size)
-    return HankelSubspace(rows, cols).from_vector(f)
+    rows = f.size // 2 + 1
+    return HankelSubspace(rows, f.size + 1 - rows).from_vector(f)
 
 
-def save_signal_csv(path, f, indices=None):
-    """Write a signal as CSV rows (index, re, im)."""
+def save_signal_csv(path, f):
+    """Write a signal as CSV rows (index, re, im), indexed from 0."""
     f = np.asarray(f)
-    if indices is None:
-        indices = np.arange(f.size)
     with open(path, "w") as fh:
         fh.write("index,re,im\n")
         fh.writelines(f"{j:.17g},{re:.17g},{im:.17g}\n" for j, re, im in
-                      zip(np.asarray(indices).tolist(), f.real.tolist(), f.imag.tolist()))
+                      zip(range(f.size), f.real.tolist(), f.imag.tolist()))
 
 
 def load_signal_csv(path) -> tuple:
@@ -173,13 +165,28 @@ def load_signal_csv(path) -> tuple:
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
 
 
+def _json_number(doc, key):
+    """``doc[key]`` of a model JSON object; ValueError when it is missing
+    or no number."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"model JSON needs a number under {key!r}, got {value!r}")
+    return value
+
+
 def load_model_json(path) -> SignalModel:
+    """Read a model JSON: a list of terms {c_re, c_im, zeta_re, zeta_im},
+    the scale ``delta`` and a grid {start, step, count}, all numbers."""
     with open(path) as fh:
         doc = json.load(fh)
+    terms, g = (doc.get("terms"), doc.get("grid")) if isinstance(doc, dict) else (None, None)
+    if not isinstance(terms, list) or not isinstance(g, dict):
+        raise ValueError("model JSON needs a list under 'terms' and an object under 'grid'")
     terms = tuple(
-        (complex(t["c_re"], t["c_im"]), complex(t["zeta_re"], t["zeta_im"]))
-        for t in doc["terms"]
+        (complex(_json_number(t, "c_re"), _json_number(t, "c_im")),
+         complex(_json_number(t, "zeta_re"), _json_number(t, "zeta_im")))
+        for t in terms
     )
-    g = doc["grid"]
-    indices = g["start"] + g["step"] * np.arange(g["count"])
-    return SignalModel(terms, indices, float(doc["delta"]))
+    count = _json_number(g, "count")
+    indices = _json_number(g, "start") + _json_number(g, "step") * np.arange(count)
+    return SignalModel(terms, indices, float(_json_number(doc, "delta")))

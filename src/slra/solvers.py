@@ -4,7 +4,7 @@ Three variants share one loop, and each fixes its own step rule (see
 :class:`SolverConfig`):
 
 * ``da``      -- hard-threshold primal update, decaying steps 1/(n+1)
-                 (or min(1, 1/sqrt(n+1))), best-iterate tracking on the
+                 (or 1/sqrt(n+1)), best-iterate tracking on the
                  dual values.
 * ``ada``     -- augmented primal update with weight alpha, fixed step
                  alpha; the whole sequence converges.
@@ -12,20 +12,14 @@ Three variants share one loop, and each fixes its own step rule (see
                  decay to alpha, taking large steps early on.
 
 The multiplier always stays in the orthogonal complement of the constraint
-subspace.  Each trace row costs one SVD of F - Lambda/2, truncated or full
-(plus one values-only SVD per row when feasible primal values are
-tracked): the objective may price a row from a warm-started truncated SVD,
-one attempt per row, whose block subspace iteration starts from a secant
-prediction of the row's singular subspace out of the two previous rows
-(or else from the previous row's block) and spends at most min(M, N) / p
-passes on a block of p columns, about the cost of one full SVD, and falls
-back to the full SVD whenever it cannot certify the truncation (see
-:meth:`slra.envelope.RankObjective.update`).  The certificate carries a
-bound on the row's (k+1)-th singular value from row to row by Weyl's
-inequality, which needs a bound on how far F - Lambda/2 moved; the run
-knows the multiplier's step as step * ||X - P(X)|| and hands the
-objective that figure plus a rounding margin, so no row sweeps the
-difference of two matrices for it.
+subspace.  Each trace row costs one SVD of F - Lambda/2 (plus one
+values-only SVD per row when feasible primal values are tracked), which
+the objective may truncate, warm-started from the rows before, or else
+take in full (see :meth:`slra.envelope.RankObjective.update`, which gives
+the policy).  Certifying a truncation needs a bound on how far
+F - Lambda/2 moved since the previous row; the run knows the multiplier's
+step as step * ||X - P(X)|| and hands the objective that figure plus a
+rounding margin, so no row sweeps the difference of two matrices for it.
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
 the conjugate-based dual function at Lambda^n.  For ``ada`` the recorded
@@ -78,7 +72,7 @@ class SolverConfig:
     """Variant and stopping parameters for :func:`run`; the variant fixes
     the step alpha_n that multiplies the n-th multiplier update.
 
-    ``da`` takes decaying steps 1/(n+1), or min(1, 1/sqrt(n+1)) with
+    ``da`` takes decaying steps 1/(n+1), or 1/sqrt(n+1) with
     ``sqrt_steps``, and needs ``alpha_reg == 0``.  ``ada`` takes the fixed
     step ``alpha_reg``, its augmentation weight, and ``mod_ada`` the steps
     2/(n+1)^2 + ``alpha_reg``, which decay to it; both need a finite
@@ -114,7 +108,7 @@ class SolverConfig:
         if self.variant == MOD_ADA:
             return 2.0 / (n + 1) ** 2 + self.alpha_reg
         if self.sqrt_steps:
-            return min(1.0, 1.0 / np.sqrt(n + 1))
+            return 1.0 / np.sqrt(n + 1)
         return 1.0 / (n + 1)
 
 

@@ -1,14 +1,15 @@
 """Test doubles of the solver protocol: the scalar toy |x^2 - 1| with the
 constraint x = 0, the standard example of dual ascent oscillating between
-primal minimizers.
+primal minimizers, and the tests' reference evaluators.
 
 ``ToyObjective`` models the toy on 1x1 matrices, so that
 :func:`slra.solvers.run` treats it like any other objective, and
 ``ZeroSubspace`` is the trivial subspace {0}, whose complement is the whole
 space.  ``never_truncate`` stubs out the truncated SVD, so that a run
 prices every row by the full SVD, and ``assert_same_run`` compares a run
-with that reference path.  The module name does not match ``test_*.py``:
-the tests import it, pytest does not collect it.
+with that reference path.  ``primal_value`` prices the paper's
+non-convex objective, which no solver evaluates.  The module name does
+not match ``test_*.py``: the tests import it, pytest does not collect it.
 """
 
 import numpy as np
@@ -16,7 +17,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from slra import envelope
 from slra.envelope import PrimalUpdate, toy_tilted_minimizers
+from slra.matops import frobenius_norm, numerical_rank
 from slra.subspace import SubspaceOp
+
+
+def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
+    """sigma0^2 * rank(X) + ||X - F||^2 of the ``RankObjective`` ``obj`` at
+    numerical-rank tolerance ``rel_tol``."""
+    x = obj._check(x)
+    return obj.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - obj.F) ** 2
 
 
 def toy_conjugate(lam: float) -> float:

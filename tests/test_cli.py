@@ -402,6 +402,41 @@ def test_config_key_that_is_no_flag_is_usage_error(doc, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], 3, "alpha"], ids=["list", "number", "string"])
+def test_config_that_is_no_object_is_usage_error(doc, tmp_path):
+    proc = _slra(["--config", _config(tmp_path, doc), "--out", "o", "toy"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == \
+        f"slra: error: config file must hold a JSON object, got {doc!r}"
+    assert not (tmp_path / "o").exists()
+
+
+_TERM = {"c_re": 1.0, "c_im": 0.0, "zeta_re": 0.0, "zeta_im": 0.5}
+_GRID = {"start": 0.0, "step": 1.0, "count": 30}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"terms": []}, "terms"),
+    ({"terms": [{**_TERM, "c_im": None}], "delta": 1.0, "grid": _GRID}, "c_im"),
+    ({"terms": [{k: v for k, v in _TERM.items() if k != "c_im"}], "delta": 1.0,
+      "grid": _GRID}, "c_im"),
+    ({"terms": [{**_TERM, "c_re": "1.0"}], "delta": 1.0, "grid": _GRID}, "c_re"),
+    ({"terms": [_TERM], "delta": 1.0, "grid": {**_GRID, "count": "30"}}, "count"),
+    ({"terms": [_TERM], "grid": _GRID}, "delta"),
+    ({"terms": [_TERM], "delta": 1.0, "grid": [0.0, 1.0, 30]}, "grid"),
+    ([_TERM], "terms"),
+], ids=["no-grid", "null-amplitude", "no-c_im", "string-amplitude", "string-count",
+        "no-delta", "grid-list", "top-level-list"])
+def test_malformed_model_json_is_usage_error(doc, key, tmp_path, capsys, monkeypatch):
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:1", "solve", "--input", "model.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model JSON") and repr(key) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_numeric_matrix_input_is_usage_error(tmp_path, capsys, monkeypatch):
     np.save(tmp_path / "text.npy", np.array([["a", "b"], ["c", "d"]]))
     monkeypatch.chdir(tmp_path)

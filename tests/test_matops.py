@@ -8,7 +8,6 @@ from slra.envelope import RankObjective
 from slra.matops import (
     f_alpha,
     f_hard,
-    frobenius_inner,
     frobenius_norm,
     numerical_rank,
     singular_values,
@@ -30,34 +29,6 @@ def scalar_threshold_objective(sigma, phi, sigma0, alpha):
         + (sigma - phi) ** 2
         + 0.5 * alpha * sigma**2
     )
-
-
-def test_frobenius_inner_identity():
-    eye = np.eye(2)
-    assert frobenius_inner(eye, eye) == 2.0
-
-
-def test_frobenius_inner_zero():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert frobenius_inner(a, np.zeros_like(a)) == 0.0
-
-
-def test_frobenius_inner_complex_hand_value():
-    a = np.array([[1j]])
-    assert frobenius_inner(a, a) == pytest.approx(1.0)
-
-
-def test_frobenius_inner_symmetric_and_norm_consistent():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a))
-    assert frobenius_inner(a, a) == pytest.approx(np.linalg.norm(a) ** 2)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_frobenius_norm_matches_numpy_on_real_and_complex_input():

@@ -1,38 +1,67 @@
 """The package holds only code that the program or the benchmark calls.
 
 Every function, method and class defined in ``src/slra`` (``__init__.py``
-aside) must be named, as a word, somewhere else in ``src/slra`` or in
-``bench/*.py``: code that only the tests call belongs in the tests.  The
-few reference evaluators that the tests need from the library are listed
-below with their reason.
+aside) must be referenced by code elsewhere in ``src/slra`` or in
+``bench/*.py``: code that only the tests call belongs in the tests.  A
+reference is a name, an attribute or a string constant (``bench/tracing.py``
+wraps functions by their names as strings); docstrings, comments and the
+definition's own body do not count.
 """
 
 import ast
-import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: names that only the tests call, each kept for the reason given
-ALLOWED = {
-    "primal_value": "the paper's non-convex objective, the tests' reference",
-}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(tree):
+    """The string constants that are docstrings of ``tree``'s module,
+    classes and functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *DEFINITIONS))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _references(tree):
+    """(name, line) of every name, attribute and non-docstring string
+    constant in ``tree``."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield node.value, node.lineno
 
 
 def test_every_definition_is_called_outside_the_tests():
-    files = [p for p in sorted((ROOT / "src" / "slra").glob("*.py")) if p.name != "__init__.py"]
-    text = "\n".join(p.read_text() for p in files + sorted((ROOT / "bench").glob("*.py")))
-    names = {
-        node.name
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-    }
-    assert ALLOWED.keys() <= names, "the allowlist names a definition that is gone"
+    src = [p for p in sorted((ROOT / "src" / "slra").glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in src + sorted((ROOT / "bench").glob("*.py"))}
+    references = defaultdict(list)  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            references[name].append((path, line))
+
+    def referenced_outside(path, node):
+        return any(p != path or not node.lineno <= line <= node.end_lineno
+                   for p, line in references[node.name])
+
     unused = sorted(
-        name for name in names - ALLOWED.keys()
-        if len(re.findall(rf"\b{name}\b", text))
-        == len(re.findall(rf"\b(?:def|class)\s+{name}\b", text))
+        node.name
+        for path in src
+        for node in ast.walk(trees[path])
+        if isinstance(node, DEFINITIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not referenced_outside(path, node)
     )
-    assert unused == [], f"defined in src/slra but named nowhere else: {unused}"
+    assert unused == [], f"defined in src/slra but referenced nowhere else: {unused}"

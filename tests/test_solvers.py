@@ -9,7 +9,6 @@ from doubles import ToyObjective, ZeroSubspace, assert_same_run, never_truncate,
 from slra import harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
-from slra.matops import frobenius_inner
 from slra.signals import (
     NoiseSpec,
     add_noise,
@@ -52,6 +51,10 @@ def test_schedule_values():
     assert SolverConfig(solvers.MOD_ADA, 0.1).step(9) == pytest.approx(0.12)
     assert SolverConfig(solvers.DA, sqrt_steps=True).step(0) == 1.0
     assert SolverConfig(solvers.DA, sqrt_steps=True).step(3) == 0.5
+    # 1/sqrt(n + 1) <= 1 for n >= 0: no step needs a cap at 1
+    sqrt_cfg = SolverConfig(solvers.DA, sqrt_steps=True)
+    for n in range(2001):
+        assert sqrt_cfg.step(n) == min(1.0, 1.0 / np.sqrt(n + 1))
 
 
 def test_da_steps_meet_the_decaying_step_condition():
@@ -413,7 +416,7 @@ def test_weyl_step_bounds_the_move_of_g_on_every_warm_row(monkeypatch, trial):
     steps = _weyl_steps(monkeypatch)
     if trial == "converge":  # da, ada and mod_ada, 100 rows after row 0 each
         c = ExperimentConfig("converge")
-        harness._cossum_trial((1, 100, c.alpha, c.sigma0, c.sigma0_gap_p, c.noise_sigma))
+        harness._cossum_trial((1, 100, c.alpha, c.sigma0, c.sigma0_gap_p))
         rows = 3 * 100
     else:
         snr_dbw = float(trial.split()[1])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from slra.matops import frobenius_inner
 from slra.subspace import HankelSubspace
 
 
@@ -121,7 +120,7 @@ def test_projector_axioms(seed, m, n, cplx):
     # idempotent
     assert np.linalg.norm(sub.project(px) - px) <= 1e-12 * scale
     # self-adjoint
-    assert abs(frobenius_inner(px, y) - frobenius_inner(x, py)) <= 1e-12 * scale**2
+    assert abs(np.vdot(px, y).real - np.vdot(x, py).real) <= 1e-12 * scale**2
     # pythagoras
     r = x - px
     assert abs(np.linalg.norm(x) ** 2
