@@ -14,7 +14,6 @@ from .matops import (
     numerical_rank,
 )
 from .signals import (
-    NoiseSpec,
     SignalModel,
     add_noise,
     four_tone_model,
@@ -22,6 +21,7 @@ from .signals import (
     sample_signal,
     sigma0_heuristic,
     signal_to_hankel,
+    snr_to_sigma,
 )
 from .solvers import (
     ADA,

@@ -86,7 +86,7 @@ def build_parser():
     ps.add_argument("--input", required=True,
                     help="signal CSV (index,re,im), model JSON, or .npy matrix")
     ps.add_argument("--variant", choices=list(solvers.VARIANTS), default=solvers.DA)
-    ps.add_argument("--stop-tol", type=float, default=1e-6)
+    ps.add_argument("--stop-tol", type=float, default=solvers.SolverConfig.stop_tol)
     ps.add_argument("--rank-tol", type=float, default=1e-9)
     return p
 

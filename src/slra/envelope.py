@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .matops import (
+    _EPS,
     f_alpha,
     f_hard,
     frobenius_norm,
@@ -42,8 +43,6 @@ DEGENERATE_RTOL = 1e-8
 #: where B = 4.8 overprices it
 _EXTRA_COLUMNS = 2
 _RESIDUAL_RTOL = 1e-12
-
-_EPS = float(np.finfo(float).eps)
 
 
 class WarmStart(NamedTuple):
@@ -77,6 +76,11 @@ class PrimalUpdate:
     @cached_property
     def envelope_at_x(self) -> float:
         return self.envelope()
+
+    def augmented_dual(self, lam, alpha: float) -> float:
+        """envelope(x) + <x, lam> + (alpha/2)||x||^2, the dual value of the
+        fully augmented problem when ``lam`` is the input Lambda."""
+        return self.envelope_at_x + float(np.vdot(self.x, lam).real) + 0.5 * alpha * self.x_norm_sq
 
 
 def _env_terms(svals, sigma0):
@@ -197,12 +201,15 @@ class RankObjective:
         return x
 
     def dual_value_da(self, lam) -> float:
-        """Dual function of the plain scheme, -conjugate(-Lambda) =
-        ||F||^2 - sum_j max(sigma_j^2(F - Lambda/2) - sigma0^2, 0), from
-        its own values-only SVD."""
+        """Dual function of the plain scheme, -conjugate(-Lambda) (see
+        ``_plain_dual``), from its own values-only SVD."""
         lam = self._check(lam)
-        s = singular_values(self.F - lam * 0.5)
-        return self._norm_sq - float(np.sum(np.maximum(s**2 - self.sigma0**2, 0.0)))
+        return self._plain_dual(singular_values(self.F - lam * 0.5))
+
+    def _plain_dual(self, s) -> float:
+        """||F||^2 - sum_j max(s_j^2 - sigma0^2, 0) over the singular values
+        s of F - Lambda/2, of which those below sigma0 may be left out."""
+        return self._norm_sq - float(np.maximum(s**2 - self.sigma0**2, 0.0).sum())
 
     def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None,
                dlam: Optional[float] = None) -> PrimalUpdate:
@@ -288,7 +295,7 @@ class RankObjective:
         # contribute exact zeros, are a suffix
         m = int(np.count_nonzero(fs > 0))
         x = (u[:, :m] * fs[:m]) @ vh[:m]
-        dual_da = self._norm_sq - float(np.maximum(s**2 - self.sigma0**2, 0.0).sum())
+        dual_da = self._plain_dual(s)
         env = lambda: _env_terms(fs, self.sigma0) + frobenius_norm(x - self.F) ** 2
         degenerate = alpha == 0 and bool(
             (np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0).any()
@@ -304,18 +311,14 @@ class RankObjective:
         """
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        lam = self._check(lam)
-        upd = self.update(lam, alpha)
-        return upd.envelope_at_x + float(np.vdot(upd.x, lam).real) + 0.5 * alpha * upd.x_norm_sq
+        return self.update(lam, alpha).augmented_dual(lam, alpha)
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
         """Primal objective reported for a feasible point: the envelope
         sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = self._check(x)
-        if not np.isfinite(x).all():
-            raise ValueError("matrix has non-finite entries")
-        val = _env_terms(np.linalg.svd(x, compute_uv=False), self.sigma0)
+        val = _env_terms(singular_values(x), self.sigma0)
         val += frobenius_norm(x - self.F) ** 2
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)

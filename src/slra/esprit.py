@@ -91,12 +91,12 @@ def esprit_hankel_error(f, P: int, rows: int, cols: int, delta: float, indices) 
     """Frobenius and l2 residuals of the ESPRIT reconstruction against the
     signal it was fitted to.
 
-    Fits on ``f``, builds the Hankel matrix of the reconstruction a and
-    returns (||A - H(f)||_F, ||a - f||_2).
+    Fits on ``f`` and returns (||H(a - f)||_F, ||a - f||_2) for the
+    reconstruction a, H(a - f) = A - H(f) being the Hankel matrix of the
+    residual.
     """
     est = esprit_estimate(f, P, rows, cols, delta, indices)
-    sub = HankelSubspace(rows, cols)
-    f = np.asarray(f)
-    frob = float(np.linalg.norm(sub.from_vector(est.reconstruction) - sub.from_vector(f)))
-    l2 = float(np.linalg.norm(est.reconstruction - f))
+    r = est.reconstruction - np.asarray(f)
+    frob = float(np.linalg.norm(HankelSubspace(rows, cols).from_vector(r)))
+    l2 = float(np.linalg.norm(r))
     return frob, l2

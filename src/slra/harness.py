@@ -36,7 +36,6 @@ from .envelope import RankObjective, toy_tilted_minimizers
 from .esprit import esprit_hankel_error
 from .matops import numerical_rank
 from .signals import (
-    NoiseSpec,
     add_noise,
     four_tone_model,
     gen_cos_sum,
@@ -46,6 +45,7 @@ from .signals import (
     save_signal_csv,
     sigma0_heuristic,
     signal_to_hankel,
+    snr_to_sigma,
 )
 from .solvers import SolverConfig
 from .subspace import HankelSubspace
@@ -54,10 +54,10 @@ METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
 #: SNR grid of the frequency-estimation study, in dBW, its iteration
 #: budget per trial, and the order of the spectral-gap heuristic that sets
-#: its sigma0 (one per tone)
+#: its sigma0 and of the ESPRIT fit (one per tone)
 FREQEST_SNR_LEVELS = tuple(np.arange(0.0, 25.0 + 1e-9, 2.5))
 FREQEST_MAX_ITERS = 2000
-FREQEST_GAP_P = 4
+FREQEST_GAP_P = len(four_tone_model().terms)
 
 #: bins of each SNR level's histogram in ``freqest_hist.csv``
 FREQEST_HIST_BINS = 24
@@ -215,10 +215,9 @@ def _cossum_trial(args):
     (trial_seed, iters, alpha, sigma0, gap_p) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
-    rows, cols = 101, 100
-    sub = HankelSubspace(rows, cols)
-    h_gt = sub.from_vector(f)
-    noisy = add_noise(h_gt, NoiseSpec(sigma=COSSUM_NOISE_SIGMA), rng=rng)
+    h_gt = signal_to_hankel(f)
+    sub = HankelSubspace(*h_gt.shape)
+    noisy = add_noise(h_gt, COSSUM_NOISE_SIGMA, rng=rng)
     obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0, gap_p))
     gt_norm = float(np.linalg.norm(h_gt))
 
@@ -336,18 +335,17 @@ def _freqest_trial(args):
     model = four_tone_model()
     f = sample_signal(model)
     rng = np.random.default_rng(trial_seed)
-    noisy = add_noise(f, NoiseSpec(snr_dbw=snr_dbw), rng=rng)
-    rows = cols = 129
-    sub = HankelSubspace(rows, cols)
-    F = sub.from_vector(noisy)
+    noisy = add_noise(f, snr_to_sigma(f, snr_dbw), rng=rng)
+    F = signal_to_hankel(noisy)
+    sub = HankelSubspace(*F.shape)
     s0 = sigma0_heuristic(F, FREQEST_GAP_P)
     obj = RankObjective(F, s0)
-    cfg = SolverConfig(solvers.DA, max_iters=max_iters, stop_tol=1e-6,
-                       track_primal=False, sqrt_steps=True)
+    cfg = SolverConfig(solvers.DA, max_iters=max_iters, track_primal=False, sqrt_steps=True)
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
     l2_da = float(np.linalg.norm(sub.to_vector(res.X_star) - noisy))
-    frob_es, l2_es = esprit_hankel_error(noisy, 4, rows, cols, model.delta, model.indices)
+    frob_es, l2_es = esprit_hankel_error(noisy, FREQEST_GAP_P, *F.shape, model.delta,
+                                         model.indices)
     scale = 10.0 ** (snr_dbw / 20.0)
     return (
         (frob_es - frob_da) * scale,
@@ -418,12 +416,11 @@ def _histogram_rows(norm_name, snr_levels, diffs):
     return rows
 
 
-def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
-                max_iters: int = FREQEST_MAX_ITERS) -> dict:
+def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS) -> dict:
     """Run the SNR sweep and emit raw differences, histogram bins and a
     summary; differences are scaled by 10^(SNR/20).  Returns the study
     (see :func:`run_freqest_study`)."""
-    study = run_freqest_study(config, snr_levels, max_iters)
+    study = run_freqest_study(config, snr_levels, FREQEST_MAX_ITERS)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     snr_levels = study["snr_levels"]
@@ -442,7 +439,8 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
     _write_json(out / "freqest_summary.json", {
         "config": {
             "experiment": config.experiment, "trials": config.trials, "seed": config.seed,
-            "output_dir": str(out), "sigma0": f"gap:{FREQEST_GAP_P}", "max_iters": max_iters,
+            "output_dir": str(out), "sigma0": f"gap:{FREQEST_GAP_P}",
+            "max_iters": FREQEST_MAX_ITERS,
         },
         **{k: v for k, v in study.items() if k not in ("frob_diff", "l2_diff")},
         "snr_levels": snr_levels.tolist(),

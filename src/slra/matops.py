@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _as_matrix(a):
     a = np.asarray(a)
@@ -73,7 +75,7 @@ def f_alpha(x, sigma0: float, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def numerical_rank(a, rel_tol: float = 1e-9) -> int:
+def numerical_rank(a, rel_tol: float) -> int:
     """Number of singular values above ``rel_tol * sigma_1`` (0 for the
     zero matrix).  ``rel_tol`` must lie in (0, 1)."""
     if not 0 < rel_tol < 1:

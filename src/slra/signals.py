@@ -9,7 +9,6 @@ approximation and frequency estimation.
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -92,35 +91,24 @@ def gen_cos_sum(rng: np.random.Generator, n_samples: int = 200) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise level: either a fixed per-entry standard deviation ``sigma``
-    or a target signal-to-noise ratio ``snr_dbw`` (noise std =
-    RMS(signal) * 10^(-snr/20)).  Exactly one of the two must be set."""
-
-    sigma: Optional[float] = None
-    snr_dbw: Optional[float] = None
-
-    def __post_init__(self):
-        if (self.sigma is None) == (self.snr_dbw is None):
-            raise ValueError("set exactly one of sigma, snr_dbw")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+def snr_to_sigma(f, snr_dbw: float) -> float:
+    """Noise standard deviation that puts ``f`` at ``snr_dbw`` dBW:
+    RMS(f) * 10^(-snr_dbw/20)."""
+    f = np.asarray(f)
+    return float(np.linalg.norm(f)) / np.sqrt(f.size) * 10.0 ** (-snr_dbw / 20.0)
 
 
-def add_noise(f, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean Gaussian noise, drawn from the caller's generator
-    ``rng``, to an array (vector or matrix).
+def add_noise(f, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Add zero-mean Gaussian noise of standard deviation ``sigma`` (>= 0),
+    drawn from the caller's generator ``rng``, to an array (vector or
+    matrix).
 
     Complex input gets independent real/imaginary components with half the
     variance each, so the per-entry variance is sigma^2 in both cases.
     """
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     f = np.asarray(f)
-    if spec.sigma is not None:
-        sigma = spec.sigma
-    else:
-        rms = float(np.linalg.norm(f)) / np.sqrt(f.size)
-        sigma = rms * 10.0 ** (-spec.snr_dbw / 20.0)
     if np.iscomplexobj(f):
         noise = (rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)) * (
             sigma / np.sqrt(2.0)
@@ -176,7 +164,8 @@ def _json_number(doc, key):
 
 def load_model_json(path) -> SignalModel:
     """Read a model JSON: a list of terms {c_re, c_im, zeta_re, zeta_im},
-    the scale ``delta`` and a grid {start, step, count}, all numbers."""
+    the scale ``delta`` and a grid {start, step, count}, all numbers and
+    ``count`` a positive whole one."""
     with open(path) as fh:
         doc = json.load(fh)
     terms, g = (doc.get("terms"), doc.get("grid")) if isinstance(doc, dict) else (None, None)
@@ -188,5 +177,7 @@ def load_model_json(path) -> SignalModel:
         for t in terms
     )
     count = _json_number(g, "count")
+    if not (count >= 1 and float(count).is_integer()):
+        raise ValueError(f"model JSON needs a positive whole number under 'count', got {count!r}")
     indices = _json_number(g, "start") + _json_number(g, "step") * np.arange(count)
     return SignalModel(terms, indices, float(_json_number(doc, "delta")))

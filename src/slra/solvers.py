@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import frobenius_norm
+from .matops import _EPS, frobenius_norm
 from .subspace import SubspaceOp
 
 DA = "da"
@@ -50,8 +50,6 @@ VARIANTS = (DA, ADA, MOD_ADA)
 #: multiplier must stay in the complement up to this share of
 #: 1 + ||Lambda|| + ||X||, X being the iterate whose residual it last took
 _LAMBDA_SUBSPACE_TOL = 1e-10
-
-_EPS = float(np.finfo(float).eps)
 
 #: a row becomes the best iterate when its dual is within this share of
 #: max(1, |running maximum|) of the running maximum, so that the choice
@@ -216,9 +214,7 @@ _DUAL_AT_ROW = {
         + 0.5 * alpha * float(np.vdot(px, px).real)
         + float(np.vdot(prev.x, lam).real)
     ),
-    MOD_ADA: lambda upd, lam, alpha, prev, px: (
-        upd.envelope_at_x + float(np.vdot(upd.x, lam).real) + 0.5 * alpha * upd.x_norm_sq
-    ),
+    MOD_ADA: lambda upd, lam, alpha, prev, px: upd.augmented_dual(lam, alpha),
 }
 
 

@@ -137,6 +137,28 @@ def test_converge_identical_across_worker_counts(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_converge_pads_the_curves_of_runs_that_stop_early(tmp_path, monkeypatch):
+    # sigma0 = 1000 thresholds every value away, so X^1 = 0 lies in the
+    # subspace and each run converges at row 1; its curves repeat the last
+    # of its two rows up to the iters + 1 rows of the study
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    results = []
+    original = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda *a: results.append(original(*a)) or results[-1])
+    assert main(["--sigma0", "1000", "--trials", "2", "--iters", "6", "--out", "o",
+                 "converge"]) == 0
+    assert len(results) == 2 * len(harness.METHODS)
+    assert all(r.converged and len(r.trace) == 2 for r in results)
+    rows = [line.split(",") for line in
+            (tmp_path / "o" / "converge_curves.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 7 * len(harness.METHODS)
+    for method in harness.METHODS:
+        assert [int(row[1]) for row in rows if row[0] == method] == list(range(7))
+        values = [row[2:] for row in rows if row[0] == method]  # (mean_primal, mean_dual)
+        assert values == [values[1]] * 7
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_da_keeps_rank_on_exact_model(seed, tmp_path, monkeypatch):
     # noise-free rank-4 data converge after one update; the best dual row
@@ -185,8 +207,9 @@ def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch
 
 def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
     monkeypatch.setenv("SLRA_THREADS", "1")
+    monkeypatch.setattr(harness, "FREQEST_MAX_ITERS", 3)
     config = harness.ExperimentConfig(experiment="freqest", trials=1, output_dir=tmp_path)
-    harness.cmd_freqest(config, (5.0, 20.0), 3)
+    harness.cmd_freqest(config, (5.0, 20.0))
     summary = json.loads((tmp_path / "freqest_summary.json").read_text())
     assert summary["snr_levels"] == [5.0, 20.0]
     assert summary["mean_iters"] == 3.0 and summary["converged_fraction"] == 0.0
@@ -423,11 +446,15 @@ _GRID = {"start": 0.0, "step": 1.0, "count": 30}
       "grid": _GRID}, "c_im"),
     ({"terms": [{**_TERM, "c_re": "1.0"}], "delta": 1.0, "grid": _GRID}, "c_re"),
     ({"terms": [_TERM], "delta": 1.0, "grid": {**_GRID, "count": "30"}}, "count"),
+    ({"terms": [_TERM], "delta": 1.0, "grid": {**_GRID, "count": 30.5}}, "count"),
+    ({"terms": [_TERM], "delta": 1.0, "grid": {**_GRID, "count": 0}}, "count"),
+    ({"terms": [_TERM], "delta": 1.0, "grid": {**_GRID, "count": -30}}, "count"),
     ({"terms": [_TERM], "grid": _GRID}, "delta"),
     ({"terms": [_TERM], "delta": 1.0, "grid": [0.0, 1.0, 30]}, "grid"),
     ([_TERM], "terms"),
 ], ids=["no-grid", "null-amplitude", "no-c_im", "string-amplitude", "string-count",
-        "no-delta", "grid-list", "top-level-list"])
+        "fractional-count", "zero-count", "negative-count", "no-delta", "grid-list",
+        "top-level-list"])
 def test_malformed_model_json_is_usage_error(doc, key, tmp_path, capsys, monkeypatch):
     (tmp_path / "model.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from slra.esprit import RankDeficiencyWarning, esprit_estimate, esprit_hankel_error
 from slra.signals import (
-    NoiseSpec,
     add_noise,
     four_tone_model,
     sample_signal,
     signal_to_hankel,
+    snr_to_sigma,
 )
 from slra.subspace import HankelSubspace
 
@@ -108,7 +108,7 @@ def test_hankel_error_grows_with_noise():
     f = sample_signal(m)
     errs = []
     for snr in (30.0, 15.0, 0.0):
-        noisy = add_noise(f, NoiseSpec(snr_dbw=snr), rng=np.random.default_rng(1))
+        noisy = add_noise(f, snr_to_sigma(f, snr), rng=np.random.default_rng(1))
         frob, _ = esprit_hankel_error(noisy, 4, 129, 129, m.delta, m.indices)
         errs.append(frob)
     assert errs[0] < errs[1] < errs[2]
@@ -118,7 +118,7 @@ def test_hankel_error_reference_semantics():
     # both errors measure the reconstruction against the signal it was fitted to
     m = four_tone_model()
     f = sample_signal(m)
-    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0), rng=np.random.default_rng(2))
+    noisy = add_noise(f, snr_to_sigma(f, 10.0), rng=np.random.default_rng(2))
     frob, l2 = esprit_hankel_error(noisy, 4, 129, 129, m.delta, m.indices)
     est = esprit_estimate(noisy, 4, 129, 129, m.delta, m.indices)
     sub = HankelSubspace(129, 129)

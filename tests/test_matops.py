@@ -239,7 +239,7 @@ def test_truncation_energy_bound():
 
 
 def test_numerical_rank_zero_matrix():
-    assert numerical_rank(np.zeros((4, 4))) == 0
+    assert numerical_rank(np.zeros((4, 4)), 1e-9) == 0
 
 
 def test_numerical_rank_tiny_second_value():
@@ -247,7 +247,7 @@ def test_numerical_rank_tiny_second_value():
 
 
 def test_numerical_rank_full():
-    assert numerical_rank(np.eye(7)) == 7
+    assert numerical_rank(np.eye(7), 1e-9) == 7
 
 
 def test_numerical_rank_tol_validation():

@@ -1,4 +1,5 @@
-"""The package holds only code that the program or the benchmark calls.
+"""The package holds only code that the program or the benchmark calls,
+and each of its top-level names has one owner.
 
 Every function, method and class defined in ``src/slra`` (``__init__.py``
 aside) must be referenced by code elsewhere in ``src/slra`` or in
@@ -6,6 +7,9 @@ aside) must be referenced by code elsewhere in ``src/slra`` or in
 reference is a name, an attribute or a string constant (``bench/tracing.py``
 wraps functions by their names as strings); docstrings, comments and the
 definition's own body do not count.
+
+No function, class or module-level constant may be defined in two modules
+of ``src/slra``: a second module that needs it imports it.
 """
 
 import ast
@@ -65,3 +69,23 @@ def test_every_definition_is_called_outside_the_tests():
         and not referenced_outside(path, node)
     )
     assert unused == [], f"defined in src/slra but referenced nowhere else: {unused}"
+
+
+def _top_level_names(tree):
+    """Names that a module's top-level statements define: its functions,
+    classes and assigned constants, not what it imports."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    modules = defaultdict(list)  # name -> [module]
+    for path in sorted((ROOT / "src" / "slra").glob("*.py")):
+        for name in set(_top_level_names(ast.parse(path.read_text()))):
+            modules[name].append(path.name)
+    twice = sorted(name for name, paths in modules.items() if len(paths) > 1)
+    assert twice == [], f"defined in more than one module of src/slra: {twice}"

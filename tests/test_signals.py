@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from slra.matops import numerical_rank
 from slra.signals import (
-    NoiseSpec,
     SignalModel,
     add_noise,
     four_tone_model,
@@ -19,6 +18,7 @@ from slra.signals import (
     save_signal_csv,
     sigma0_heuristic,
     signal_to_hankel,
+    snr_to_sigma,
 )
 from slra.subspace import HankelSubspace
 
@@ -118,42 +118,38 @@ def test_gen_cos_sum_rank_eight_typically():
     assert hits >= 15  # degenerate draws allowed, but rare
 
 
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec()
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=0.1, snr_dbw=10.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=-1.0)
+def test_add_noise_rejects_negative_sigma():
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        add_noise(np.ones(4), -1.0, rng=np.random.default_rng(0))
 
 
 def test_add_noise_zero_sigma():
     f = np.arange(5.0)
-    assert_allclose(add_noise(f, NoiseSpec(sigma=0.0), rng=np.random.default_rng(1)), f)
+    assert_allclose(add_noise(f, 0.0, rng=np.random.default_rng(1)), f)
 
 
 def test_add_noise_seeded_determinism():
     f = np.ones(100)
-    a = add_noise(f, NoiseSpec(sigma=0.5), rng=np.random.default_rng(9))
-    b = add_noise(f, NoiseSpec(sigma=0.5), rng=np.random.default_rng(9))
+    a = add_noise(f, 0.5, rng=np.random.default_rng(9))
+    b = add_noise(f, 0.5, rng=np.random.default_rng(9))
     assert_allclose(a, b)
 
 
 def test_add_noise_complex_variance_split():
     f = np.zeros(200_000, dtype=complex)
-    noisy = add_noise(f, NoiseSpec(sigma=2.0), rng=np.random.default_rng(3))
+    noisy = add_noise(f, 2.0, rng=np.random.default_rng(3))
     # per-entry variance sigma^2 split evenly between components
     assert np.var(noisy.real) == pytest.approx(2.0, rel=0.05)
     assert np.var(noisy.imag) == pytest.approx(2.0, rel=0.05)
 
 
 def test_add_noise_real_variance():
-    noisy = add_noise(np.zeros(200_000), NoiseSpec(sigma=0.3), rng=np.random.default_rng(4))
+    noisy = add_noise(np.zeros(200_000), 0.3, rng=np.random.default_rng(4))
     assert np.var(noisy) == pytest.approx(0.09, rel=0.05)
 
 
 def test_add_noise_zero_mean_rate():
-    noisy = add_noise(np.zeros(10_000), NoiseSpec(sigma=1.0), rng=np.random.default_rng(5))
+    noisy = add_noise(np.zeros(10_000), 1.0, rng=np.random.default_rng(5))
     assert abs(np.mean(noisy)) <= 4.0 / np.sqrt(10_000)
 
 
@@ -161,7 +157,7 @@ def test_snr_mode_hits_target():
     rng = np.random.default_rng(6)
     f = rng.standard_normal(10_000) * 3.0
     for snr in (0.0, 10.0, 25.0):
-        noisy = add_noise(f, NoiseSpec(snr_dbw=snr), rng=np.random.default_rng(7))
+        noisy = add_noise(f, snr_to_sigma(f, snr), rng=np.random.default_rng(7))
         noise = noisy - f
         measured = 20 * np.log10(np.linalg.norm(f) / np.linalg.norm(noise))
         assert measured == pytest.approx(snr, abs=0.5)
@@ -169,14 +165,14 @@ def test_snr_mode_hits_target():
 
 def test_snr_mode_complex():
     f = sample_signal(four_tone_model())
-    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0), rng=np.random.default_rng(8))
+    noisy = add_noise(f, snr_to_sigma(f, 10.0), rng=np.random.default_rng(8))
     measured = 20 * np.log10(np.linalg.norm(f) / np.linalg.norm(noisy - f))
     assert measured == pytest.approx(10.0, abs=0.7)
 
 
 def test_add_noise_matrix_input():
     h = np.ones((30, 20))
-    noisy = add_noise(h, NoiseSpec(sigma=0.1), rng=np.random.default_rng(9))
+    noisy = add_noise(h, 0.1, rng=np.random.default_rng(9))
     assert noisy.shape == h.shape
     assert np.std(noisy - h) == pytest.approx(0.1, rel=0.2)
 
@@ -193,7 +189,7 @@ def test_sigma0_heuristic_exact_rank():
 
 def test_sigma0_heuristic_ordering():
     f = sample_signal(four_tone_model())
-    noisy = add_noise(f, NoiseSpec(snr_dbw=10.0), rng=np.random.default_rng(10))
+    noisy = add_noise(f, snr_to_sigma(f, 10.0), rng=np.random.default_rng(10))
     F = signal_to_hankel(noisy)
     s = np.linalg.svd(F, compute_uv=False)
     s0 = sigma0_heuristic(F, 4)

@@ -10,11 +10,11 @@ from slra import harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.signals import (
-    NoiseSpec,
     add_noise,
     gen_cos_sum,
     sigma0_heuristic,
     signal_to_hankel,
+    snr_to_sigma,
 )
 from slra.solvers import (
     SolverConfig,
@@ -31,7 +31,7 @@ def hankel_problem(seed, rows=20, cols=20, sigma0=None, noise=0.1):
     sub = HankelSubspace(rows, cols)
     f = gen_cos_sum(rng, n_samples=rows + cols - 1)
     h = sub.from_vector(f)
-    F = add_noise(h, NoiseSpec(sigma=noise), rng=rng)
+    F = add_noise(h, noise, rng=rng)
     if sigma0 is None:
         s = np.linalg.svd(F, compute_uv=False)
         k = min(8, min(rows, cols) - 1)
@@ -364,7 +364,7 @@ def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
     tones = -rng.uniform(0.0, 0.005, 4) + 1j * (0.3 + 0.7 * np.arange(4))
     amps = np.exp(2j * np.pi * rng.uniform(size=4))
     f = np.exp(np.multiply.outer(np.arange(126), tones)) @ amps
-    F = signal_to_hankel(add_noise(f, NoiseSpec(snr_dbw=15.0), rng=rng))
+    F = signal_to_hankel(add_noise(f, snr_to_sigma(f, 15.0), rng=rng))
     assert F.shape == (64, 63)
     obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
     cfg = SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1, max_iters=100)
