@@ -3,11 +3,13 @@
 Subcommands: converge, toy, freqest, solve.  Global flags set the seed,
 trial/iteration counts, step weight, penalty level and output directory;
 a JSON config file passed via --config overrides any flag with a value of
-that flag's type.  ``converge`` runs the cosine-sum study once and writes
-its curves, ground-truth distances, singular values and summary (see
-:mod:`slra.harness`).  ``freqest`` takes its SNR levels as its own option
-(``--snr-levels``, a comma list); its budget is
-``harness.FREQEST_MAX_ITERS`` and its sigma0 the gap heuristic.
+that flag's type.  ``--sigma0`` is a level or the spectral-gap heuristic
+'gap:P', passed as given to ``harness.ExperimentConfig``, which checks it
+and every other setting before any trial.  ``converge`` runs the
+cosine-sum study once and writes its curves, ground-truth distances,
+singular values and summary (see :mod:`slra.harness`).  ``freqest`` takes
+its SNR levels as its own option (``--snr-levels``, a comma list); its
+budget and sigma0 are ``harness.FREQEST_MAX_ITERS`` and ``FREQEST_SIGMA0``.
 A study given a global flag it does not read exits with a usage error:
 ``freqest`` reads none of ``--iters``, ``--alpha`` and ``--sigma0``,
 ``toy``, a fixed table, reads none of those nor ``--trials`` and
@@ -41,13 +43,6 @@ _UNREAD_FLAGS = {
 }
 
 
-def _parse_sigma0(value):
-    """--sigma0 accepts an explicit level ('2.5') or 'gap:P'."""
-    if value.startswith("gap:"):
-        return None, int(value[4:])
-    return float(value), None
-
-
 @functools.cache
 def build_parser():
     """The parser of every subcommand, built once per process: building
@@ -68,8 +63,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None,
                    help=f"augmentation weight / fixed step (default {defaults.alpha})")
     p.add_argument("--sigma0", type=str, default=None,
-                   help="penalty level: explicit value or 'gap:P' heuristic "
-                        f"(default {defaults.sigma0})")
+                   help=f"penalty level or 'gap:P' (default {defaults.sigma0} for converge; solve "
+                        f"requires it; freqest uses {harness.FREQEST_SIGMA0})")
     p.add_argument("--out", type=str, default=None,
                    help=f"output directory (default {defaults.output_dir})")
     p.add_argument("--config", type=str, default=None,
@@ -85,9 +80,12 @@ def build_parser():
     ps = sub.add_parser("solve")
     ps.add_argument("--input", required=True,
                     help="signal CSV (index,re,im), model JSON, or .npy matrix")
-    ps.add_argument("--variant", choices=list(solvers.VARIANTS), default=solvers.DA)
-    ps.add_argument("--stop-tol", type=float, default=solvers.SolverConfig.stop_tol)
-    ps.add_argument("--rank-tol", type=float, default=1e-9)
+    ps.add_argument("--variant", choices=list(solvers.VARIANTS), default=solvers.DA,
+                    help="dual ascent variant (default %(default)s)")
+    ps.add_argument("--stop-tol", type=float, default=solvers.SolverConfig.stop_tol,
+                    help="stop at a residual ||X - P(X)|| below this (default %(default)s)")
+    ps.add_argument("--rank-tol", type=float, default=1e-9,
+                    help="rank counts values above this share of the largest (default %(default)s)")
     return p
 
 
@@ -144,16 +142,11 @@ def main(argv=None) -> int:
         parser.error("solve --variant da does not read --alpha")
 
     # only the values given reach the harness, which owns the defaults
-    given = {k: getattr(args, k) for k in ("trials", "iters", "alpha", "seed")
+    given = {k: getattr(args, k) for k in ("trials", "iters", "alpha", "sigma0", "seed")
              if getattr(args, k) is not None}
     if args.out is not None:
         given["output_dir"] = args.out
-    if args.sigma0 is not None:
-        try:
-            given["sigma0"], given["sigma0_gap_p"] = _parse_sigma0(str(args.sigma0))
-        except ValueError:
-            parser.error(f"bad --sigma0 value {args.sigma0!r}")
-    elif args.experiment == "solve":
+    if args.experiment == "solve" and args.sigma0 is None:
         parser.error("solve requires --sigma0 (explicit value or gap:P)")
 
     freqest_args = {}

@@ -25,11 +25,11 @@ class EspritEstimate:
     zetas: np.ndarray
     coeffs: np.ndarray
     reconstruction: np.ndarray
-    rank_deficient: bool = False
+    rank_deficient: bool
 
 
-def esprit_estimate(f, P: int, rows: int, cols: int, delta: float = 1.0,
-                    indices=None) -> EspritEstimate:
+def esprit_estimate(f, P: int, rows: int, cols: int, delta: float,
+                    indices) -> EspritEstimate:
     """Estimate P complex exponentials from a length rows+cols-1 signal.
 
     The signal subspace is spanned by the P leading left singular vectors
@@ -49,27 +49,17 @@ def esprit_estimate(f, P: int, rows: int, cols: int, delta: float = 1.0,
         raise ValueError("P cannot exceed min(rows, cols)")
     if f.ndim != 1 or f.size != rows + cols - 1:
         raise ValueError(f"signal length {f.size} != rows + cols - 1 = {rows + cols - 1}")
-    if indices is None:
-        indices = np.arange(f.size)
     indices = np.asarray(indices, dtype=float)
 
     H = HankelSubspace(rows, cols).from_vector(f)
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    n_modes = int(np.count_nonzero(s > _MODE_DETECT_RTOL * s[0])) if s[0] > 0 else 0
-    n_modes = min(n_modes, P)
+    n_modes = min(int(np.count_nonzero(s > _MODE_DETECT_RTOL * s[0])), P)
     deficient = n_modes < P
     if deficient:
         warnings.warn(
             f"signal resolves {n_modes} of {P} requested modes",
             RankDeficiencyWarning,
             stacklevel=2,
-        )
-    if n_modes == 0:
-        return EspritEstimate(
-            zetas=np.zeros(0, dtype=complex),
-            coeffs=np.zeros(0, dtype=complex),
-            reconstruction=np.zeros_like(f, dtype=complex),
-            rank_deficient=True,
         )
 
     Us = U[:, :n_modes]

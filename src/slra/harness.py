@@ -24,10 +24,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
@@ -53,11 +54,12 @@ from .subspace import HankelSubspace
 METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
 #: SNR grid of the frequency-estimation study, in dBW, its iteration
-#: budget per trial, and the order of the spectral-gap heuristic that sets
-#: its sigma0 and of the ESPRIT fit (one per tone)
+#: budget per trial, the order of its ESPRIT fit (one per tone), and its
+#: penalty setting: the spectral-gap heuristic of that order
 FREQEST_SNR_LEVELS = tuple(np.arange(0.0, 25.0 + 1e-9, 2.5))
 FREQEST_MAX_ITERS = 2000
 FREQEST_GAP_P = len(four_tone_model().terms)
+FREQEST_SIGMA0 = f"gap:{FREQEST_GAP_P}"
 
 #: bins of each SNR level's histogram in ``freqest_hist.csv``
 FREQEST_HIST_BINS = 24
@@ -89,16 +91,26 @@ class ExperimentConfig:
     trials: int = 100
     iters: int = 100
     alpha: float = 0.1
-    sigma0: Optional[float] = COSSUM_SIGMA0  # explicit penalty level
-    sigma0_gap_p: Optional[int] = None       # or spectral-gap heuristic order
+    sigma0: Union[float, str] = COSSUM_SIGMA0  # penalty level or 'gap:P'
     seed: int = 0
     output_dir: Path = Path("out")
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        for name, least in (("trials", 1), ("iters", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        # 'gap:P' with a whole P >= 1 stays text; any other value is a level
+        if not (isinstance(self.sigma0, str) and re.fullmatch(r"gap:0*[1-9]\d*", self.sigma0)):
+            try:
+                level = float(self.sigma0)
+            except (TypeError, ValueError):
+                level = math.nan
+            if not 0 < level < math.inf:
+                raise ValueError(f"sigma0 must be a finite level > 0 or gap:P, P >= 1, "
+                                 f"got {self.sigma0!r}")
+            self.sigma0 = level
         self.output_dir = Path(self.output_dir)
 
 
@@ -171,7 +183,7 @@ def _map_trials(fn, items):
     # at the matrix sizes used here, threaded BLAS kernels are slower than
     # single-threaded ones and oversubscribe the trial worker pool
     items = list(items)
-    workers = min(_worker_count(), len(items)) if items else 1
+    workers = min(_worker_count(), len(items))
     if workers <= 1:
         previous = _set_blas_threads(1)
         try:
@@ -189,8 +201,6 @@ def _map_trials(fn, items):
 
 
 def _pad_to(a, length):
-    if a.size >= length:
-        return a[:length]
     return np.concatenate([a, np.full(length - a.size, a[-1])])
 
 
@@ -199,26 +209,24 @@ def _method_config(method, alpha, iters, stop_tol=_NO_STOP):
     return SolverConfig(method, alpha_reg, max_iters=iters, stop_tol=stop_tol)
 
 
-def _resolve_sigma0(F, sigma0, gap_p):
-    """Penalty level: ``sigma0`` when given, else the spectral-gap
-    heuristic of order ``gap_p`` on F."""
-    if sigma0 is not None:
-        return sigma0
-    if gap_p is not None:
-        return sigma0_heuristic(F, gap_p)
-    raise ValueError("need an explicit sigma0 or a gap heuristic order")
+def _resolve_sigma0(F, sigma0):
+    """Penalty level of the setting ``sigma0`` (see ExperimentConfig) on F:
+    the level itself, or for 'gap:P' the spectral-gap heuristic of order P."""
+    if isinstance(sigma0, str):
+        return sigma0_heuristic(F, int(sigma0[4:]))
+    return sigma0
 
 
 def _cossum_trial(args):
     """One random-instance run of all three methods; returns curves,
     normalized ground-truth distances and leading singular values."""
-    (trial_seed, iters, alpha, sigma0, gap_p) = args
+    (trial_seed, iters, alpha, sigma0) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
     h_gt = signal_to_hankel(f)
     sub = HankelSubspace(*h_gt.shape)
     noisy = add_noise(h_gt, COSSUM_NOISE_SIGMA, rng=rng)
-    obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0, gap_p))
+    obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0))
     gt_norm = float(np.linalg.norm(h_gt))
 
     out = {
@@ -263,8 +271,7 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
     normalized distance ||H - H_gt|| / ||H_gt|| to the ground truth, and
     mean leading singular values of data, truth and the three methods."""
     items = [
-        (config.seed + t, config.iters, config.alpha, config.sigma0,
-         config.sigma0_gap_p)
+        (config.seed + t, config.iters, config.alpha, config.sigma0)
         for t in range(config.trials)
     ]
     results = _map_trials(_cossum_trial, items)
@@ -338,8 +345,7 @@ def _freqest_trial(args):
     noisy = add_noise(f, snr_to_sigma(f, snr_dbw), rng=rng)
     F = signal_to_hankel(noisy)
     sub = HankelSubspace(*F.shape)
-    s0 = sigma0_heuristic(F, FREQEST_GAP_P)
-    obj = RankObjective(F, s0)
+    obj = RankObjective(F, _resolve_sigma0(F, FREQEST_SIGMA0))
     cfg = SolverConfig(solvers.DA, max_iters=max_iters, track_primal=False, sqrt_steps=True)
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
@@ -439,7 +445,7 @@ def cmd_freqest(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS) -> dict
     _write_json(out / "freqest_summary.json", {
         "config": {
             "experiment": config.experiment, "trials": config.trials, "seed": config.seed,
-            "output_dir": str(out), "sigma0": f"gap:{FREQEST_GAP_P}",
+            "output_dir": str(out), "sigma0": FREQEST_SIGMA0,
             "max_iters": FREQEST_MAX_ITERS,
         },
         **{k: v for k, v in study.items() if k not in ("frob_diff", "l2_diff")},
@@ -480,7 +486,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: floa
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     F, sub = load_solve_input(input_path)
-    s0 = _resolve_sigma0(F, config.sigma0, config.sigma0_gap_p)
+    s0 = _resolve_sigma0(F, config.sigma0)
     obj = RankObjective(F, s0)
     cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol)
     res = solvers.run(obj, sub, cfg)

@@ -33,17 +33,23 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _threshold_input(x, sigma0: float):
+    """``x`` as a float array, once sigma0 > 0 and x >= 0 are checked."""
+    x = np.asarray(x, dtype=float)
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
+    if (x < 0).any():
+        raise ValueError("threshold input must be non-negative")
+    return x
+
+
 def f_hard(x, sigma0: float):
     """Hard threshold: 0 below sigma0, identity from sigma0 on.
 
     The tie at ``x == sigma0`` resolves to ``sigma0`` (the value is kept).
     Accepts scalars or arrays of non-negative values.
     """
-    x = np.asarray(x, dtype=float)
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if (x < 0).any():
-        raise ValueError("threshold input must be non-negative")
+    x = _threshold_input(x, sigma0)
     out = np.where(x >= sigma0, x, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -63,11 +69,7 @@ def f_alpha(x, sigma0: float, alpha: float):
         raise ValueError("alpha must be non-negative")
     if alpha == 0:
         return f_hard(x, sigma0)
-    x = np.asarray(x, dtype=float)
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if (x < 0).any():
-        raise ValueError("threshold input must be non-negative")
+    x = _threshold_input(x, sigma0)
     divisor = 1.0 + alpha / 2.0
     top = x >= divisor * sigma0
     out = np.where(top, x / divisor, 0.0)
@@ -81,6 +83,6 @@ def numerical_rank(a, rel_tol: float) -> int:
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
     s = singular_values(a)
-    if s.size == 0 or s[0] == 0:
+    if s.size == 0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -15,6 +15,7 @@ which prints how each changed file differs and deletes the golden
 directories of cases that no longer exist.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -312,8 +313,12 @@ def test_alpha_is_checked_before_any_trial(alpha, tmp_path, capsys, monkeypatch)
        None) for tol in ("0", "1", "2")),
     ("sigma0", ["--config", "inf.json", "solve", "--input", "matrix.npy"], None),
     ("SLRA_THREADS", ["--trials", "1", "converge"], "abc"),
+    ("iters", ["--iters", "-1", "--trials", "1", "converge"], None),
+    ("iters", ["--iters", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
+    ("seed", ["--seed", "-1", "--trials", "1", "converge"], None),
+    ("seed", ["--seed", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
 ], ids=["sigma0-inf", "alpha-inf", "rank-tol-0", "rank-tol-1", "rank-tol-2", "config-1e999",
-        "threads-abc"])
+        "threads-abc", "iters-converge", "iters-solve", "seed-converge", "seed-solve"])
 def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, capsys,
                                                 monkeypatch):
     write_inputs(tmp_path)
@@ -323,8 +328,59 @@ def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, c
         monkeypatch.setenv("SLRA_THREADS", threads)
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {name} ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, given", [
+    ("seed", ["--seed", "-1"]), ("iters", ["--iters", "-1"]),
+    *(("sigma0", ["--sigma0", value]) for value in ("bogus", "gap:0", "gap:", "-1", "inf")),
+    *(("sigma0", {"sigma0": value}) for value in ("bogus", "gap:1.5", 0, -2.5)),
+    ("seed", {"seed": -1}), ("iters", {"iters": -1}),
+], ids=["seed", "iters", "sigma0-bogus", "sigma0-gap0", "sigma0-gap", "sigma0-neg",
+        "sigma0-inf", "config-sigma0-bogus", "config-sigma0-gap1.5", "config-sigma0-0",
+        "config-sigma0-neg", "config-seed", "config-iters"])
+def test_setting_is_checked_before_any_trial(name, given, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "2")
+
+    def no_trial(args):
+        pytest.fail(f"a trial ran before {name} was checked")
+
+    monkeypatch.setattr(harness, "_cossum_trial", no_trial)
+    if isinstance(given, dict):
+        given = ["--config", _config(tmp_path, given)]
+    assert main([*given, "--trials", "1", "converge"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_records_the_penalty_setting_as_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    assert main(["--sigma0", "gap:8", "--trials", "1", "--iters", "3", "converge"]) == 0
+    config = json.loads((tmp_path / "out" / "converge_summary.json").read_text())["config"]
+    assert config["sigma0"] == "gap:8"
+    assert sorted(config) == ["alpha", "experiment", "iters", "noise_sigma", "output_dir",
+                              "seed", "sigma0", "trials"]
+
+
+def test_every_option_with_a_default_shows_it_in_its_help():
+    # the global flags default to None, so that only the flags given reach
+    # the harness; their help reads the defaults from ExperimentConfig
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    silent = [(name, action.dest) for name, p in (("slra", parser), *sub.choices.items())
+              for action in p._actions
+              if action.default not in (None, argparse.SUPPRESS)
+              and "(default" not in (action.help or "")]
+    assert silent == []
+    solve_help = " ".join(sub.choices["solve"].format_help().split())
+    for shown in ("(default da)", "(default 1e-06)", "(default 1e-09)"):
+        assert shown in solve_help
+    assert "(default 0.8 for converge; solve requires it; freqest uses gap:4)" in \
+        " ".join(parser.format_help().split())
 
 
 def test_solve_rejects_trials_and_accepts_seed(tmp_path, capsys, monkeypatch):
@@ -488,6 +544,16 @@ def test_config_accepts_int_for_float_and_number_for_sigma0(tmp_path, monkeypatc
                  "--variant", "ada"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["sigma0"] == 2.0
+
+
+def test_config_gap_setting_drives_a_solve(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    cfg = _config(tmp_path, {"sigma0": "gap:4", "iters": 5})
+    assert main(["--config", cfg, "solve", "--input", "signal.csv"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    F, _ = harness.load_solve_input(tmp_path / "signal.csv")
+    assert summary["n_iters"] == 5 and summary["sigma0"] == harness.sigma0_heuristic(F, 4)
 
 
 def _numeric_fields(path):

@@ -20,7 +20,7 @@ def sorted_zetas(est):
 def test_single_exponential_exact_recovery():
     j = np.arange(63)
     f = np.exp(0.1j * j)
-    est = esprit_estimate(f, 1, 32, 32)
+    est = esprit_estimate(f, 1, 32, 32, 1.0, np.arange(63))
     assert est.zetas[0] == pytest.approx(0.1j, abs=1e-8)
     assert est.coeffs[0] == pytest.approx(1.0, abs=1e-8)
     assert not est.rank_deficient
@@ -29,7 +29,7 @@ def test_single_exponential_exact_recovery():
 def test_damped_exponential_recovery():
     j = np.arange(63)
     f = 2.0 * np.exp((-0.02 + 0.4j) * j)
-    est = esprit_estimate(f, 1, 32, 32)
+    est = esprit_estimate(f, 1, 32, 32, 1.0, np.arange(63))
     assert est.zetas[0] == pytest.approx(-0.02 + 0.4j, abs=1e-8)
     assert est.coeffs[0] == pytest.approx(2.0, abs=1e-7)
 
@@ -37,13 +37,13 @@ def test_damped_exponential_recovery():
 def test_two_modes_sorted_recovery():
     j = np.arange(41)
     f = np.exp(0.3j * j) + 0.5 * np.exp(-0.7j * j)
-    est = esprit_estimate(f, 2, 21, 21)
+    est = esprit_estimate(f, 2, 21, 21, 1.0, np.arange(41))
     assert_allclose(sorted_zetas(est), [-0.7j, 0.3j], atol=1e-8)
 
 
 def test_zero_signal_rank_deficiency():
     with pytest.warns(RankDeficiencyWarning):
-        est = esprit_estimate(np.zeros(15), 1, 8, 8)
+        est = esprit_estimate(np.zeros(15), 1, 8, 8, 1.0, np.arange(15))
     assert est.rank_deficient
     assert est.zetas.size == 0
     assert_allclose(est.reconstruction, 0.0)
@@ -53,7 +53,7 @@ def test_partial_estimate_when_fewer_modes():
     j = np.arange(31)
     f = np.exp(0.5j * j)  # one mode, ask for three
     with pytest.warns(RankDeficiencyWarning):
-        est = esprit_estimate(f, 3, 16, 16)
+        est = esprit_estimate(f, 3, 16, 16, 1.0, np.arange(31))
     assert est.rank_deficient
     assert est.zetas.size == 1
     assert est.zetas[0] == pytest.approx(0.5j, abs=1e-7)
@@ -87,11 +87,11 @@ def test_alias_branch_of_exponents():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        esprit_estimate(np.ones(10), 0, 5, 6)
+        esprit_estimate(np.ones(10), 0, 5, 6, 1.0, np.arange(10))
     with pytest.raises(ValueError):
-        esprit_estimate(np.ones(10), 6, 5, 6)
+        esprit_estimate(np.ones(10), 6, 5, 6, 1.0, np.arange(10))
     with pytest.raises(ValueError):
-        esprit_estimate(np.ones(9), 2, 5, 6)
+        esprit_estimate(np.ones(9), 2, 5, 6, 1.0, np.arange(10))
 
 
 def test_hankel_error_noiseless_is_tiny():

@@ -1,13 +1,16 @@
-"""BLAS thread pinning of the trial runner."""
+"""BLAS thread pinning of the trial runner, and the resolution of the
+penalty setting."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slra import harness
+from slra.signals import sigma0_heuristic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,3 +61,9 @@ def test_importing_the_cli_loads_no_process_pool():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
+
+
+def test_gap_setting_resolves_to_the_heuristic():
+    F = np.random.default_rng(5).standard_normal((12, 10))
+    assert harness._resolve_sigma0(F, "gap:4") == sigma0_heuristic(F, 4)
+    assert harness._resolve_sigma0(F, 2.5) == 2.5

@@ -416,7 +416,7 @@ def test_weyl_step_bounds_the_move_of_g_on_every_warm_row(monkeypatch, trial):
     steps = _weyl_steps(monkeypatch)
     if trial == "converge":  # da, ada and mod_ada, 100 rows after row 0 each
         c = ExperimentConfig("converge")
-        harness._cossum_trial((1, 100, c.alpha, c.sigma0, c.sigma0_gap_p))
+        harness._cossum_trial((1, 100, c.alpha, c.sigma0))
         rows = 3 * 100
     else:
         snr_dbw = float(trial.split()[1])
