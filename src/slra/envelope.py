@@ -36,11 +36,15 @@ DEGENERATE_RTOL = 1e-8
 #: residual the captured triplets may leave, as a share of the leading Ritz
 #: value.  Two extra columns, because the values just past the k-th form a
 #: flat noise bulk, so the residual cut of a pass hardly depends on p,
-#: while six cost 17-46% more per pass.  On one OpenBLAS thread a full SVD
-#: cost 5.7-7.1 passes at 48x47 complex and p = 6 (budget B = 7.8),
-#: 9.7-10.4 at 64x63 (10.5), 25-26 at 129x129 (21.5) and 8.1-8.5 at
-#: 101x100 real with p = 16 (6.2), but only 2.5-2.8 at 30x29 complex,
-#: where B = 4.8 overprices it
+#: while six cost 17-46% more per pass.  A power pass costs about half a
+#: Rayleigh-Ritz pass, which adds the Ritz SVD, the U product and the
+#: residual product.  On one OpenBLAS thread (best of 7, p = 6, complex)
+#: power and Ritz passes cost 47-51 and 114-127 us at 30x29 (a full SVD:
+#: 240-323 us, budget B = 4.8), 59-64 and 129-141 us at 48x47 (665-928 us,
+#: B = 7.8), 66-74 and 143-161 us at 64x63 (1.3 ms, B = 10.5) and 125 and
+#: 231 us at 129x129 (7.0-7.3 ms, B = 21.5); at 101x100 real with p = 16,
+#: 179-190 and 443-478 us (3.6-3.8 ms, B = 6.2).  The budget counts both
+#: kinds as one pass each
 _EXTRA_COLUMNS = 2
 _RESIDUAL_RTOL = 1e-12
 
@@ -58,6 +62,8 @@ class WarmStart(NamedTuple):
     fallbacks: int     # truncated attempts of the run that fell back
     wait: int          # rows still to price by the full SVD before trying again
     passes: int        # subspace iteration passes of the row's truncated attempt
+    need: int          # passes the next truncated row is predicted to need
+    cut: float         # residual cut per pass behind ``need``, inf while unmeasured
 
 
 @dataclass(frozen=True)
@@ -119,22 +125,45 @@ def _start(warm, p, dg):
     return v + gamma * (v - w.conj().T @ (w @ v))
 
 
+def _next_need(passes, resid, tol, cut):
+    """Passes the next truncated row is predicted to need: the ``passes``
+    of an accepted row, less those that the margin of its final residual
+    ``resid`` below ``tol`` shows were spare at ``cut`` per pass.  A zero
+    residual leaves one; a cut that is not measured, none spare."""
+    if not resid > 0:
+        return 1
+    if not 1.0 < cut < math.inf:
+        return passes
+    return max(1, passes - math.floor((math.log(tol) - math.log(resid)) / math.log(cut)))
+
+
 def _truncated_svd(g, v, warm, dg, tau, budget):
     """Singular triplets of g at or above ``tau`` from a block subspace
-    iteration started at the block ``v``, in at most ``budget`` (>= 1)
+    iteration started at the block ``v``, in at most ``budget`` (>= 2)
     passes.
 
-    The first pass always runs, and each later one only when the residual
-    cut of the pass before, repeated, brings the residual to the accepted
-    level within the budget.  Returns the passes taken and, when the
-    truncation is certified, (u, s, vh, block, beta) -- the captured
-    triplets, the block's right Ritz vectors as rows and a certified
-    beta >= sigma_{k+1}(g) below tau -- or else None.  ``dg`` bounds
-    ||g - g_prev||_F from above, g_prev being the G of the row that left
-    ``warm``."""
+    The first warm.need - 1 passes are power passes, Q = orth(G V),
+    V = G^H Q, with no Ritz triplets and no residual, as many as leave
+    room for one Rayleigh-Ritz pass within the budget.  The next pass is
+    a Rayleigh-Ritz pass, and each later one runs only when the residual
+    cut of the two Ritz passes before, repeated, brings the residual to
+    the accepted level within the budget.  Returns the passes taken and,
+    when the truncation is certified, (u, s, vh, block, beta, need, cut)
+    -- the captured triplets, the block's right Ritz vectors as rows, a
+    certified beta >= sigma_{k+1}(g) below tau, the passes the next row
+    is predicted to need and the cut per pass that prediction used (the
+    last two Ritz passes', or else warm.cut) -- or else None.  ``dg``
+    bounds ||g - g_prev||_F from above, g_prev being the G of the row
+    that left ``warm``."""
     p = v.shape[1]
     passes, last = 0, np.inf
     try:
+        # a power pass spans what a Ritz pass spans, so only the checks
+        # are skipped
+        while passes + 1 < warm.need and passes + 2 <= budget:
+            passes += 1
+            q, _ = np.linalg.qr(g @ v)
+            v = (g.T @ q.conj()).conj()
         while True:
             passes += 1
             q, _ = np.linalg.qr(g @ v)
@@ -149,13 +178,14 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
             resid = frobenius_norm(g @ v[:, :k] - u * s[:k])
             if not np.isfinite(s[0]):
                 return passes, None
-            if resid <= _RESIDUAL_RTOL * s[0]:
+            tol = _RESIDUAL_RTOL * float(s[0])
+            if resid <= tol:
                 break
             cut = last / resid
             if not cut > 1.0:  # stalled, or a NaN residual
                 return passes, None
             # passes still needed, one when no cut is measured yet
-            need = max(1, math.ceil(math.log(resid / (_RESIDUAL_RTOL * s[0])) / math.log(cut)))
+            need = max(1, math.ceil(math.log(resid / tol) / math.log(cut)))
             if passes + need > budget:
                 return passes, None
             last = resid
@@ -168,7 +198,8 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
                 return passes, None
     except np.linalg.LinAlgError:
         return passes, None
-    return passes, (u, s[:k], vh[:k], vh, beta)
+    cut = last / resid if last < np.inf and resid > 0 else warm.cut
+    return passes, (u, s[:k], vh[:k], vh, beta, _next_need(passes, resid, tol, cut), cut)
 
 
 @dataclass(frozen=True)
@@ -233,8 +264,7 @@ class RankObjective:
         only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
         previous row's count.  Passes of block subspace iteration on
-        p = k + 2 columns compute Q = orth(G V) and the Ritz triplets of
-        Q^H G (from the SVD of the tall G^H Q): one column beyond the k
+        p = k + 2 columns compute Q = orth(G V): one column beyond the k
         shows where the values above tau end, and one more absorbs a value
         that crosses tau between rows.  A row may spend
         B = min(M, N) / p passes, about the cost of one full SVD, and is
@@ -247,9 +277,19 @@ class RankObjective:
         from the secant prediction V + gamma (V - W W^H V),
         gamma = min(1, dg / dg_prev), which the dual-ascent steps make
         accurate enough to certify most rows after one pass.
-        The attempt stops once the passes spent plus
-        ceil(log(resid / (1e-12 s_1)) / log(cut)), cut being the ratio of
-        its last two residuals, would exceed B.
+        Only the last pass of a row can be accepted, so the attempt first
+        runs need - 1 power passes, V = G^H Q, and then
+        Rayleigh-Ritz passes, which take the Ritz triplets of Q^H G (from
+        the SVD of the tall G^H Q) and the residual of the captured ones.
+        ``need`` is the passes the last accepted row would have needed:
+        its passes, less floor(log(1e-12 s_1 / resid) / log(cut)) that
+        the margin of its final residual shows were spare, cut being the
+        ratio of its last two Ritz residuals, or else the one carried from
+        the row before; a zero residual leaves need = 1, an unmeasured cut
+        spares none.  The power passes stop short of B, so that one Ritz
+        pass always fits.  After each Ritz pass but the first, the attempt
+        stops once the passes spent plus
+        ceil(log(resid / (1e-12 s_1)) / log(cut)) would exceed B.
         The triplets are accepted only when fewer Ritz values than columns
         reach tau, the captured triplets leave
         ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
@@ -260,7 +300,8 @@ class RankObjective:
         Cholesky factorization (see ``_certify``).
         Otherwise the row falls back to the full SVD, and after the f-th
         fallback of a run the next attempt comes 2^f rows after the failed
-        one.  A threshold tie can only sit among the captured values, so
+        one, with the need of the last accepted row.  A threshold tie can
+        only sit among the captured values, so
         ``degenerate`` keeps its meaning; a tie below the cutoff fails the
         certificate and falls back."""
         lam = self._check(lam)
@@ -268,12 +309,13 @@ class RankObjective:
             raise ValueError("alpha must be non-negative")
         g = self.F - lam * 0.5
         tau = self.sigma0 * (1.0 - DEGENERATE_RTOL)
-        fallbacks, wait, part, dg, passes = 0, 0, None, 0.0, 0
+        fallbacks, wait, part, dg, passes, need, cut = 0, 0, None, 0.0, 0, 1, math.inf
         if warm is not None:
             if dlam is None:
                 raise ValueError("a warm start needs dlam")
             dg = 0.5 * dlam + 2.0 * _EPS * math.sqrt(self._norm_sq)
             fallbacks, wait = warm.fallbacks, max(warm.wait - 1, 0)
+            need, cut = warm.need, warm.cut
             columns = min(warm.captured + _EXTRA_COLUMNS, len(warm.vh))
             budget = min(g.shape) / columns  # passes worth one full SVD
             if not warm.wait and budget >= 2:
@@ -288,7 +330,7 @@ class RankObjective:
             block = vh[:k + _EXTRA_COLUMNS]
             beta = float(s[k]) if k < s.size else 0.0
         else:
-            u, s, vh, block, beta = part
+            u, s, vh, block, beta, need, cut = part
             k = s.size
         fs = f_alpha(s, self.sigma0, alpha) if alpha > 0 else f_hard(s, self.sigma0)
         # fs is non-increasing, so the thresholded-away components, which
@@ -302,7 +344,8 @@ class RankObjective:
         )
         truncated = part is not None
         prev_vh = warm.vh if truncated and warm.truncated else None
-        warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes)
+        warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes,
+                         need, cut)
         return PrimalUpdate(x, dual_da, env, float((fs**2).sum()), degenerate, warm)
 
     def dual_value_ada(self, lam, alpha: float) -> float:

@@ -209,11 +209,20 @@ def _method_config(method, alpha, iters, stop_tol=_NO_STOP):
     return SolverConfig(method, alpha_reg, max_iters=iters, stop_tol=stop_tol)
 
 
+def _gap_order(sigma0, shape):
+    """P of the setting 'gap:P', checked to fit data of ``shape``."""
+    p = int(sigma0[4:])
+    if p >= min(shape):
+        raise ValueError(f"sigma0 {sigma0} does not fit data of shape {shape[0]}x{shape[1]}: "
+                         f"P must be at most min(shape) - 1 = {min(shape) - 1}")
+    return p
+
+
 def _resolve_sigma0(F, sigma0):
     """Penalty level of the setting ``sigma0`` (see ExperimentConfig) on F:
     the level itself, or for 'gap:P' the spectral-gap heuristic of order P."""
     if isinstance(sigma0, str):
-        return sigma0_heuristic(F, int(sigma0[4:]))
+        return sigma0_heuristic(F, _gap_order(sigma0, F.shape))
     return sigma0
 
 
@@ -270,6 +279,11 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
     budget.  Writes and returns the mean primal and dual curves, mean
     normalized distance ||H - H_gt|| / ||H_gt|| to the ground truth, and
     mean leading singular values of data, truth and the three methods."""
+    if isinstance(config.sigma0, str):
+        # every trial's data has the shape of the first one's, so a P that
+        # does not fit fails here, before the trial pool starts
+        _gap_order(config.sigma0,
+                   signal_to_hankel(gen_cos_sum(np.random.default_rng(config.seed))).shape)
     items = [
         (config.seed + t, config.iters, config.alpha, config.sigma0)
         for t in range(config.trials)

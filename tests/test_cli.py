@@ -356,6 +356,34 @@ def test_setting_is_checked_before_any_trial(name, given, tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+def test_gap_order_beyond_the_solve_data_names_the_setting_and_shape(tmp_path, capsys,
+                                                                    monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:12", "solve", "--input", "matrix.npy"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: sigma0 gap:12 does not fit data of shape 14x12: "
+                   "P must be at most min(shape) - 1 = 11"]
+    assert not (tmp_path / "out").exists()
+    assert main(["--sigma0", "gap:11", "--iters", "2", "solve", "--input", "matrix.npy"]) == 0
+
+
+def test_gap_order_beyond_the_converge_shape_fails_before_any_trial(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "2")
+
+    def no_trial(args):
+        pytest.fail("a trial ran before the gap order was checked")
+
+    monkeypatch.setattr(harness, "_cossum_trial", no_trial)
+    assert main(["--sigma0", "gap:100", "--trials", "2", "converge"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: sigma0 gap:100 does not fit data of shape 101x100: "
+                   "P must be at most min(shape) - 1 = 99"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_records_the_penalty_setting_as_given(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")

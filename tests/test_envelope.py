@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -327,9 +329,13 @@ def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeyp
 def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
     # G moves along a line through truncated rows at Lambda_0 and
     # Lambda_0 + D; the next row, at Lambda_0 + 2D, certifies after one
-    # pass from the predicted start and takes three from the previous block
+    # pass from the predicted start and takes three from the previous block.
+    # The two rows before predict three passes, so the prediction is set
+    # back to one here, to check each start from its first pass
     obj, lam0, d = _path(0.3, 1e-3)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
+    assert warm.need == 3
+    warm = warm._replace(need=1)
     lam = lam0 + 2.0 * d
     dlam = np.linalg.norm(lam - (lam0 + d))
     predicted, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
@@ -337,17 +343,21 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
                                             dlam)
     assert predicted.warm.truncated and plain.warm.truncated
     assert (predicted.warm.passes, plain.warm.passes) == (passes, plain_passes) == (1, 3)
+    assert (predicted.warm.need, plain.warm.need) == (1, 3)
     full = obj.update(lam, 0.0)
     _assert_same_update(predicted, full)
     _assert_same_update(plain, full)
 
 
 def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
-    # at 80x80 the budget is 13.3 passes; after the path turns back, the
-    # predicted attempt stops after 7 of the 14 it would need, and the row
-    # falls back to the full SVD with no second attempt
+    # at 80x80 the budget is 13.3 passes, and the two rows before predict
+    # 13; after the path turns back, the predicted attempt's 12 power
+    # passes and its one Ritz pass leave the residual short of certified,
+    # a 14th pass does not fit, and the row falls back to the full SVD
+    # with no second attempt
     obj, lam0, d = _path(2.5, 10.0, 80)
     warm = _truncated_rows(obj, [lam0, lam0 + d])
+    assert warm.need == 13
     budgets = []
     attempt = envelope._truncated_svd
     monkeypatch.setattr(envelope, "_truncated_svd",
@@ -355,18 +365,69 @@ def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
     dlam = np.linalg.norm(lam0 - (lam0 + d))
     upd, passes = _passes_of_update(monkeypatch, obj, lam0, warm, dlam)
     assert budgets == pytest.approx([80 / 6])
-    assert passes == upd.warm.passes == 7
+    assert passes == upd.warm.passes == 13
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1
+    assert (upd.warm.need, upd.warm.cut) == (warm.need, warm.cut)  # kept for the next attempt
     _assert_same_update(upd, obj.update(lam0, 0.0))
 
 
+def test_row_that_needed_fewer_passes_than_predicted_lowers_the_prediction(monkeypatch):
+    # values 7 on sit at about 20% of the 4th, so each pass cuts the
+    # residual about 26-fold, and the row certifies after 6 passes from the
+    # previous block.  Predicted 8, it takes 8; the residual then sits at
+    # its rounding floor, 2e-3 of the accepted level, so the margin shows
+    # one pass spare, and the same row predicted 7 shows the 7th spare
+    obj, lam0, d = _path(1.5, 0.1)
+    lam = lam0 + d
+    warm = obj.update(lam0, 0.0).warm
+    dlam = np.linalg.norm(d)
+    base, base_passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
+    assert base.warm.truncated and base_passes == base.warm.need == 6
+    assert 20 < base.warm.cut < 30
+    counts, need = [], 8
+    for _ in range(4):
+        upd, passes = _passes_of_update(monkeypatch, obj, lam,
+                                        warm._replace(need=need, cut=base.warm.cut), dlam)
+        assert upd.warm.truncated and passes == upd.warm.passes
+        counts.append((passes, upd.warm.need))
+        need = upd.warm.need
+    assert counts == [(8, 7), (7, 6), (6, 6), (6, 6)]
+    _assert_same_update(upd, obj.update(lam, 0.0))
+
+
+def test_prediction_from_a_zero_residual_or_an_unmeasured_cut_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # zero data: every Ritz value and residual is exactly zero
+        zero = RankObjective(np.zeros((8, 8)), 1.0)
+        lam = np.zeros(zero.shape)
+        upd = zero.update(lam, 0.0, zero.update(lam, 0.0).warm._replace(need=3), 0.0)
+        assert upd.warm.truncated and upd.warm.passes == 3 and upd.warm.need == 1
+        # one Ritz pass certifies and no cut was ever measured: none spare
+        s = np.r_[50.0, 40.0, 30.0, 20.0, np.linspace(0.6, 0.1, 92)]
+        obj, warm, dlam = _two_rows(s, s)
+        assert warm.cut == np.inf
+        upd = obj.update(np.zeros(obj.shape), 0.0, warm._replace(need=2), dlam)
+        assert upd.warm.truncated and upd.warm.passes == upd.warm.need == 2
+        assert upd.warm.cut == np.inf
+
+
 @pytest.mark.parametrize("noise", [0.3, 1.0, 3.0, 5.0, 7.0])
-def test_no_attempt_spends_more_than_its_budget(noise):
+def test_no_attempt_spends_more_than_its_budget(monkeypatch, noise):
+    # a warm state may predict more passes than the budget: the power
+    # passes still leave room for one Ritz pass, the only kind that calls
+    # the SVD
     obj, lam, warm, dlam = _unit_step_rows(noise)
-    for budget in range(2, 23):
-        passes, _ = _plain_attempt(obj, lam, warm, dlam, budget)
-        assert 1 <= passes <= budget
+    ritz = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: ritz.append(1) or svd(*a, **k))
+    for need in (1, 5, 30):
+        for budget in range(2, 23):
+            ritz.clear()
+            passes, _ = _plain_attempt(obj, lam, warm._replace(need=need), dlam, budget)
+            assert 1 <= passes <= budget
+            assert ritz and passes >= min(need, budget)
 
 
 def _two_rows(s_prev, s_now, sigma0=1.0, seed=8):
