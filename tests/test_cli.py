@@ -50,6 +50,10 @@ CASES = {
         for name, sigma0 in SOLVE_INPUTS.items()
         for variant in ("da", "ada", "mod_ada")
     },
+    # 48x47 rows whose budget lets truncated attempts certify: the one
+    # golden solve that runs power and Rayleigh-Ritz passes
+    "solve_tones_da": ["--iters", "40", "--sigma0", "gap:4", "solve", "--input", "tones.npy",
+                       "--variant", "da"],
 }
 
 
@@ -89,6 +93,9 @@ def write_inputs(directory):
     g = np.cos(7.0 * t) + 0.5 * np.exp(-t) + 0.1 * rng.standard_normal(25)
     np.save(directory / "matrix.npy", g[np.add.outer(np.arange(14), np.arange(12))])
     write_model_json(directory / "model.json", rng, 30)
+    _, _, f = _four_tones(rng, 94)
+    tones = f + 0.1 * (rng.standard_normal(94) + 1j * rng.standard_normal(94))
+    np.save(directory / "tones.npy", tones[np.add.outer(np.arange(48), np.arange(47))])
 
 
 def _slra(args, cwd, **env):
@@ -187,9 +194,10 @@ def test_noise_free_model_of_large_amplitude_stays_in_the_complement(variant, tm
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
 def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
-    # the golden problems have 12 to 15 columns and capture few values, so
-    # a row's pass budget min(M, N) / (k + 2) reaches the two passes a
-    # truncated attempt needs; whatever rows the attempts certify, each
+    # the golden problems have 12 to 15 columns, or 47 in solve_tones_da,
+    # and capture few values, so a row's pass budget min(M, N) / (k + 2)
+    # reaches the two passes a truncated attempt needs; the small ones
+    # certify no row and the 48x47 one every row after row 0, and each
     # solve matches the same solve with every row priced by a full SVD
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
