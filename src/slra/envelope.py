@@ -109,64 +109,40 @@ def _certify(g, vk, sk, below, tau):
     return c if np.all(np.isfinite(factor)) else None
 
 
-def _start(warm, p, dg):
-    """Start block of the truncated attempt at a row.
+def _passes_left(resid, tol, cut):
+    """The forecast of :meth:`RankObjective.update`: passes that take the
+    residual ``resid`` to ``tol`` at ``cut`` per pass."""
+    if not resid > 0:
+        return -math.inf
+    return math.ceil(math.log(resid / tol) / math.log(cut))
 
-    The previous row's block V, or, when the row before it was truncated
-    too with a block W of the same width, the secant prediction
-    V + gamma (V - W W^H V), which extrapolates the move of the subspace
-    along the dual-ascent path, with gamma = min(1, dg / dg_prev), the
-    bounds on ||dG|| of the row and of the previous row."""
+
+def _truncated_svd(g, warm, p, dg, tau, budget):
+    """One truncated attempt at the row of g = F - Lambda/2 after the row
+    that left ``warm``, on ``p`` (<= len(warm.vh)) columns in at most
+    ``budget`` passes, as :meth:`RankObjective.update` states; ``dg``
+    bounds ||g - g_prev||_F, g_prev being the G of the row that left
+    ``warm``.
+
+    Returns the passes taken and, when the truncation is certified,
+    (u, s, vh, block, beta, need, cut) -- the captured triplets, the
+    block's right Ritz vectors as rows, a certified beta >=
+    sigma_{k+1}(g) below tau, and the next row's need with the cut per
+    pass it was forecast at -- or else None."""
     v = warm.vh[:p].conj().T
     w = warm.prev_vh
-    if w is None or w.shape != warm.vh.shape or len(w) != p or not warm.dg > 0:
-        return v
-    gamma = min(1.0, dg / warm.dg)
-    return v + gamma * (v - w.conj().T @ (w @ v))
-
-
-def _next_need(passes, resid, tol, cut):
-    """Passes the next truncated row is predicted to need: the ``passes``
-    of an accepted row, less those that the margin of its final residual
-    ``resid`` below ``tol`` shows were spare at ``cut`` per pass.  A zero
-    residual leaves one; a cut that is not measured, none spare."""
-    if not resid > 0:
-        return 1
-    if not 1.0 < cut < math.inf:
-        return passes
-    return max(1, passes - math.floor((math.log(tol) - math.log(resid)) / math.log(cut)))
-
-
-def _truncated_svd(g, v, warm, dg, tau, budget):
-    """Singular triplets of g at or above ``tau`` from a block subspace
-    iteration started at the block ``v``, in at most ``budget`` (>= 2)
-    passes.
-
-    The first warm.need - 1 passes are power passes, Q = orth(G V),
-    V = G^H Q, with no Ritz triplets and no residual, as many as leave
-    room for one Rayleigh-Ritz pass within the budget.  The next pass is
-    a Rayleigh-Ritz pass, and each later one runs only when the residual
-    cut of the two Ritz passes before, repeated, brings the residual to
-    the accepted level within the budget.  Returns the passes taken and,
-    when the truncation is certified, (u, s, vh, block, beta, need, cut)
-    -- the captured triplets, the block's right Ritz vectors as rows, a
-    certified beta >= sigma_{k+1}(g) below tau, the passes the next row
-    is predicted to need and the cut per pass that prediction used (the
-    last two Ritz passes', or else warm.cut) -- or else None.  ``dg``
-    bounds ||g - g_prev||_F from above, g_prev being the G of the row
-    that left ``warm``."""
-    p = v.shape[1]
+    if w is not None and w.shape == warm.vh.shape and len(w) == p and warm.dg > 0:
+        v = v + min(1.0, dg / warm.dg) * (v - w.conj().T @ (w @ v))
     passes, last = 0, np.inf
     try:
-        # a power pass spans what a Ritz pass spans, so only the checks
-        # are skipped
-        while passes + 1 < warm.need and passes + 2 <= budget:
-            passes += 1
-            q, _ = np.linalg.qr(g @ v)
-            v = (g.T @ q.conj()).conj()
         while True:
             passes += 1
             q, _ = np.linalg.qr(g @ v)
+            if passes < warm.need and passes + 1 <= budget:
+                # a power pass spans what a Ritz pass spans, so only the
+                # checks are skipped
+                v = (g.T @ q.conj()).conj()
+                continue
             # Ritz triplets of Q^H G from its conjugate transpose
             # G^H Q = V S U_b^H, which is cheaper to factor; formed as
             # conj(G^T conj(Q)), so G itself is never conjugated
@@ -184,9 +160,7 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
             cut = last / resid
             if not cut > 1.0:  # stalled, or a NaN residual
                 return passes, None
-            # passes still needed, one when no cut is measured yet
-            need = max(1, math.ceil(math.log(resid / tol) / math.log(cut)))
-            if passes + need > budget:
+            if passes + max(1, _passes_left(resid, tol, cut)) > budget:
                 return passes, None
             last = resid
         vh = v.conj().T
@@ -199,7 +173,8 @@ def _truncated_svd(g, v, warm, dg, tau, budget):
     except np.linalg.LinAlgError:
         return passes, None
     cut = last / resid if last < np.inf and resid > 0 else warm.cut
-    return passes, (u, s[:k], vh[:k], vh, beta, _next_need(passes, resid, tol, cut), cut)
+    need = max(1, passes + _passes_left(resid, tol, cut))
+    return passes, (u, s[:k], vh[:k], vh, beta, need, cut)
 
 
 @dataclass(frozen=True)
@@ -263,36 +238,37 @@ class RankObjective:
         Every quantity here vanishes on singular values below sigma0, so
         only the k values at or above the cutoff
         tau = sigma0 (1 - DEGENERATE_RTOL) are needed, k being the
-        previous row's count.  Passes of block subspace iteration on
-        p = k + 2 columns compute Q = orth(G V): one column beyond the k
-        shows where the values above tau end, and one more absorbs a value
-        that crosses tau between rows.  A row may spend
-        B = min(M, N) / p passes, about the cost of one full SVD, and is
-        tried only when B >= 2.  When the previous row's block is narrower
-        than k + 2 columns, as after a truncated row that captured more
-        values than the row before it, the row runs on that block, which
-        holds at least k + 1 columns.  The row's one attempt starts from the
+        previous row's count.  A row makes one attempt of block subspace
+        iteration on p = k + 2 columns: one column beyond the k shows
+        where the values above tau end, and one more absorbs a value that
+        crosses tau between rows.  It may spend B = min(M, N) / p passes,
+        about the cost of one full SVD, and is tried only when B >= 2.
+        When the previous row's block is narrower than k + 2 columns, as
+        after a truncated row that captured more values than the row
+        before it, the row runs on that block, which holds at least k + 1
+        columns.  The attempt starts from the
         previous row's block of right singular vectors V, or, when the
         row before it was truncated too with a block W of the same width,
         from the secant prediction V + gamma (V - W W^H V),
         gamma = min(1, dg / dg_prev), which the dual-ascent steps make
         accurate enough to certify most rows after one pass.
-        Only the last pass of a row can be accepted, so the attempt first
-        runs need - 1 power passes, V = G^H Q, and then
+        Each pass computes Q = orth(G V).  Only the last pass of a row can
+        be accepted, so the first need - 1 passes, as many as leave room
+        for one more within B, are power passes, V = G^H Q; the others are
         Rayleigh-Ritz passes, which take the Ritz triplets of Q^H G (from
-        the SVD of the tall G^H Q) and the residual of the captured ones.
-        ``need`` is the passes the last accepted row would have needed:
-        its passes, less floor(log(1e-12 s_1 / resid) / log(cut)) that
-        the margin of its final residual shows were spare, cut being the
-        ratio of its last two Ritz residuals, or else the one carried from
-        the row before; a zero residual leaves need = 1, an unmeasured cut
-        spares none.  The power passes stop short of B, so that one Ritz
-        pass always fits.  After each Ritz pass but the first, the attempt
-        stops once the passes spent plus
-        ceil(log(resid / (1e-12 s_1)) / log(cut)) would exceed B.
+        the SVD of the tall G^H Q) and the residual
+        resid = ||G V_k - U_k S_k||_F of the captured ones.  One forecast,
+        left = ceil(log(resid / tol) / log(cut)), tol = 1e-12 s_1, counts
+        the passes that take resid to tol at the residual cut per pass
+        measured by the last two Ritz passes; an unmeasured cut gives
+        left = 0, and a zero residual left = -inf.  After a Ritz pass
+        whose resid exceeds tol, the attempt stops once the passes spent
+        plus max(1, left) would exceed B.  An accepted row predicts
+        need = max(1, passes + left) for the next, left <= 0 counting the
+        passes that the margin of its final residual below tol shows were
+        spare, at its own cut or else the one carried from the row before.
         The triplets are accepted only when fewer Ritz values than columns
-        reach tau, the captured triplets leave
-        ||G V_k - U_k S_k||_F <= 1e-12 s_1, and a certified bound
+        reach tau, resid <= tol, and a certified bound
         beta >= sigma_{k+1}(G) lies below tau.  Then,
         by interlacing, exactly k singular values reach tau.  beta is
         exact after a full SVD and grows by dg from row to row (Weyl);
@@ -319,8 +295,7 @@ class RankObjective:
             columns = min(warm.captured + _EXTRA_COLUMNS, len(warm.vh))
             budget = min(g.shape) / columns  # passes worth one full SVD
             if not warm.wait and budget >= 2:
-                v = _start(warm, columns, dg)
-                passes, part = _truncated_svd(g, v, warm, dg, tau, budget)
+                passes, part = _truncated_svd(g, warm, columns, dg, tau, budget)
                 if part is None:
                     fallbacks += 1
                     wait = 2**fallbacks - 1

@@ -15,13 +15,9 @@ The multiplier always stays in the orthogonal complement of the constraint
 subspace.  Each trace row costs one SVD of F - Lambda/2 (plus one
 values-only SVD per row when feasible primal values are tracked), which
 the objective may truncate, warm-started from the rows before, or else
-take in full (see :meth:`slra.envelope.RankObjective.update`, which gives
-the policy).  A truncated row runs all but the last of the passes of
-subspace iteration that the last accepted row would have needed as plain
-power passes, and checks only the passes from then on by a Rayleigh-Ritz
-step; that prediction travels with the warm start, so no state outlives
-a run.
-Certifying a truncation needs a bound on how far
+take in full; :meth:`slra.envelope.RankObjective.update` gives the
+policy.  The warm start travels from row to row, so no state outlives a
+run.  Certifying a truncation needs a bound on how far
 F - Lambda/2 moved since the previous row; the run knows the multiplier's
 step as step * ||X - P(X)|| and hands the objective that figure plus a
 rounding margin, so no row sweeps the difference of two matrices for it.
@@ -187,9 +183,9 @@ class SolverResult:
     """Final primal (projected onto the subspace), final multiplier, trace
     and termination status.  ``full_svds`` counts the trace rows priced by
     a full SVD rather than a truncated one (row 0 and every fallback
-    included), and ``passes`` the passes of truncated-SVD subspace
-    iteration over the run (power and Rayleigh-Ritz passes, failed
-    attempts included)."""
+    included), and ``passes`` the passes of every truncated attempt of
+    the run, failed ones included (see
+    :meth:`slra.envelope.RankObjective.update`)."""
 
     X_star: np.ndarray
     Lambda_star: np.ndarray

@@ -284,9 +284,10 @@ def _plain_attempt(obj, lam, warm, dlam, budget):
     the previous row's multiplier, from that row's block, given
     ``budget`` passes."""
     g = obj.F - lam * 0.5
-    v = warm.vh[:warm.captured + envelope._EXTRA_COLUMNS].conj().T
     tau = obj.sigma0 * (1.0 - envelope.DEGENERATE_RTOL)
-    passes, part = envelope._truncated_svd(g, v, warm, 0.5 * dlam, tau, budget)
+    passes, part = envelope._truncated_svd(g, warm._replace(prev_vh=None),
+                                           warm.captured + envelope._EXTRA_COLUMNS,
+                                           0.5 * dlam, tau, budget)
     return passes, part is not None
 
 
