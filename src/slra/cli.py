@@ -18,8 +18,9 @@ with ``--variant da``, whose steps decay on their own.  ``solve`` draws
 no random numbers either, but accepts ``--seed`` so that a caller may
 pass one seed to every subcommand, as the ``bench/`` solve workload does.
 Exit codes:
-0 success, 1 numerical failure, 2 usage error.  The SLRA_THREADS
-environment variable caps the trial worker count.
+0 success, 1 numerical failure, 2 usage error, which includes a request
+too large for memory.  The SLRA_THREADS environment variable caps the
+trial worker count.
 """
 
 import argparse
@@ -179,6 +180,9 @@ def main(argv=None) -> int:
             print(f"status: {res.status} after {res.n_iters} iterations")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: the request does not fit in memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SolverNumericalError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

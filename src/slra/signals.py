@@ -8,6 +8,7 @@ approximation and frequency estimation.
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,14 @@ def save_signal_csv(path, f):
 
 
 def load_signal_csv(path) -> tuple:
-    """Read (indices, values) from a 3-column signal CSV."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read (indices, values) from a 3-column signal CSV after its header
+    line; ValueError when no sample row follows."""
+    with warnings.catch_warnings():
+        # said by the ValueError below, not by numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"signal CSV {path} holds no samples")
     if rows.shape[1] != 3:
         raise ValueError("signal CSV must have columns (index, re, im)")
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]

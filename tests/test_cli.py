@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: golden outputs of every study at
 tiny sizes, worker-count independence, the ``da`` best iterate on exact
-low-rank data, and the exit-code contract of ``--config``.
+low-rank data, and the exit-code contract of ``--config`` and of the
+inputs.
 
 Each golden case runs ``python -m slra`` in a fresh directory with
 ``--out out``, one trial worker and single-threaded BLAS (threaded
@@ -126,23 +127,36 @@ def test_golden_directories_are_the_cases():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
 
-def test_converge_identical_across_worker_counts(tmp_path):
-    csvs = ("converge_curves.csv", "gtdist.csv", "singvals.csv")
+def _assert_identical_across_worker_counts(tmp_path, args, csvs, summary):
+    """``args`` with SLRA_THREADS 1 and 2 write exactly ``csvs`` and
+    ``summary``: the CSVs byte-equal, the summary equal apart from the
+    output directory it records."""
     outputs = []
     for workers in ("1", "2"):
-        proc = _slra(["--out", f"out{workers}"] + CASES["converge"], tmp_path,
+        proc = _slra(["--out", f"out{workers}"] + args, tmp_path,
                      SLRA_THREADS=workers, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, proc.stderr
         out = tmp_path / f"out{workers}"
-        assert sorted(p.name for p in out.iterdir()) == sorted(csvs + ("converge_summary.json",))
+        assert sorted(p.name for p in out.iterdir()) == sorted(csvs + (summary,))
         outputs.append(out)
     for name in csvs:
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
-    # the recorded config differs only in the output directory
-    docs = [json.loads((out / "converge_summary.json").read_text()) for out in outputs]
+    docs = [json.loads((out / summary).read_text()) for out in outputs]
     for doc in docs:
         del doc["config"]["output_dir"]
     assert docs[0] == docs[1]
+
+
+def test_converge_identical_across_worker_counts(tmp_path):
+    _assert_identical_across_worker_counts(
+        tmp_path, CASES["converge"], ("converge_curves.csv", "gtdist.csv", "singvals.csv"),
+        "converge_summary.json")
+
+
+def test_freqest_identical_across_worker_counts(tmp_path):
+    _assert_identical_across_worker_counts(
+        tmp_path, ["--trials", "2", "freqest", "--snr-levels", "10,20"],
+        ("freqest_diffs.csv", "freqest_hist.csv"), "freqest_summary.json")
 
 
 def test_converge_pads_the_curves_of_runs_that_stop_early(tmp_path, monkeypatch):
@@ -562,6 +576,30 @@ def test_non_numeric_matrix_input_is_usage_error(tmp_path, capsys, monkeypatch):
     assert main(["--sigma0", "1.5", "solve", "--input", "text.npy"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: matrix input must be numeric, got dtype <U1"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_signal_csv_without_samples_is_usage_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "signal.csv").write_text("index,re,im\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "1.5", "solve", "--input", "signal.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: signal CSV signal.csv holds no samples"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_request_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a model JSON may ask for more samples than the machine holds; the
+    # failed allocation is raised by a stand-in, so nothing large is made
+    def no_memory(model):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    write_model_json(tmp_path / "model.json", np.random.default_rng(0), 30)
+    monkeypatch.setattr(harness, "sample_signal", no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:4", "solve", "--input", "model.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the request does not fit in memory")
     assert not (tmp_path / "out").exists()
 
 

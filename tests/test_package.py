@@ -10,11 +10,21 @@ definition's own body do not count.
 
 No function, class or module-level constant may be defined in two modules
 of ``src/slra``: a second module that needs it imports it.
+
+Every cross-reference in ``src/slra`` resolves: a ``:func:``, ``:meth:``,
+``:class:`` or ``:mod:`` target, a private name in double backticks and a
+``tests/<file>.py::<test>`` reference each name something defined, so no
+text outlives what it describes.
 """
 
 import ast
+import importlib
+import re
+import types
 from collections import defaultdict
 from pathlib import Path
+
+import slra
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +99,50 @@ def test_no_top_level_name_is_defined_in_two_modules():
             modules[name].append(path.name)
     twice = sorted(name for name, paths in modules.items() if len(paths) > 1)
     assert twice == [], f"defined in more than one module of src/slra: {twice}"
+
+
+#: a Sphinx role's target, and a private name (dotted or not) in double
+#: backticks
+_NAMED = re.compile(r":(?:func|meth|class|mod):`~?([\w.]+)`|``((?:\w+\.)*_[A-Za-z]\w*)``")
+_TEST = re.compile(r"tests/(\w+\.py)::(\w+)")
+
+
+def _resolves(scope, dotted):
+    for part in dotted.split("."):
+        if not hasattr(scope, part):
+            return False
+        scope = getattr(scope, part)
+    return True
+
+
+def _tests_defined(file):
+    path = ROOT / "tests" / file
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)} if path.exists() else set()
+
+
+def test_every_cross_reference_in_the_package_resolves():
+    # importing __main__ would run the program
+    paths = [p for p in sorted((ROOT / "src" / "slra").glob("*.py")) if p.stem != "__main__"]
+    modules = {p: importlib.import_module("slra" if p.stem == "__init__" else f"slra.{p.stem}")
+               for p in paths}
+    package = types.SimpleNamespace(slra=slra)
+    unresolved, seen = [], 0
+    for path, module in modules.items():
+        text = path.read_text()
+        classes = [n for n in ast.parse(text).body if isinstance(n, ast.ClassDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            # a name resolves from its enclosing class, its module or the package
+            scopes = [getattr(module, c.name) for c in classes
+                      if c.lineno <= lineno <= c.end_lineno] + [module, package]
+            for match in _NAMED.finditer(line):
+                seen += 1
+                name = match.group(1) or match.group(2)
+                if not any(_resolves(scope, name) for scope in scopes):
+                    unresolved.append(f"{path.name}:{lineno}: {name}")
+            for file, test in _TEST.findall(line):
+                seen += 1
+                if test not in _tests_defined(file):
+                    unresolved.append(f"{path.name}:{lineno}: tests/{file}::{test}")
+    assert seen > 0
+    assert unresolved == [], f"references to nothing in src/slra: {unresolved}"
