@@ -118,11 +118,11 @@ def _passes_left(resid, tol, cut):
 
 
 def _truncated_svd(g, warm, p, dg, tau, budget):
-    """One truncated attempt at the row of g = F - Lambda/2 after the row
-    that left ``warm``, on ``p`` (<= len(warm.vh)) columns in at most
-    ``budget`` passes, as :meth:`RankObjective.update` states; ``dg``
-    bounds ||g - g_prev||_F, g_prev being the G of the row that left
-    ``warm``.
+    """One truncated attempt at g = F - Lambda/2, as
+    :meth:`RankObjective.update` states, on ``p`` (<= len(warm.vh))
+    columns in at most ``budget`` (>= 2) passes; ``warm`` is the previous
+    row's state, and ``dg`` bounds ||g - g_prev||_F, g_prev being that
+    row's G.
 
     Returns the passes taken and, when the truncation is certified,
     (u, s, vh, block, beta, need, cut) -- the captured triplets, the
@@ -246,12 +246,12 @@ class RankObjective:
         When the previous row's block is narrower than k + 2 columns, as
         after a truncated row that captured more values than the row
         before it, the row runs on that block, which holds at least k + 1
-        columns.  The attempt starts from the
-        previous row's block of right singular vectors V, or, when the
-        row before it was truncated too with a block W of the same width,
-        from the secant prediction V + gamma (V - W W^H V),
-        gamma = min(1, dg / dg_prev), which the dual-ascent steps make
-        accurate enough to certify most rows after one pass.
+        columns.  The attempt starts from the previous row's block of
+        right singular vectors V, or, when the row before it was
+        truncated too with a block W of the same width, from the secant
+        prediction V + gamma (V - W W^H V), gamma = min(1, dg / dg_prev),
+        which the dual-ascent steps make accurate enough to certify most
+        rows after one pass.
         Each pass computes Q = orth(G V).  Only the last pass of a row can
         be accepted, so the first need - 1 passes, as many as leave room
         for one more within B, are power passes, V = G^H Q; the others are

@@ -210,9 +210,10 @@ def test_noise_free_model_of_large_amplitude_stays_in_the_complement(variant, tm
 def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch):
     # the golden problems have 12 to 15 columns, or 47 in solve_tones_da,
     # and capture few values, so a row's pass budget min(M, N) / (k + 2)
-    # reaches the two passes a truncated attempt needs; the small ones
-    # certify no row and the 48x47 one every row after row 0, and each
-    # solve matches the same solve with every row priced by a full SVD
+    # reaches the two passes a truncated attempt needs; the signal-CSV
+    # and matrix.npy solves certify no row, the others every row after
+    # row 0, and each solve matches the same solve with every row priced
+    # by a full SVD
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")
