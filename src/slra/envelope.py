@@ -73,15 +73,20 @@ class PrimalUpdate:
     value at x is priced on its first read, since ``da`` never reads it."""
 
     x: np.ndarray          # argmin of the (augmented) tilted objective
+    fs: np.ndarray         # singular values of x, non-increasing; those left out are 0
     dual_da: float         # -conjugate(-Lambda) at the input Lambda
     envelope: Callable[[], float]  # prices the envelope value at x
-    x_norm_sq: float       # ||x||^2
     degenerate: bool       # threshold tie detected (alpha == 0 only)
     warm: Optional[WarmStart] = None  # start of the next row's truncated SVD
 
     @cached_property
     def envelope_at_x(self) -> float:
         return self.envelope()
+
+    @cached_property
+    def x_norm_sq(self) -> float:
+        """||x||^2."""
+        return float((self.fs**2).sum())
 
     def augmented_dual(self, lam, alpha: float) -> float:
         """envelope(x) + <x, lam> + (alpha/2)||x||^2, the dual value of the
@@ -321,7 +326,7 @@ class RankObjective:
         prev_vh = warm.vh if truncated and warm.truncated else None
         warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes,
                          need, cut)
-        return PrimalUpdate(x, dual_da, env, float((fs**2).sum()), degenerate, warm)
+        return PrimalUpdate(x, fs, dual_da, env, degenerate, warm)
 
     def dual_value_ada(self, lam, alpha: float) -> float:
         """Dual value of the fully augmented problem at Lambda: the
@@ -340,6 +345,24 @@ class RankObjective:
         val += frobenius_norm(x - self.F) ** 2
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)
+        return val
+
+    def primal_bound(self, upd: PrimalUpdate, px, resid: float, alpha: float = 0.0) -> float:
+        """Upper bound on ``feasible_value(px, alpha)`` at px = P(upd.x),
+        given resid = ||upd.x - px||_F, from no SVD:
+
+            sum_j phi(f_j) + 2 sigma0 sqrt(min(M, N)) resid + ||px - F||^2,
+
+        plus (alpha/2)||px||^2, where phi(s) = sigma0^2 - max(sigma0 - s, 0)^2
+        and f_j = ``upd.fs`` are the singular values of upd.x.  phi is
+        2 sigma0-Lipschitz, and by Mirsky's inequality
+        sum_j |sigma_j(A) - sigma_j(B)| <= ||A - B||_*, which is at most
+        sqrt(min(M, N)) ||A - B||_F."""
+        val = _env_terms(upd.fs, self.sigma0)
+        val += 2.0 * self.sigma0 * math.sqrt(min(self.shape)) * resid
+        val += frobenius_norm(px - self.F) ** 2
+        if alpha > 0:
+            val += 0.5 * alpha * float(np.vdot(px, px).real)
         return val
 
 

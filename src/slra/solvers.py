@@ -12,15 +12,19 @@ Three variants share one loop, and each fixes its own step rule (see
                  decay to alpha, taking large steps early on.
 
 The multiplier always stays in the orthogonal complement of the constraint
-subspace.  Each trace row costs one SVD of F - Lambda/2 (plus one
-values-only SVD per row when feasible primal values are tracked), which
-the objective may truncate, warm-started from the rows before, or else
-take in full; :meth:`slra.envelope.RankObjective.update` gives the
-policy.  The warm start travels from row to row, so no state outlives a
-run.  Certifying a truncation needs a bound on how far
-F - Lambda/2 moved since the previous row; the run knows the multiplier's
-step as step * ||X - P(X)|| and hands the objective that figure plus a
-rounding margin, so no row sweeps the difference of two matrices for it.
+subspace.  Each trace row costs one SVD of F - Lambda/2, which the
+objective may truncate, warm-started from the rows before, or else take
+in full; :meth:`slra.envelope.RankObjective.update` gives the policy.
+A row whose exact primal value is priced costs one more, values-only,
+SVD of P(X); ``SolverConfig.primal_rows`` names those rows, and every
+other row of a run that prices any carries only a certified upper bound
+on that value, from no SVD (see
+:meth:`slra.envelope.RankObjective.primal_bound`).  The warm start
+travels from row to row, so no state outlives a run.  Certifying a
+truncation needs a bound on how far F - Lambda/2 moved since the previous
+row; the run knows the multiplier's step as step * ||X - P(X)|| and hands
+the objective that figure plus a rounding margin, so no row sweeps the
+difference of two matrices for it.
 
 Dual values recorded in the trace: for ``da`` and ``mod_ada`` the dual is
 the conjugate-based dual function at Lambda^n.  For ``ada`` the recorded
@@ -47,6 +51,10 @@ DA = "da"
 ADA = "ada"
 MOD_ADA = "mod_ada"
 VARIANTS = (DA, ADA, MOD_ADA)
+
+#: settings of ``SolverConfig.primal_rows``: the exact primal value on every
+#: row, on rows 0, 2^j and the last, or on none
+PRIMAL_ROWS = ("all", "doubling", "none")
 
 #: multiplier must stay in the complement up to this share of
 #: 1 + ||Lambda|| + ||X||, X being the iterate whose residual it last took
@@ -76,13 +84,20 @@ class SolverConfig:
     step ``alpha_reg``, its augmentation weight, and ``mod_ada`` the steps
     2/(n+1)^2 + ``alpha_reg``, which decay to it; both need a finite
     ``alpha_reg > 0``.
+
+    ``primal_rows`` names the trace rows priced by the exact primal value,
+    one values-only SVD each: ``all`` of them, ``doubling`` (row 0, the
+    rows 2^j and the last row, so about log2 of the row count) or
+    ``none``.  Unless it is ``none``, every row also records the certified
+    upper bound of :meth:`slra.envelope.RankObjective.primal_bound` on
+    that value, which costs no SVD.  No other output depends on it.
     """
 
     variant: str
     alpha_reg: float = 0.0
     max_iters: int = 1000
     stop_tol: float = 1e-6
-    track_primal: bool = True
+    primal_rows: str = "all"
     sqrt_steps: bool = False
 
     def __post_init__(self):
@@ -99,6 +114,8 @@ class SolverConfig:
             raise ValueError(f"{self.variant} needs a finite alpha_reg > 0, got {self.alpha_reg}")
         if self.sqrt_steps and self.variant != DA:
             raise ValueError("sqrt_steps applies to da only")
+        if self.primal_rows not in PRIMAL_ROWS:
+            raise ValueError(f"primal_rows must be one of {PRIMAL_ROWS}, got {self.primal_rows!r}")
 
     def step(self, n: int) -> float:
         """Step alpha_n of the n-th multiplier update (n >= 0)."""
@@ -111,14 +128,21 @@ class SolverConfig:
         return 1.0 / (n + 1)
 
 
-_TRACE_COLUMNS = ("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm", "best_n")
+_TRACE_COLUMNS = ("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm", "best_n",
+                  "primal_bound")
 #: one CSV row of the trace, with the line end of ``csv.writer``
-_TRACE_ROW = "{},{:.12e},{:.12e},{:.12e},{:.12e},{:.12e},{}\r\n"
+_TRACE_ROW = "{},{:.12e},{:.12e},{:.12e},{:.12e},{:.12e},{},{:.12e}\r\n"
 
 
 @dataclass
 class SolverTrace:
-    """Per-iteration record; row n describes the state after n updates."""
+    """Per-iteration record; row n describes the state after n updates.
+
+    ``primal`` is the exact primal value of P(X^n) on the rows that
+    ``SolverConfig.primal_rows`` prices and NaN on the others;
+    ``primal_bound`` is a certified upper bound on it on every row (the
+    exact value on row 0, where X^0 = 0), or NaN throughout under
+    ``none``."""
 
     n: np.ndarray
     primal: np.ndarray
@@ -127,6 +151,7 @@ class SolverTrace:
     lambda_norm: np.ndarray
     step_norm: np.ndarray
     best_n: np.ndarray
+    primal_bound: np.ndarray
 
     def __len__(self):
         return len(self.n)
@@ -224,7 +249,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
     ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
-    PrimalUpdate`` and ``feasible_value`` (see
+    PrimalUpdate``, ``feasible_value`` and ``primal_bound`` (see
     :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
     the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
@@ -232,7 +257,11 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     Lambda^k; the one SVD of F - Lambda^k/2 computed for row k prices its
     dual value and yields the next primal iterate X^{k+1}.  Terminates
     when the feasibility residual ||X^k - P(X^k)|| drops below
-    ``stop_tol`` or after ``max_iters`` updates.
+    ``stop_tol`` or after ``max_iters`` updates.  Under ``doubling`` the
+    last row is known before it is recorded, so it is always priced; a
+    run that raises :class:`SolverNumericalError` stops after a row it
+    took for an inner one, so its partial trace carries exact values on
+    rows 0 and 2^j only, and bounds on every row.
 
     ``da`` returns the projected minimizer of the same SVD that priced the
     best row: the latest row whose dual came within
@@ -269,12 +298,14 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         if not rows or dual >= top - _BEST_DUAL_RTOL * max(1.0, abs(top)):
             best, x_best = k, upd.x
         top = max(top, dual)
-        rows.append((
-            k,
-            objective.feasible_value(px, alpha) if config.track_primal else np.nan,
-            dual, resid, lam_norm, step_norm, best,
-        ))
-        if converged or k == config.max_iters:
+        last = converged or k == config.max_iters
+        primal = bound = np.nan
+        if config.primal_rows != "none":
+            if config.primal_rows == "all" or last or not k & (k - 1):  # k = 0 or 2^j
+                primal = objective.feasible_value(px, alpha)
+            bound = primal if prev is None else objective.primal_bound(prev, px, resid, alpha)
+        rows.append((k, primal, dual, resid, lam_norm, step_norm, best, bound))
+        if last:
             break
 
         prev, px = upd, subspace.project(upd.x)

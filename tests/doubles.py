@@ -7,7 +7,8 @@ primal minimizers, and the tests' reference evaluators.
 ``ZeroSubspace`` is the trivial subspace {0}, whose complement is the whole
 space.  ``never_truncate`` stubs out the truncated SVD, so that a run
 prices every row by the full SVD, and ``assert_same_run`` compares a run
-with that reference path.  ``primal_value`` prices the paper's
+with that reference path.  ``assert_primal_bound_holds`` checks a trace's
+certified primal bounds against its exact primal values.  ``primal_value`` prices the paper's
 non-convex objective, which no solver evaluates.  The module name does
 not match ``test_*.py``: the tests import it, pytest does not collect it.
 """
@@ -52,6 +53,9 @@ class ToyObjective:
         v = self._scalar(x)
         return max(0.0, v * v - 1.0)
 
+    def primal_bound(self, upd, px, resid, alpha=0.0):
+        return self.feasible_value(px)
+
     def update(self, lam, alpha=0.0, warm=None, dlam=None) -> PrimalUpdate:
         if alpha != 0:
             raise ValueError("the toy objective runs plain dual ascent only")
@@ -60,9 +64,9 @@ class ToyObjective:
         x = max(toy_tilted_minimizers(lam_v))
         return PrimalUpdate(
             x=np.array([[x]]),
+            fs=np.array([abs(x)]),
             dual_da=-toy_conjugate(-lam_v),
             envelope=lambda: max(0.0, x * x - 1.0),
-            x_norm_sq=x * x,
             degenerate=False,
         )
 
@@ -89,3 +93,13 @@ def assert_same_run(fast, full):
     assert_allclose(fast.trace.dual, full.trace.dual, rtol=1e-9)
     assert_allclose(fast.trace.lambda_norm, full.trace.lambda_norm, rtol=1e-9)
     assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
+
+
+def assert_primal_bound_holds(trace):
+    """The certified bound of every row of ``trace``, a run that priced
+    every row, lies above its exact primal value up to rounding, and row 0
+    (X^0 = 0) takes the exact value."""
+    p, b = trace.primal, trace.primal_bound
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(b))
+    assert np.all(b >= p - 1e-12 * np.maximum(1.0, np.abs(p)))
+    assert b[0] == p[0]

@@ -17,6 +17,7 @@ directories of cases that no longer exist.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -26,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from doubles import assert_same_run, never_truncate
+from doubles import assert_primal_bound_holds, assert_same_run, never_truncate
 from slra import harness, solvers
 from slra.cli import _parse_snr_levels, build_parser, main
 
@@ -227,6 +229,29 @@ def test_golden_solves_price_every_row_by_a_full_svd(case, tmp_path, monkeypatch
     assert fast.passes > 0
     assert full.full_svds == full.n_iters + 1 and full.passes == 0
     assert_same_run(fast, full)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("solve_")))
+def test_golden_solves_bound_the_primal_value_on_every_row(case, tmp_path, monkeypatch):
+    # solve prices the exact primal value on rows 0, 2^j and the last only;
+    # the same solve with every row priced shows each row's bound above it
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    calls = []
+    original = solvers.run
+    monkeypatch.setattr(solvers, "run",
+                        lambda *a: calls.append((a, original(*a))) or calls[-1][1])
+    assert main(["--out", "out"] + CASES[case]) == 0
+    (objective, subspace, config), solved = calls[0]
+    assert config.primal_rows == "doubling"
+    tracked = original(objective, subspace, dataclasses.replace(config, primal_rows="all"))
+    assert_array_equal(tracked.trace.primal_bound, solved.trace.primal_bound)
+    assert_primal_bound_holds(tracked.trace)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_primal"] == tracked.trace.primal[-1]
+    assert summary["certified_gap"] == (np.min(tracked.trace.primal_bound)
+                                        - np.max(tracked.trace.dual))
 
 
 def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):

@@ -3,9 +3,18 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from doubles import ToyObjective, ZeroSubspace, assert_same_run, never_truncate, toy_conjugate
+from doubles import (
+    ToyObjective,
+    ZeroSubspace,
+    assert_primal_bound_holds,
+    assert_same_run,
+    never_truncate,
+    toy_conjugate,
+)
 from slra import harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
@@ -125,10 +134,13 @@ class ScriptedObjective:
     def feasible_value(self, x, alpha=0.0):
         return 0.0
 
+    def primal_bound(self, upd, px, resid, alpha=0.0):
+        return 0.0
+
     def update(self, lam, alpha, warm, dlam):
         k, self.row = self.row, self.row + 1
         x = np.full((1, 1), np.nan if k == self.nan_row else 1.0)
-        return PrimalUpdate(x, self.duals[k], lambda: 0.0, 1.0, False)
+        return PrimalUpdate(x, np.ones(1), self.duals[k], lambda: 0.0, False)
 
 
 @pytest.mark.parametrize("duals, best", [
@@ -150,7 +162,7 @@ def test_da_best_row_is_latest_within_tolerance(duals, best):
 def test_check_invariants_rejects_other_best_rows(duals, best):
     n = len(duals)
     trace = SolverTrace(np.arange(n), np.zeros(n), np.array(duals), np.zeros(n),
-                        np.zeros(n), np.zeros(n), np.array(best))
+                        np.zeros(n), np.zeros(n), np.array(best), np.zeros(n))
     with pytest.raises(AssertionError):
         trace.check_invariants()
 
@@ -221,16 +233,89 @@ def test_weak_duality_along_traces():
 ], ids=["da", "ada", "mod_ada"])
 def test_primal_tracking_changes_only_the_primal_column(make):
     # one cosine-sum run serves the curves, distances and singular values
-    # only because pricing primal values leaves everything else untouched
+    # only because pricing primal values leaves everything else untouched;
+    # ``doubling`` prices rows 0, 2^j and the last, and bounds every row
+    # as ``all`` does
     obj, sub, _ = hankel_problem(11, rows=21, cols=20, sigma0=0.8)
-    tracked, bare = (run(obj, sub, make(max_iters=40, stop_tol=1e-300, track_primal=t))
-                     for t in (True, False))
-    assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
-    for col in ("dual", "feas_residual", "lambda_norm", "step_norm", "best_n"):
-        assert_array_equal(getattr(tracked.trace, col), getattr(bare.trace, col))
-    assert_array_equal(tracked.X_star, bare.X_star)
-    assert_array_equal(tracked.Lambda_star, bare.Lambda_star)
-    assert (tracked.n_iters, tracked.full_svds) == (bare.n_iters, bare.full_svds)
+    resid = run(obj, sub, make(max_iters=40, stop_tol=1e-300)).trace.feas_residual
+    # just above the least residual of rows 1-30: the run converges at the
+    # first row that reaches it
+    converge_tol = np.nextafter(resid[1:31].min(), np.inf)
+
+    class FailingAtRow7:
+        shape = obj.shape
+        feasible_value = staticmethod(obj.feasible_value)
+        primal_bound = staticmethod(obj.primal_bound)
+
+        def __init__(self):
+            self.calls = 0
+
+        def update(self, lam, alpha, warm, dlam):
+            self.calls += 1
+            if self.calls == 8:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return obj.update(lam, alpha, warm, dlam)
+
+    def runs(stop_tol, objective=lambda: obj):
+        results = {}
+        for rows in solvers.PRIMAL_ROWS:
+            try:
+                results[rows] = run(objective(), sub, make(max_iters=40, stop_tol=stop_tol,
+                                                           primal_rows=rows))
+            except solvers.SolverNumericalError as exc:
+                results[rows] = exc
+        return results.values()
+
+    stopped_at = set()
+    for stop_tol, objective in ((1e-300, lambda: obj), (converge_tol, lambda: obj),
+                                (1e-300, FailingAtRow7)):
+        tracked, doubling, bare = runs(stop_tol, objective)
+        assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
+        assert np.all(np.isfinite(tracked.trace.primal_bound))
+        assert np.all(np.isnan(bare.trace.primal_bound))
+        for other in (doubling, bare):
+            for col in ("dual", "feas_residual", "lambda_norm", "step_norm", "best_n"):
+                assert_array_equal(getattr(tracked.trace, col), getattr(other.trace, col))
+        assert_array_equal(doubling.trace.primal_bound, tracked.trace.primal_bound)
+        n_rows = len(tracked.trace)
+        priced = {0} | {2**j for j in range(n_rows.bit_length()) if 2**j < n_rows}
+        if isinstance(tracked, solvers.SolverNumericalError):
+            # the failure comes at row 7, before that row is recorded, so
+            # no row was known to be the last: rows 0, 1, 2 and 4 carry
+            # exact values, rows 3, 5 and 6 only bounds
+            assert all(isinstance(r, solvers.SolverNumericalError) for r in (doubling, bare))
+            assert n_rows == 7 and priced == {0, 1, 2, 4}
+        else:
+            assert n_rows - 1 not in priced  # so the last-row rule shows
+            priced.add(n_rows - 1)
+            stopped_at.add(tracked.converged)
+            for other in (doubling, bare):
+                assert_array_equal(tracked.X_star, other.X_star)
+                assert_array_equal(tracked.Lambda_star, other.Lambda_star)
+                assert ((tracked.n_iters, tracked.full_svds, tracked.passes)
+                        == (other.n_iters, other.full_svds, other.passes))
+        assert set(np.flatnonzero(np.isfinite(doubling.trace.primal))) == priced
+        rows = sorted(priced)
+        assert_array_equal(doubling.trace.primal[rows], tracked.trace.primal[rows])
+    assert stopped_at == {False, True}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**31 - 1), st.integers(8, 30), st.booleans(),
+       st.sampled_from(solvers.VARIANTS), st.floats(0.01, 0.5))
+def test_primal_bound_holds_on_every_row(seed, rows, complex_data, variant, noise):
+    # four damped tones on a rows x (rows - 1) Hankel matrix, their real
+    # part (eight exponentials) when real, sigma0 from the gap at 4
+    rng = np.random.default_rng(seed)
+    tones = -rng.uniform(0.0, 0.01, 4) + 1j * rng.uniform(0.1, 3.0, 4)
+    f = np.exp(np.multiply.outer(np.arange(2 * rows - 2), tones)) @ np.exp(
+        2j * np.pi * rng.uniform(size=4))
+    f = f + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    F = signal_to_hankel(f if complex_data else f.real)
+    obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
+    res = run(obj, sub, SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1,
+                                     max_iters=60))
+    assert_primal_bound_holds(res.trace)
 
 
 def test_ada_dual_monotone_increase_inequality():
@@ -294,6 +379,7 @@ def test_numerical_failure_carries_priced_rows():
     class FailingObjective:
         shape = obj.shape
         feasible_value = staticmethod(obj.feasible_value)
+        primal_bound = staticmethod(obj.primal_bound)
         calls = 0
 
         def update(self, lam, alpha, warm, dlam):
@@ -455,6 +541,7 @@ def test_nonfinite_input_to_a_warm_row_fails_as_svd_failure():
     class NaNAtRow2:
         shape = obj.shape
         feasible_value = staticmethod(obj.feasible_value)
+        primal_bound = staticmethod(obj.primal_bound)
         row = 0
 
         def update(self, lam, alpha, warm, dlam):
@@ -483,7 +570,7 @@ def test_trace_csv_round_trip(tmp_path):
     res.trace.write_csv(tmp_path / "trace.csv")
     back = SolverTrace.read_csv(tmp_path / "trace.csv")
     for col in ("n", "primal", "dual", "feas_residual", "lambda_norm",
-                "step_norm", "best_n"):
+                "step_norm", "best_n", "primal_bound"):
         a, b = getattr(res.trace, col), getattr(back, col)
         assert_allclose(b, a, rtol=1e-11)
     back.check_invariants()
@@ -498,14 +585,17 @@ def test_trace_csv_significant_digits(tmp_path):
         lambda_norm=np.array([0.0, 1.0]),
         step_norm=np.array([0.0, 1.0]),
         best_n=np.array([0, 1]),
+        primal_bound=np.array([1.2345678901234e2, 2.5]),
     )
     path = tmp_path / "trace.csv"
     tr.write_csv(path)
     text = path.read_text()
-    assert text.splitlines()[0] == "n,primal,dual,feas_residual,lambda_norm,step_norm,best_n"
+    assert text.splitlines()[0] == ("n,primal,dual,feas_residual,lambda_norm,step_norm,best_n,"
+                                    "primal_bound")
     assert "1.234567890123e+02" in text
     back = SolverTrace.read_csv(path)
     assert np.isnan(back.primal[1])
+    assert back.primal_bound[1] == 2.5
 
 
 def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
@@ -513,19 +603,20 @@ def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
     # through csv.writer, as the trace CSV has always been written
     obj, sub, _ = hankel_problem(8)
     traces = [run(obj, sub, SolverConfig(solvers.ADA, alpha_reg=0.1, max_iters=12)).trace,
-              SolverTrace.from_rows([(0, np.nan, -np.inf, 0.0, -0.0, 5e-324, 0),
-                                     (1, np.inf, 1e300, 1.2345678901234e-7, 3.0, 1.0, 0)])]
+              SolverTrace.from_rows([(0, np.nan, -np.inf, 0.0, -0.0, 5e-324, 0, np.nan),
+                                     (1, np.inf, 1e300, 1.2345678901234e-7, 3.0, 1.0, 0,
+                                      -1e-300)])]
     for tr in traces:
         ref = io.StringIO(newline="")
         w = csv.writer(ref)
         w.writerow(("n", "primal", "dual", "feas_residual", "lambda_norm", "step_norm",
-                    "best_n"))
+                    "best_n", "primal_bound"))
         for i in range(len(tr)):
             w.writerow([int(tr.n[i])]
                        + [format(float(getattr(tr, c)[i]), ".12e")
                           for c in ("primal", "dual", "feas_residual", "lambda_norm",
                                     "step_norm")]
-                       + [int(tr.best_n[i])])
+                       + [int(tr.best_n[i]), format(float(tr.primal_bound[i]), ".12e")])
         tr.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == ref.getvalue().encode()
 
