@@ -7,10 +7,11 @@ primal minimizers, and the tests' reference evaluators.
 ``ZeroSubspace`` is the trivial subspace {0}, whose complement is the whole
 space.  ``never_truncate`` stubs out the truncated SVD, so that a run
 prices every row by the full SVD, and ``assert_same_run`` compares a run
-with that reference path.  ``assert_primal_bound_holds`` checks a trace's
-certified primal bounds against its exact primal values.  ``primal_value`` prices the paper's
-non-convex objective, which no solver evaluates.  The module name does
-not match ``test_*.py``: the tests import it, pytest does not collect it.
+with that reference path.  ``assert_primal_bound_holds`` checks a
+trace's certified primal bounds against its exact primal values.
+``primal_value`` prices the paper's non-convex objective, which no solver
+evaluates.  The module name does not match ``test_*.py``: the tests
+import it, pytest does not collect it.
 """
 
 import numpy as np

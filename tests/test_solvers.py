@@ -122,6 +122,21 @@ def test_toy_da_dual_values_from_conjugate():
 # generic run behaviour
 # ---------------------------------------------------------------------------
 
+class FailingAtRow:
+    """``obj`` whose SVD fails at row ``row``."""
+
+    def __init__(self, obj, row):
+        self.obj, self.row, self.calls = obj, row, 0
+        self.shape = obj.shape
+        self.feasible_value, self.primal_bound = obj.feasible_value, obj.primal_bound
+
+    def update(self, lam, alpha, warm, dlam):
+        self.calls += 1
+        if self.calls == self.row + 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return self.obj.update(lam, alpha, warm, dlam)
+
+
 class ScriptedObjective:
     """1x1 objective whose rows have scripted duals, and a NaN minimizer at
     row ``nan_row``."""
@@ -242,34 +257,21 @@ def test_primal_tracking_changes_only_the_primal_column(make):
     # first row that reaches it
     converge_tol = np.nextafter(resid[1:31].min(), np.inf)
 
-    class FailingAtRow7:
-        shape = obj.shape
-        feasible_value = staticmethod(obj.feasible_value)
-        primal_bound = staticmethod(obj.primal_bound)
-
-        def __init__(self):
-            self.calls = 0
-
-        def update(self, lam, alpha, warm, dlam):
-            self.calls += 1
-            if self.calls == 8:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return obj.update(lam, alpha, warm, dlam)
-
-    def runs(stop_tol, objective=lambda: obj):
-        results = {}
+    def runs(stop_tol, fail_at=None):
+        """The run under ``all``, ``doubling`` and ``none``, or the error it raised."""
+        results = []
         for rows in solvers.PRIMAL_ROWS:
+            objective = obj if fail_at is None else FailingAtRow(obj, fail_at)
             try:
-                results[rows] = run(objective(), sub, make(max_iters=40, stop_tol=stop_tol,
-                                                           primal_rows=rows))
+                results.append(run(objective, sub, make(max_iters=40, stop_tol=stop_tol,
+                                                        primal_rows=rows)))
             except solvers.SolverNumericalError as exc:
-                results[rows] = exc
-        return results.values()
+                results.append(exc)
+        return results
 
-    stopped_at = set()
-    for stop_tol, objective in ((1e-300, lambda: obj), (converge_tol, lambda: obj),
-                                (1e-300, FailingAtRow7)):
-        tracked, doubling, bare = runs(stop_tol, objective)
+    converged = set()
+    for stop_tol, fail_at in ((1e-300, None), (converge_tol, None), (1e-300, 7)):
+        tracked, doubling, bare = runs(stop_tol, fail_at)
         assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
         assert np.all(np.isfinite(tracked.trace.primal_bound))
         assert np.all(np.isnan(bare.trace.primal_bound))
@@ -288,7 +290,7 @@ def test_primal_tracking_changes_only_the_primal_column(make):
         else:
             assert n_rows - 1 not in priced  # so the last-row rule shows
             priced.add(n_rows - 1)
-            stopped_at.add(tracked.converged)
+            converged.add(tracked.converged)
             for other in (doubling, bare):
                 assert_array_equal(tracked.X_star, other.X_star)
                 assert_array_equal(tracked.Lambda_star, other.Lambda_star)
@@ -297,7 +299,7 @@ def test_primal_tracking_changes_only_the_primal_column(make):
         assert set(np.flatnonzero(np.isfinite(doubling.trace.primal))) == priced
         rows = sorted(priced)
         assert_array_equal(doubling.trace.primal[rows], tracked.trace.primal[rows])
-    assert stopped_at == {False, True}
+    assert converged == {False, True}  # one run hit max_iters, one converged
 
 
 @settings(deadline=None, max_examples=30)
@@ -376,21 +378,9 @@ def test_degenerate_status_surfaced():
 def test_numerical_failure_carries_priced_rows():
     obj, sub, _ = hankel_problem(11, rows=8, cols=8)
 
-    class FailingObjective:
-        shape = obj.shape
-        feasible_value = staticmethod(obj.feasible_value)
-        primal_bound = staticmethod(obj.primal_bound)
-        calls = 0
-
-        def update(self, lam, alpha, warm, dlam):
-            self.calls += 1
-            if self.calls == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return obj.update(lam, alpha, warm, dlam)
-
     cfg = SolverConfig(solvers.DA, max_iters=10, stop_tol=1e-300)
     with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
-        run(FailingObjective(), sub, cfg)
+        run(FailingAtRow(obj, 2), sub, cfg)
     assert list(exc.value.trace.n) == [0, 1]
     assert np.all(np.isfinite(exc.value.trace.dual))
     exc.value.trace.check_invariants()
