@@ -227,8 +227,9 @@ def _resolve_sigma0(F, sigma0):
 
 
 def _cossum_trial(args):
-    """One random-instance run of all three methods; returns curves,
-    normalized ground-truth distances and leading singular values."""
+    """One random-instance run of all three methods; returns its record of
+    leading singular values of data and truth and, one row per method,
+    curves, normalized ground-truth distances and X*'s leading values."""
     (trial_seed, iters, alpha, sigma0) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
@@ -237,26 +238,24 @@ def _cossum_trial(args):
     noisy = add_noise(h_gt, COSSUM_NOISE_SIGMA, rng=rng)
     obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0))
     gt_norm = float(np.linalg.norm(h_gt))
-
-    out = {
+    runs = [solvers.run(obj, sub, _method_config(m, alpha, iters)) for m in METHODS]
+    return {
         "sv_noisy": np.linalg.svd(noisy, compute_uv=False)[:10],
         "sv_gt": np.linalg.svd(h_gt, compute_uv=False)[:10],
-    }
-    n_rows = iters + 1
-    prim = np.empty((len(METHODS), n_rows))
-    dual = np.empty((len(METHODS), n_rows))
-    dist = np.empty(len(METHODS))
-    sv_out = np.empty((len(METHODS), 10))
-    for i, method in enumerate(METHODS):
-        res = solvers.run(obj, sub, _method_config(method, alpha, iters))
-        prim[i] = _pad_to(res.trace.primal, n_rows)
-        dual[i] = _pad_to(res.trace.dual, n_rows)
+        "primal": [_pad_to(res.trace.primal, iters + 1) for res in runs],
+        "dual": [_pad_to(res.trace.dual, iters + 1) for res in runs],
         # normalized distance ||H - H_gt|| / ||H_gt||; the tabulated
         # reference values correspond to this unsquared ratio
-        dist[i] = float(np.linalg.norm(res.X_star - h_gt)) / gt_norm
-        sv_out[i] = np.linalg.svd(res.X_star, compute_uv=False)[:10]
-    out.update(primal=prim, dual=dual, dist=dist, sv_out=sv_out)
-    return out
+        "dist": [float(np.linalg.norm(res.X_star - h_gt)) / gt_norm for res in runs],
+        "sv_out": [np.linalg.svd(res.X_star, compute_uv=False)[:10] for res in runs],
+    }
+
+
+def _stack(records, *shape):
+    """Each field of the per-trial ``records``, stacked over the trials in
+    their order into an array of ``shape`` followed by the field's own."""
+    return {key: np.stack([r[key] for r in records]).reshape(shape + np.shape(records[0][key]))
+            for key in records[0]}
 
 
 def _write_csv(path, header, rows):
@@ -288,19 +287,14 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
         (config.seed + t, config.iters, config.alpha, config.sigma0)
         for t in range(config.trials)
     ]
-    results = _map_trials(_cossum_trial, items)
-    mean = lambda key: np.mean(np.stack([r[key] for r in results]), axis=0)
-    prim, dual = mean("primal"), mean("dual")
-    sv_out = mean("sv_out")
+    mean = {key: np.mean(field, axis=0) for key, field in
+            _stack(_map_trials(_cossum_trial, items), config.trials).items()}
     report = AggregateReport(
-        primal_curves={m: prim[i] for i, m in enumerate(METHODS)},
-        dual_curves={m: dual[i] for i, m in enumerate(METHODS)},
-        gt_distance=dict(zip(METHODS, mean("dist"))),
-        singvals={
-            "noisy": mean("sv_noisy"),
-            "ground_truth": mean("sv_gt"),
-            **{m: sv_out[i] for i, m in enumerate(METHODS)},
-        },
+        primal_curves=dict(zip(METHODS, mean["primal"])),
+        dual_curves=dict(zip(METHODS, mean["dual"])),
+        gt_distance=dict(zip(METHODS, mean["dist"])),
+        singvals={"noisy": mean["sv_noisy"], "ground_truth": mean["sv_gt"],
+                  **dict(zip(METHODS, mean["sv_out"]))},
     )
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -351,7 +345,10 @@ def _freqest_trial(args):
     Both methods approximate the same noisy signal; errors are the
     residuals against that data (the vector generating the Hankel matrix
     being approximated), in Frobenius norm on the matrices and in l2 on
-    the generating vectors, scaled by 10^(SNR/20)."""
+    the generating vectors.  Returns the trial's record: ``frob_diff`` and
+    ``l2_diff``, ESPRIT's error minus dual ascent's scaled by 10^(SNR/20)
+    (a positive Frobenius difference means dual ascent wins), and the
+    solver's ``converged``, ``n_iters``, ``full_svds`` and ``passes``."""
     (trial_seed, snr_dbw, max_iters) = args
     model = four_tone_model()
     f = sample_signal(model)
@@ -367,20 +364,22 @@ def _freqest_trial(args):
     frob_es, l2_es = esprit_hankel_error(noisy, FREQEST_GAP_P, *F.shape, model.delta,
                                          model.indices)
     scale = 10.0 ** (snr_dbw / 20.0)
-    return (
-        (frob_es - frob_da) * scale,
-        (l2_es - l2_da) * scale,
-        int(res.converged),
-        res.n_iters,
-        res.full_svds,
-        res.passes,
-    )
+    return {
+        "frob_diff": (frob_es - frob_da) * scale,
+        "l2_diff": (l2_es - l2_da) * scale,
+        "converged": res.converged,
+        "n_iters": res.n_iters,
+        "full_svds": res.full_svds,
+        "passes": res.passes,
+    }
 
 
-def _svd_use(rows, full_svds, passes):
-    """The share of ``rows`` priced by a full SVD, and the subspace
-    iteration passes per truncated row (None when no row was truncated)."""
-    rows, full_svds, passes = int(rows), int(full_svds), int(passes)
+def _svd_use(n_iters, full_svds, passes):
+    """Over the solver runs with these counts, the share of rows priced
+    by a full SVD, and the subspace iteration passes per truncated row
+    (None when no row was truncated)."""
+    rows = int(np.sum(n_iters)) + np.size(n_iters)
+    full_svds, passes = int(np.sum(full_svds)), int(np.sum(passes))
     truncated = rows - full_svds
     return {
         "full_svd_fraction": full_svds / rows,
@@ -392,33 +391,30 @@ def run_freqest_study(config: ExperimentConfig, snr_levels=FREQEST_SNR_LEVELS,
                       max_iters: int = FREQEST_MAX_ITERS):
     """Frequency-estimation comparison over the SNR grid.
 
-    Returns per-trial scaled error differences (ESPRIT minus dual ascent;
-    positive Frobenius difference means dual ascent wins) keyed by SNR,
-    the share of solver rows priced by a full rather than a truncated
-    SVD, and the subspace iteration passes per truncated row (None when
-    no row was truncated), pooled and under ``levels`` per SNR level.
+    Returns the per-trial scaled error differences ``frob_diff`` and
+    ``l2_diff`` (see :func:`_freqest_trial`) as (levels, trials) arrays
+    whose rows follow ``snr_levels``, the share of solver rows priced by
+    a full rather than a truncated SVD, and the subspace iteration passes
+    per truncated row (None when no row was truncated), pooled and under
+    ``levels`` per SNR level.
     """
     items = []
     for li, snr in enumerate(snr_levels):
         for t in range(config.trials):
             items.append((config.seed + li * config.trials + t, float(snr), max_iters))
-    results = _map_trials(_freqest_trial, items)
-    # one row per SNR level, one column per trial
-    field = lambda i: np.array([r[i] for r in results]).reshape(len(snr_levels), config.trials)
-    frob, l2, iters = field(0), field(1), field(3)
-    rows = np.sum(iters + 1, axis=1)
-    full_svds, passes = np.sum(field(4), axis=1), np.sum(field(5), axis=1)
+    trials = _stack(_map_trials(_freqest_trial, items), len(snr_levels), config.trials)
+    counts = (trials["n_iters"], trials["full_svds"], trials["passes"])
     return {
         "snr_levels": np.asarray(snr_levels, dtype=float),
-        "frob_diff": frob,
-        "l2_diff": l2,
-        "frob_positive_fraction": float(np.mean(frob > 0)),
-        "l2_negative_fraction": float(np.mean(l2 < 0)),
-        "converged_fraction": float(np.mean(field(2))),
-        "mean_iters": float(np.mean(iters)),
-        **_svd_use(np.sum(rows), np.sum(full_svds), np.sum(passes)),
-        "levels": [{"snr_dbw": float(snr), **_svd_use(*counts)}
-                   for snr, *counts in zip(snr_levels, rows, full_svds, passes)],
+        "frob_diff": trials["frob_diff"],
+        "l2_diff": trials["l2_diff"],
+        "frob_positive_fraction": float(np.mean(trials["frob_diff"] > 0)),
+        "l2_negative_fraction": float(np.mean(trials["l2_diff"] < 0)),
+        "converged_fraction": float(np.mean(trials["converged"])),
+        "mean_iters": float(np.mean(trials["n_iters"])),
+        **_svd_use(*counts),
+        "levels": [{"snr_dbw": float(snr), **_svd_use(*level)}
+                   for snr, *level in zip(snr_levels, *counts)],
     }
 
 

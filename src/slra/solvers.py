@@ -265,8 +265,9 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
 
     ``da`` returns the projected minimizer of the same SVD that priced the
     best row: the latest row whose dual came within
-    1e-12 * max(1, |running maximum|) of the running maximum.  ``ada`` and ``mod_ada`` return the projected
-    last iterate.  Without any update (``max_iters == 0``) X_star is X^0.
+    1e-12 * max(1, |running maximum|) of the running maximum.  ``ada`` and
+    ``mod_ada`` return the projected last iterate.  Without any update
+    (``max_iters == 0``) X_star is X^0.
     """
     if objective.shape != subspace.shape:
         raise ValueError(

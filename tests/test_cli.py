@@ -518,6 +518,15 @@ def test_describe_change_reports_relative_difference_and_fields(tmp_path):
     old.write_text("a,b\n1.0,2.0\nx,4.0\n")
     new.write_text("a,b\n1.0,2.0000001\nx,4.0\n")
     assert describe_change(old, new) == "largest relative difference 5e-08"
+    # a number that turns NaN, or NaN that turns a number, is named, not
+    # dropped from the largest difference; NaN that stays NaN is no change
+    old.write_text("a,b,c\n1.0,2.0,nan\nnan,4.0,nan\n")
+    new.write_text("a,b,c\n1.0,nan,nan\n3.0,4.0,nan\n")
+    assert describe_change(old, new) == (
+        "largest relative difference 0; number to NaN: (1, 1); NaN to number: (2, 0)")
+    new.write_text("a,b,c\n1.5,nan,nan\nnan,4.0,nan\n")
+    assert describe_change(old, new) == (
+        "largest relative difference 0.33; number to NaN: (1, 1)")
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps({"c": {"iters": 100}, "v": [1.0, 2.0], "s": "gap:4"}))
     new.write_text(json.dumps({"c": {"max_iters": 5}, "v": [1.0, 1.0], "s": "gap:4"}))
@@ -685,15 +694,16 @@ def _numeric_fields(path):
 def describe_change(old, new):
     """One line on how golden file ``new`` differs from ``old``: the
     largest relative difference of the numbers both hold at the same
-    position, and the positions only one of them holds."""
+    position, the positions where a number became NaN or NaN a number,
+    and the positions only one of them holds."""
     a, b = _numeric_fields(old), _numeric_fields(new)
-    rel = 0.0
-    for key in a.keys() & b.keys():
-        x, y = a[key], b[key]
-        if x != y and not (np.isnan(x) and np.isnan(y)):
-            rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+    both = a.keys() & b.keys()
+    nan_a, nan_b = {k for k in both if np.isnan(a[k])}, {k for k in both if np.isnan(b[k])}
+    rel = max((abs(a[k] - b[k]) / max(abs(a[k]), abs(b[k]))
+               for k in both - nan_a - nan_b if a[k] != b[k]), default=0.0)
     line = f"largest relative difference {rel:.2g}"
-    for what, keys in (("only before", a.keys() - b.keys()), ("only after", b.keys() - a.keys())):
+    for what, keys in (("number to NaN", nan_b - nan_a), ("NaN to number", nan_a - nan_b),
+                       ("only before", a.keys() - b.keys()), ("only after", b.keys() - a.keys())):
         if keys:
             line += f"; {what}: {', '.join(map(str, sorted(keys, key=str)))}"
     return line

@@ -1,5 +1,5 @@
-"""BLAS thread pinning of the trial runner, and the resolution of the
-penalty setting."""
+"""BLAS thread pinning of the trial runner, the resolution of the
+penalty setting, and the layout of the frequency-estimation study."""
 
 import os
 import subprocess
@@ -67,3 +67,31 @@ def test_gap_setting_resolves_to_the_heuristic():
     F = np.random.default_rng(5).standard_normal((12, 10))
     assert harness._resolve_sigma0(F, "gap:4") == sigma0_heuristic(F, 4)
     assert harness._resolve_sigma0(F, 2.5) == 2.5
+
+
+def test_freqest_study_lays_out_trials_by_level_and_seed(monkeypatch):
+    monkeypatch.setenv("SLRA_THREADS", "1")
+
+    def stub(args):  # every field follows from the trial's own item
+        seed, snr, max_iters = args
+        return {"frob_diff": float(seed), "l2_diff": snr - seed, "converged": seed % 2 == 0,
+                "n_iters": seed + max_iters, "full_svds": 1 + seed % 3,
+                "passes": int(snr) + seed}
+
+    monkeypatch.setattr(harness, "_freqest_trial", stub)
+    config = harness.ExperimentConfig("freqest", trials=2, seed=10)
+    study = harness.run_freqest_study(config, snr_levels=(0.0, 10.0, 20.0), max_iters=5)
+    # row li, column t holds the trial of seed 10 + 2 li + t
+    np.testing.assert_array_equal(study["frob_diff"], [[10, 11], [12, 13], [14, 15]])
+    np.testing.assert_array_equal(study["l2_diff"], [[-10, -11], [-2, -3], [6, 5]])
+    assert study["frob_positive_fraction"] == 1.0 and study["l2_negative_fraction"] == 4 / 6
+    assert study["converged_fraction"] == 0.5 and study["mean_iters"] == 17.5
+    # rows are n_iters + 1 per trial: 33, 37 and 41 per level; full SVDs
+    # 5, 3 and 4; passes 21, 45 and 69
+    assert study["levels"] == [
+        {"snr_dbw": 0.0, "full_svd_fraction": 5 / 33, "passes_per_truncated_row": 21 / 28},
+        {"snr_dbw": 10.0, "full_svd_fraction": 3 / 37, "passes_per_truncated_row": 45 / 34},
+        {"snr_dbw": 20.0, "full_svd_fraction": 4 / 41, "passes_per_truncated_row": 69 / 37},
+    ]
+    assert study["full_svd_fraction"] == 12 / 111
+    assert study["passes_per_truncated_row"] == 135 / 99

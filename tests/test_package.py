@@ -15,6 +15,9 @@ Every cross-reference in ``src/slra`` resolves: a ``:func:``, ``:meth:``,
 ``:class:`` or ``:mod:`` target, a private name in double backticks and a
 ``tests/<file>.py::<test>`` reference each name something defined, so no
 text outlives what it describes.
+
+No line of ``src/slra/*.py`` or ``tests/*.py`` is longer than 100
+characters.
 """
 
 import ast
@@ -146,3 +149,11 @@ def test_every_cross_reference_in_the_package_resolves():
                     unresolved.append(f"{path.name}:{lineno}: tests/{file}::{test}")
     assert seen > 0
     assert unresolved == [], f"references to nothing in src/slra: {unresolved}"
+
+
+def test_no_line_is_longer_than_100_characters():
+    paths = sorted((ROOT / "src" / "slra").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    long = [f"{path.relative_to(ROOT)}:{lineno}: {len(line)}"
+            for path in paths
+            for lineno, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == [], f"lines over 100 characters: {long}"

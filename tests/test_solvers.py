@@ -497,7 +497,7 @@ def test_weyl_step_bounds_the_move_of_g_on_every_warm_row(monkeypatch, trial):
         rows = 3 * 100
     else:
         snr_dbw = float(trial.split()[1])
-        rows = harness._freqest_trial((0, snr_dbw, harness.FREQEST_MAX_ITERS))[3]
+        rows = harness._freqest_trial((0, snr_dbw, harness.FREQEST_MAX_ITERS))["n_iters"]
     dg, dist, _ = np.array(steps).T
     assert len(dg) == rows
     assert np.all(dg >= dist)
