@@ -24,6 +24,7 @@ from .matops import (
     f_alpha,
     f_hard,
     frobenius_norm,
+    qr_q,
     singular_values,
 )
 
@@ -142,7 +143,7 @@ def _truncated_svd(g, warm, p, dg, tau, budget):
     try:
         while True:
             passes += 1
-            q, _ = np.linalg.qr(g @ v)
+            q = qr_q(g @ v)
             if passes < warm.need and passes + 1 <= budget:
                 # a power pass spans what a Ritz pass spans, so only the
                 # checks are skipped

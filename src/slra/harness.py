@@ -483,6 +483,9 @@ def load_solve_input(path):
             raise ValueError("matrix input must be 2-d")
         if not np.issubdtype(F.dtype, np.number):
             raise ValueError(f"matrix input must be numeric, got dtype {F.dtype}")
+        if F.dtype.char in "egG":  # numpy.linalg factors no half or long double
+            raise ValueError(f"matrix input must not be float16, longdouble or clongdouble, "
+                             f"got dtype {F.dtype}")
     else:
         raise ValueError(f"unsupported input format {path.suffix!r}")
     return F, HankelSubspace(*F.shape)

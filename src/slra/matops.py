@@ -1,10 +1,11 @@
 """Dense complex matrix primitives: singular values, Frobenius geometry,
-numerical rank, and the scalar threshold maps of the singular value
-functional calculus."""
+numerical rank, an orthonormal basis by QR, and the scalar threshold maps
+of the singular value functional calculus."""
 
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _EPS = float(np.finfo(float).eps)
 
@@ -23,6 +24,27 @@ def frobenius_norm(a) -> float:
     row, where ``np.linalg.norm`` costs about twice as much on complex
     input (it sums the real and imaginary parts separately)."""
     return math.sqrt(np.vdot(a, a).real)
+
+
+def qr_q(y) -> np.ndarray:
+    """Q of the reduced QR factorization of a tall float64 or complex128
+    matrix, bit-identical to ``np.linalg.qr(y)[0]``: it calls the two
+    gufuncs that numpy's own ``qr`` calls (LAPACK's geqrf, then ungqr),
+    without the wrapper that copies y, forms R with ``triu``, casts both
+    factors and turns the gufuncs' error flag (a failed allocation, or an
+    illegal LAPACK argument, which a 2-d array cannot cause) into
+    LinAlgError; here a flag warns, and its NaN Q makes the attempt fall
+    back.
+
+    Consumes ``y``: geqrf overwrites it with its Householder reflectors.
+    Only float64 and complex128 reach it, from the passes of
+    :func:`slra.envelope._truncated_svd`: g = F - Lambda/2 with a float64
+    Lambda, and a g that linalg cannot factor fails row 0, always a full
+    ``np.linalg.svd`` of g, first.  Another dtype finds no loop and raises
+    TypeError."""
+    c = y.dtype.char
+    tau = _umath_linalg.qr_r_raw(y, signature=f"{c}->{c}")
+    return _umath_linalg.qr_reduced(y, tau, signature=f"{c}{c}->{c}")
 
 
 def singular_values(a) -> np.ndarray:

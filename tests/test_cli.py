@@ -527,6 +527,16 @@ def test_describe_change_reports_relative_difference_and_fields(tmp_path):
     new.write_text("a,b,c\n1.5,nan,nan\nnan,4.0,nan\n")
     assert describe_change(old, new) == (
         "largest relative difference 0.33; number to NaN: (1, 1)")
+    # so is a number that turns +-inf, or +-inf that turns a number; inf/inf
+    # would read NaN and hide the other cells' differences
+    old.write_text("a,b,c\n1.0,2.0,inf\n-inf,4.0,-inf\n")
+    new.write_text("a,b,c\ninf,3.0,inf\n5.0,-inf,-inf\n")
+    assert describe_change(old, new) == (
+        "largest relative difference 0.33; number to inf: (1, 0); number to -inf: (2, 1); "
+        "-inf to number: (2, 0)")
+    new.write_text("a,b,c\n1.0,2.0,-inf\nnan,4.0,-inf\n")
+    assert describe_change(old, new) == (
+        "largest relative difference 0; inf to -inf: (1, 2); -inf to NaN: (2, 0)")
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps({"c": {"iters": 100}, "v": [1.0, 2.0], "s": "gap:4"}))
     new.write_text(json.dumps({"c": {"max_iters": 5}, "v": [1.0, 1.0], "s": "gap:4"}))
@@ -614,6 +624,27 @@ def test_non_numeric_matrix_input_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
+def test_matrix_input_that_linalg_cannot_factor_is_usage_error(dtype, tmp_path, capsys,
+                                                                monkeypatch):
+    np.save(tmp_path / "m.npy", np.random.default_rng(0).standard_normal((14, 12)).astype(dtype))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:2", "solve", "--input", "m.npy"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matrix input")
+    assert str(np.dtype(dtype)) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+def test_matrix_input_of_a_dtype_linalg_factors_is_solved(dtype, tmp_path, monkeypatch):
+    a = np.random.default_rng(0).standard_normal((14, 12))
+    np.save(tmp_path / "m.npy", (10 * a).astype(dtype))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:2", "--iters", "5", "solve", "--input", "m.npy"]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_iters"] >= 1
+
+
 def test_signal_csv_without_samples_is_usage_error(tmp_path, capsys, monkeypatch):
     (tmp_path / "signal.csv").write_text("index,re,im\n")
     monkeypatch.chdir(tmp_path)
@@ -691,19 +722,30 @@ def _numeric_fields(path):
     return fields
 
 
+#: what a number in a golden file can be, in the order changes are listed
+_KINDS = ("number", "NaN", "inf", "-inf")
+
+
+def _kind(x):
+    return "NaN" if np.isnan(x) else ("inf" if x > 0 else "-inf") if np.isinf(x) else "number"
+
+
 def describe_change(old, new):
     """One line on how golden file ``new`` differs from ``old``: the
-    largest relative difference of the numbers both hold at the same
-    position, the positions where a number became NaN or NaN a number,
-    and the positions only one of them holds."""
+    largest relative difference of the finite numbers both hold at the
+    same position, the positions where a number became NaN or +-inf (or
+    NaN or +-inf a number, or each other), and the positions only one of
+    them holds."""
     a, b = _numeric_fields(old), _numeric_fields(new)
     both = a.keys() & b.keys()
-    nan_a, nan_b = {k for k in both if np.isnan(a[k])}, {k for k in both if np.isnan(b[k])}
+    kinds = {k: (_kind(a[k]), _kind(b[k])) for k in both}
     rel = max((abs(a[k] - b[k]) / max(abs(a[k]), abs(b[k]))
-               for k in both - nan_a - nan_b if a[k] != b[k]), default=0.0)
+               for k in both if kinds[k] == ("number", "number") and a[k] != b[k]), default=0.0)
     line = f"largest relative difference {rel:.2g}"
-    for what, keys in (("number to NaN", nan_b - nan_a), ("NaN to number", nan_a - nan_b),
-                       ("only before", a.keys() - b.keys()), ("only after", b.keys() - a.keys())):
+    moved = [(f"{ka} to {kb}", {k for k in both if kinds[k] == (ka, kb)})
+             for ka in _KINDS for kb in _KINDS if ka != kb]
+    for what, keys in moved + [("only before", a.keys() - b.keys()),
+                               ("only after", b.keys() - a.keys())]:
         if keys:
             line += f"; {what}: {', '.join(map(str, sorted(keys, key=str)))}"
     return line

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from slra.matops import (
     f_hard,
     frobenius_norm,
     numerical_rank,
+    qr_q,
     singular_values,
 )
 
@@ -42,6 +45,37 @@ def test_frobenius_norm_matches_numpy_on_real_and_complex_input():
             assert abs(frobenius_norm(a) - ref) <= 4 * np.finfo(float).eps * ref
     assert frobenius_norm(np.zeros((3, 2), dtype=complex)) == 0.0
     assert frobenius_norm(np.array([[3.0, 4j]])) == 5.0
+
+
+def test_qr_q_is_numpys_q_bit_for_bit():
+    # qr_q calls numpy's private QR gufuncs; an upgrade that changes them
+    # fails here rather than moving the truncated SVD's iterates
+    rng = np.random.default_rng(3)
+    for m, n in ((30, 6), (48, 6), (65, 6), (129, 6), (101, 16)):
+        real = rng.standard_normal((m, n))
+        for y in (real, real + 1j * rng.standard_normal((m, n))):
+            blocks = [y]
+            for bad in (np.nan, np.inf, -np.inf):
+                one = y.copy()
+                one[m // 2, n // 3] = bad
+                blocks += [one, np.full_like(y, bad)]
+            for block in blocks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ref = np.linalg.qr(block)[0]
+                    q = qr_q(block.copy())
+                assert q.dtype == ref.dtype and q.shape == ref.shape == (m, n)
+                assert q.tobytes() == ref.tobytes()
+
+
+def test_qr_q_overwrites_its_argument_and_takes_only_float64_or_complex128():
+    y = np.random.default_rng(4).standard_normal((9, 3))
+    z = y.copy()
+    assert qr_q(z).tobytes() == np.linalg.qr(y)[0].tobytes()
+    assert not np.array_equal(z, y)  # geqrf's reflectors
+    for dtype in (np.float32, np.complex64, np.int64):
+        with pytest.raises(TypeError):
+            qr_q(y.astype(dtype))
 
 
 def test_svd_diagonal():

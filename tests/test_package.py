@@ -18,6 +18,10 @@ text outlives what it describes.
 
 No line of ``src/slra/*.py`` or ``tests/*.py`` is longer than 100
 characters.
+
+At most one module of ``src/slra`` imports a private numpy module (a
+dotted name with a part that starts with ``_``), so one place owns what a
+numpy upgrade may change.
 """
 
 import ast
@@ -157,3 +161,23 @@ def test_no_line_is_longer_than_100_characters():
             for path in paths
             for lineno, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
     assert long == [], f"lines over 100 characters: {long}"
+
+
+def _private_numpy_imports(tree):
+    """The private numpy modules that ``tree`` imports, by dotted name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (n for n in names if n.split(".")[0] == "numpy"
+                    and any(part.startswith("_") for part in n.split(".")))
+
+
+def test_one_module_owns_the_private_numpy_api():
+    owners = {path.name: sorted(set(_private_numpy_imports(ast.parse(path.read_text()))))
+              for path in sorted((ROOT / "src" / "slra").glob("*.py"))}
+    owners = {name: imports for name, imports in owners.items() if imports}
+    assert len(owners) <= 1, f"private numpy modules imported in src/slra: {owners}"
