@@ -37,15 +37,16 @@ DEGENERATE_RTOL = 1e-8
 #: residual the captured triplets may leave, as a share of the leading Ritz
 #: value.  Two extra columns, because the values just past the k-th form a
 #: flat noise bulk, so the residual cut of a pass hardly depends on p,
-#: while six cost 17-46% more per pass.  A power pass costs about half a
-#: Rayleigh-Ritz pass, which adds the Ritz SVD, the U product and the
-#: residual product.  On one OpenBLAS thread (best of 7, p = 6, complex)
-#: power and Ritz passes cost 47-51 and 114-127 us at 30x29 (a full SVD:
-#: 240-323 us, budget B = 4.8), 59-64 and 129-141 us at 48x47 (665-928 us,
-#: B = 7.8), 66-74 and 143-161 us at 64x63 (1.3 ms, B = 10.5) and 125 and
-#: 231 us at 129x129 (7.0-7.3 ms, B = 21.5); at 101x100 real with p = 16,
-#: 179-190 and 443-478 us (3.6-3.8 ms, B = 6.2).  The budget counts both
-#: kinds as one pass each
+#: while six cost 17-46% more per pass.  A power pass costs a quarter to a
+#: half of a Rayleigh-Ritz pass, which adds the Ritz SVD, the U product
+#: and the residual product.  On one OpenBLAS 0.3.31 thread of a 2-core
+#: x86-64 machine (best of 7, three runs, p = 6, complex) power and Ritz
+#: passes cost 16 and 51-54 us at 30x29 (a full SVD: 174-180 us, budget
+#: B = 4.8), 22 and 60-64 us at 48x47 (490-581 us, B = 7.8), 28 and
+#: 70-74 us at 64x63 (0.95-0.97 ms, B = 10.5) and 72-74 and 138-139 us at
+#: 129x129 (5.1-5.4 ms, B = 21.5); at 101x100 real with p = 16, 34-36 and
+#: 144-147 us (1.6-1.7 ms, B = 6.2).  The budget counts both kinds as one
+#: pass each
 _EXTRA_COLUMNS = 2
 _RESIDUAL_RTOL = 1e-12
 

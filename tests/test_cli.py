@@ -727,7 +727,11 @@ _KINDS = ("number", "NaN", "inf", "-inf")
 
 
 def _kind(x):
-    return "NaN" if np.isnan(x) else ("inf" if x > 0 else "-inf") if np.isinf(x) else "number"
+    if np.isnan(x):
+        return "NaN"
+    if np.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return "number"
 
 
 def describe_change(old, new):
