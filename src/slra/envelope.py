@@ -14,8 +14,7 @@ of the tilted scalar toy |x^2 - 1| + lam * x steps the toy table of
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,32 +67,17 @@ class WarmStart(NamedTuple):
     cut: float         # residual cut per pass behind ``need``, inf while unmeasured
 
 
-@dataclass(frozen=True)
-class PrimalUpdate:
+class PrimalUpdate(NamedTuple):
     """One closed-form primal minimization, plus the by-products that a
-    solver iteration needs, all derived from a single SVD.  The envelope
-    value at x is priced on its first read, since ``da`` never reads it."""
+    solver iteration needs, all derived from a single SVD.  The envelope at x
+    is priced on demand by :meth:`RankObjective.envelope_value`, since ``da`` never reads it."""
 
     x: np.ndarray          # argmin of the (augmented) tilted objective
     fs: np.ndarray         # singular values of x, non-increasing; those left out are 0
+    x_norm_sq: float       # ||x||^2
     dual_da: float         # -conjugate(-Lambda) at the input Lambda
-    envelope: Callable[[], float]  # prices the envelope value at x
     degenerate: bool       # threshold tie detected (alpha == 0 only)
     warm: Optional[WarmStart] = None  # start of the next row's truncated SVD
-
-    @cached_property
-    def envelope_at_x(self) -> float:
-        return self.envelope()
-
-    @cached_property
-    def x_norm_sq(self) -> float:
-        """||x||^2."""
-        return float((self.fs**2).sum())
-
-    def augmented_dual(self, lam, alpha: float) -> float:
-        """envelope(x) + <x, lam> + (alpha/2)||x||^2, the dual value of the
-        fully augmented problem when ``lam`` is the input Lambda."""
-        return self.envelope_at_x + float(np.vdot(self.x, lam).real) + 0.5 * alpha * self.x_norm_sq
 
 
 def _env_terms(svals, sigma0):
@@ -320,7 +304,6 @@ class RankObjective:
         m = int(np.count_nonzero(fs > 0))
         x = (u[:, :m] * fs[:m]) @ vh[:m]
         dual_da = self._plain_dual(s)
-        env = lambda: _env_terms(fs, self.sigma0) + frobenius_norm(x - self.F) ** 2
         degenerate = alpha == 0 and bool(
             (np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0).any()
         )
@@ -328,7 +311,7 @@ class RankObjective:
         prev_vh = warm.vh if truncated and warm.truncated else None
         warm = WarmStart(block, prev_vh, dg, k, beta, truncated, fallbacks, wait, passes,
                          need, cut)
-        return PrimalUpdate(x, fs, dual_da, env, degenerate, warm)
+        return PrimalUpdate(x, fs, float((fs**2).sum()), dual_da, degenerate, warm)
 
     def dual_value_ada(self, lam, alpha: float) -> float:
         """Dual value of the fully augmented problem at Lambda: the
@@ -336,15 +319,27 @@ class RankObjective:
         """
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        return self.update(lam, alpha).augmented_dual(lam, alpha)
+        return self.augmented_dual(self.update(lam, alpha), lam, alpha)
+
+    def _envelope(self, x, svals) -> float:
+        return _env_terms(svals, self.sigma0) + frobenius_norm(x - self.F) ** 2
+
+    def envelope_value(self, upd: PrimalUpdate) -> float:
+        """The envelope at ``upd.x`` from ``upd.fs``, at no SVD."""
+        return self._envelope(upd.x, upd.fs)
+
+    def augmented_dual(self, upd: PrimalUpdate, lam, alpha: float) -> float:
+        """envelope(x) + <x, lam> + (alpha/2)||x||^2 at x = ``upd.x``, the dual
+        value of the fully augmented problem when ``upd`` was computed at lam."""
+        return (self.envelope_value(upd) + float(np.vdot(upd.x, lam).real)
+                + 0.5 * alpha * upd.x_norm_sq)
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
         """Primal objective reported for a feasible point: the envelope
         sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = self._check(x)
-        val = _env_terms(singular_values(x), self.sigma0)
-        val += frobenius_norm(x - self.F) ** 2
+        val = self._envelope(x, singular_values(x))
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)
         return val

@@ -148,7 +148,7 @@ def save_signal_csv(path, f):
 
 def load_signal_csv(path) -> tuple:
     """Read (indices, values) from a 3-column signal CSV after its header
-    line; ValueError when no sample row follows."""
+    line; ValueError without a sample row, or when an index is not the one before plus 1."""
     with warnings.catch_warnings():
         # said by the ValueError below, not by numpy's warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -157,6 +157,9 @@ def load_signal_csv(path) -> tuple:
         raise ValueError(f"signal CSV {path} holds no samples")
     if rows.shape[1] != 3:
         raise ValueError("signal CSV must have columns (index, re, im)")
+    bad = np.flatnonzero(np.diff(rows[:, 0]) != 1)
+    if bad.size:
+        raise ValueError(f"signal CSV {path}: sample row {bad[0] + 2} breaks the index step of 1")
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
 
 

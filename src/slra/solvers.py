@@ -228,20 +228,20 @@ class SolverResult:
         return "converged" if self.converged else "max_iters"
 
 
-#: dual value certifying row k, from the update at Lambda^k (``upd``), the
-#: multiplier itself, and the update that produced X^k with its projection
-#: (``prev`` is None at row 0, where X^0 := 0)
+#: dual value certifying row k, from the objective, the update at Lambda^k
+#: (``upd``), the multiplier itself, and the update that produced X^k with
+#: its projection (``prev`` is None at row 0, where X^0 := 0)
 _DUAL_AT_ROW = {
-    DA: lambda upd, lam, alpha, prev, px: upd.dual_da,
+    DA: lambda obj, upd, lam, alpha, prev, px: upd.dual_da,
     # Lagrangian at (X^k, Lambda^k): X^k minimizes the partially augmented
     # Lagrangian at the updated multiplier, so this is the exact dual value
     # there; row 0 has no such X^k and takes the plain dual, a lower bound
-    ADA: lambda upd, lam, alpha, prev, px: upd.dual_da if prev is None else (
-        prev.envelope_at_x
+    ADA: lambda obj, upd, lam, alpha, prev, px: upd.dual_da if prev is None else (
+        obj.envelope_value(prev)
         + 0.5 * alpha * float(np.vdot(px, px).real)
         + float(np.vdot(prev.x, lam).real)
     ),
-    MOD_ADA: lambda upd, lam, alpha, prev, px: upd.augmented_dual(lam, alpha),
+    MOD_ADA: lambda obj, upd, lam, alpha, prev, px: obj.augmented_dual(upd, lam, alpha),
 }
 
 
@@ -249,8 +249,9 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
     ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
-    PrimalUpdate``, ``feasible_value`` and ``primal_bound`` (see
-    :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
+    PrimalUpdate``, ``feasible_value`` and ``primal_bound``, and for
+    ``ada`` and ``mod_ada`` also ``envelope_value`` and ``augmented_dual``
+    (see :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
     the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
     (None at row 0).  Row k of the trace describes X^k (X^0 := 0) and
@@ -295,7 +296,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         full_svds += warm is None or not warm.truncated
         passes += 0 if warm is None else warm.passes
         degenerate = degenerate or upd.degenerate
-        dual = dual_at_row(upd, lam, alpha, prev, px)
+        dual = dual_at_row(objective, upd, lam, alpha, prev, px)
         if not rows or dual >= top - _BEST_DUAL_RTOL * max(1.0, abs(top)):
             best, x_best = k, upd.x
         top = max(top, dual)

@@ -66,8 +66,8 @@ class ToyObjective:
         return PrimalUpdate(
             x=np.array([[x]]),
             fs=np.array([abs(x)]),
+            x_norm_sq=x * x,
             dual_da=-toy_conjugate(-lam_v),
-            envelope=lambda: max(0.0, x * x - 1.0),
             degenerate=False,
         )
 

@@ -654,6 +654,27 @@ def test_signal_csv_without_samples_is_usage_error(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fault", ["shuffled", "gapped"])
+def test_signal_csv_whose_index_does_not_step_by_one_is_usage_error(fault, tmp_path, capsys,
+                                                                     monkeypatch):
+    # a shuffled file would solve a different problem, and a gapped one
+    # would be read as unit spacing
+    write_inputs(tmp_path)
+    header, *rows = (tmp_path / "signal.csv").read_text().splitlines(keepends=True)
+    if fault == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    else:
+        rows = [f"{3 * j}{r[r.index(','):]}" for j, r in enumerate(rows)]
+    (tmp_path / "signal.csv").write_text(header + "".join(rows))
+    index = [float(r.split(",")[0]) for r in rows]
+    bad = next(j for j in range(1, len(index)) if index[j] != index[j - 1] + 1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:4", "solve", "--input", "signal.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: signal CSV signal.csv: sample row {bad + 1} breaks the index step of 1"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_request_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     # a model JSON may ask for more samples than the machine holds; the
     # failed allocation is raised by a stand-in, so nothing large is made

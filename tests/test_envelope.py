@@ -156,7 +156,7 @@ def test_augmented_minimizer_beats_perturbations():
         lam = rng.standard_normal((5, 4)) * 0.3
         alpha = float(rng.uniform(0.05, 1.0))
         upd = obj.update(lam, alpha)
-        base = (upd.envelope_at_x + np.vdot(upd.x, lam).real
+        base = (obj.envelope_value(upd) + np.vdot(upd.x, lam).real
                 + 0.5 * alpha * upd.x_norm_sq)
         for _ in range(100):
             e = rng.standard_normal((5, 4))
@@ -185,7 +185,7 @@ def test_dual_value_ada_definition(diag_obj):
     lam = np.array([[0.1, 0.0], [0.2, -0.3]])
     alpha = 0.4
     upd = diag_obj.update(lam, alpha)
-    expected = (upd.envelope_at_x + np.vdot(upd.x, lam).real
+    expected = (diag_obj.envelope_value(upd) + np.vdot(upd.x, lam).real
                 + 0.5 * alpha * upd.x_norm_sq)
     assert diag_obj.dual_value_ada(lam, alpha) == pytest.approx(expected)
 
@@ -203,7 +203,7 @@ def test_update_matches_standalone_ops(diag_obj):
     u, s, vh = np.linalg.svd(diag_obj.F - lam / 2)
     assert_allclose(upd.x, (u * f_hard(s, diag_obj.sigma0)) @ vh, atol=1e-12)
     assert upd.dual_da == pytest.approx(diag_obj.dual_value_da(lam))
-    assert upd.envelope_at_x == pytest.approx(diag_obj.feasible_value(upd.x))
+    assert diag_obj.envelope_value(upd) == pytest.approx(diag_obj.feasible_value(upd.x))
     assert upd.x_norm_sq == pytest.approx(np.linalg.norm(upd.x) ** 2)
 
 
@@ -211,10 +211,11 @@ def _complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _assert_same_update(fast, full):
+def _assert_same_update(obj, fast, full):
     assert np.linalg.norm(fast.x - full.x) <= 1e-12 * np.linalg.norm(full.x)
-    for field in ("dual_da", "envelope_at_x", "x_norm_sq"):
+    for field in ("dual_da", "x_norm_sq"):
         assert getattr(fast, field) == pytest.approx(getattr(full, field), rel=1e-12)
+    assert obj.envelope_value(fast) == pytest.approx(obj.envelope_value(full), rel=1e-12)
     assert fast.degenerate == full.degenerate
 
 
@@ -233,7 +234,7 @@ def test_warm_update_matches_full_update(alpha):
     assert fast.warm.truncated and not full.warm.truncated
     assert fast.warm.captured == full.warm.captured == 4
     assert fast.warm.beta < obj.sigma0
-    _assert_same_update(fast, full)
+    _assert_same_update(obj, fast, full)
 
 
 def _passes_of_update(monkeypatch, obj, lam, warm, dlam):
@@ -300,7 +301,7 @@ def test_large_step_is_accepted_after_more_than_the_base_passes(monkeypatch):
     fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert fast.warm.truncated and passes == 4
     assert fast.warm.captured == 4 and fast.warm.beta < obj.sigma0
-    _assert_same_update(fast, obj.update(lam, 0.0))
+    _assert_same_update(obj, fast, obj.update(lam, 0.0))
     assert _plain_attempt(obj, lam, warm, dlam, 3) == (2, False)
 
 
@@ -311,7 +312,7 @@ def test_slow_attempt_may_take_more_than_eight_passes(monkeypatch):
     fast, passes = _passes_of_update(monkeypatch, obj, lam, warm, dlam)
     assert fast.warm.truncated and passes == fast.warm.passes == 11
     assert fast.warm.captured == 4 and fast.warm.fallbacks == 0
-    _assert_same_update(fast, obj.update(lam, 0.0))
+    _assert_same_update(obj, fast, obj.update(lam, 0.0))
 
 
 def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeypatch):
@@ -324,7 +325,7 @@ def test_attempt_stops_once_its_cut_predicts_more_passes_than_the_budget(monkeyp
     assert passes == upd.warm.passes == 3
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1  # next try 2 rows on
-    _assert_same_update(upd, obj.update(lam, 0.0))
+    _assert_same_update(obj, upd, obj.update(lam, 0.0))
 
 
 def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
@@ -346,8 +347,8 @@ def test_secant_start_saves_passes_on_a_straight_path(monkeypatch):
     assert (predicted.warm.passes, plain.warm.passes) == (passes, plain_passes) == (1, 3)
     assert (predicted.warm.need, plain.warm.need) == (1, 3)
     full = obj.update(lam, 0.0)
-    _assert_same_update(predicted, full)
-    _assert_same_update(plain, full)
+    _assert_same_update(obj, predicted, full)
+    _assert_same_update(obj, plain, full)
 
 
 def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
@@ -370,7 +371,7 @@ def test_failed_attempt_falls_back_without_a_retry(monkeypatch):
     assert not upd.warm.truncated
     assert upd.warm.fallbacks == 1 and upd.warm.wait == 1
     assert (upd.warm.need, upd.warm.cut) == (warm.need, warm.cut)  # kept for the next attempt
-    _assert_same_update(upd, obj.update(lam0, 0.0))
+    _assert_same_update(obj, upd, obj.update(lam0, 0.0))
 
 
 def test_row_that_needed_fewer_passes_than_predicted_lowers_the_prediction(monkeypatch):
@@ -394,7 +395,7 @@ def test_row_that_needed_fewer_passes_than_predicted_lowers_the_prediction(monke
         counts.append((passes, upd.warm.need))
         need = upd.warm.need
     assert counts == [(8, 7), (7, 6), (6, 6), (6, 6)]
-    _assert_same_update(upd, obj.update(lam, 0.0))
+    _assert_same_update(obj, upd, obj.update(lam, 0.0))
 
 
 def test_prediction_from_a_zero_residual_or_an_unmeasured_cut_warns_nothing():
@@ -467,12 +468,12 @@ def test_value_crossing_sigma0_recertifies_and_matches_full_update():
     upd = obj.update(zero, 0.0, warm, dlam)
     assert upd.warm.truncated and upd.warm.captured == 5
     assert upd.warm.beta < obj.sigma0
-    _assert_same_update(upd, obj.update(zero, 0.0))
+    _assert_same_update(obj, upd, obj.update(zero, 0.0))
     # the next row runs on the 6 columns the last one held, one short of
     # k + 2, and still certifies
     again = obj.update(zero, 0.0, upd.warm, 0.0)
     assert again.warm.truncated and again.warm.captured == 5
-    _assert_same_update(again, obj.update(zero, 0.0))
+    _assert_same_update(obj, again, obj.update(zero, 0.0))
 
 
 def test_two_values_crossing_sigma0_in_one_row_fall_back(monkeypatch):
@@ -488,7 +489,7 @@ def test_two_values_crossing_sigma0_in_one_row_fall_back(monkeypatch):
     assert passes == upd.warm.passes == 1  # the k == p exit of the first pass
     assert not upd.warm.truncated and upd.warm.fallbacks == 1
     assert upd.warm.captured == 6
-    _assert_same_update(upd, obj.update(zero, 0.0))
+    _assert_same_update(obj, upd, obj.update(zero, 0.0))
 
 
 def test_nonfinite_g_never_passes_the_certificate(monkeypatch):

@@ -22,11 +22,15 @@ characters.
 At most one module of ``src/slra`` imports a private numpy module (a
 dotted name with a part that starts with ``_``), so one place owns what a
 numpy upgrade may change.
+
+``src/slra`` imports only itself, numpy and the standard library: numpy
+is the one dependency (SciPy, for one, is not).
 """
 
 import ast
 import importlib
 import re
+import sys
 import types
 from collections import defaultdict
 from pathlib import Path
@@ -163,17 +167,21 @@ def test_no_line_is_longer_than_100_characters():
     assert long == [], f"lines over 100 characters: {long}"
 
 
-def _private_numpy_imports(tree):
-    """The private numpy modules that ``tree`` imports, by dotted name."""
+def _imports(tree):
+    """The dotted name of everything that ``tree`` imports absolutely
+    (``from a import b`` gives ``a.b``); a relative import stays inside
+    the package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        yield from (n for n in names if n.split(".")[0] == "numpy"
-                    and any(part.startswith("_") for part in n.split(".")))
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _private_numpy_imports(tree):
+    """The private numpy modules that ``tree`` imports, by dotted name."""
+    return (n for n in _imports(tree) if n.split(".")[0] == "numpy"
+            and any(part.startswith("_") for part in n.split(".")))
 
 
 def test_one_module_owns_the_private_numpy_api():
@@ -181,3 +189,12 @@ def test_one_module_owns_the_private_numpy_api():
               for path in sorted((ROOT / "src" / "slra").glob("*.py"))}
     owners = {name: imports for name, imports in owners.items() if imports}
     assert len(owners) <= 1, f"private numpy modules imported in src/slra: {owners}"
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    allowed = {"slra", "numpy", *sys.stdlib_module_names}
+    foreign = sorted(f"{path.name}: {package}"
+                     for path in sorted((ROOT / "src" / "slra").glob("*.py"))
+                     for package in {n.split(".")[0] for n in _imports(ast.parse(path.read_text()))}
+                     if package not in allowed)
+    assert foreign == [], f"src/slra imports beyond numpy and the standard library: {foreign}"

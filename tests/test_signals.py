@@ -216,6 +216,19 @@ def test_signal_csv_round_trip(tmp_path):
     assert_allclose(back, f)
 
 
+def test_signal_csv_index_may_start_anywhere_but_must_step_by_one(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("index,re,im\n-2.5,1,0\n-1.5,2,0\n-0.5,3,0\n")
+    idx, f = load_signal_csv(path)
+    assert_array_equal(idx, [-2.5, -1.5, -0.5])
+    assert_array_equal(f, [1, 2, 3])
+    for index, row in (("0,1,2,4", 4), ("0,2,4,6", 2), ("1,0,2,3", 2), ("0,1,1,2", 3),
+                       ("0,1,nan,3", 3)):
+        path.write_text("index,re,im\n" + "".join(f"{j},1,0\n" for j in index.split(",")))
+        with pytest.raises(ValueError, match=f"sample row {row} breaks the index step of 1"):
+            load_signal_csv(path)
+
+
 def test_signal_csv_bytes_match_the_entrywise_writer(tmp_path):
     # the writer formats whole columns; the reference formats each numpy
     # entry, as signal CSVs have always been written

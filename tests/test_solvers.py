@@ -129,6 +129,7 @@ class FailingAtRow:
         self.obj, self.row, self.calls = obj, row, 0
         self.shape = obj.shape
         self.feasible_value, self.primal_bound = obj.feasible_value, obj.primal_bound
+        self.envelope_value, self.augmented_dual = obj.envelope_value, obj.augmented_dual
 
     def update(self, lam, alpha, warm, dlam):
         self.calls += 1
@@ -155,7 +156,7 @@ class ScriptedObjective:
     def update(self, lam, alpha, warm, dlam):
         k, self.row = self.row, self.row + 1
         x = np.full((1, 1), np.nan if k == self.nan_row else 1.0)
-        return PrimalUpdate(x, np.ones(1), self.duals[k], lambda: 0.0, False)
+        return PrimalUpdate(x, np.ones(1), 1.0, self.duals[k], False)
 
 
 @pytest.mark.parametrize("duals, best", [
@@ -239,6 +240,26 @@ def test_weak_duality_along_traces():
                 SolverConfig(solvers.MOD_ADA, 0.2, max_iters=60, stop_tol=1e-300)):
         res = run(obj, sub, cfg)
         assert np.max(res.trace.dual) <= np.min(res.trace.primal) + 1e-8
+
+
+@pytest.mark.parametrize("variant, alpha, calls", [
+    (solvers.DA, 0.0, 0),         # the plain dual from the singular values
+    (solvers.ADA, 0.1, 30),       # the Lagrangian at X^k, from row 1 on
+    (solvers.MOD_ADA, 0.1, 31),   # the augmented dual at every row
+], ids=["da", "ada", "mod_ada"])
+def test_envelope_is_priced_only_where_the_dual_reads_it(variant, alpha, calls, monkeypatch):
+    obj, sub, _ = hankel_problem(11, rows=21, cols=20, sigma0=0.8)
+    priced = []
+    envelope_value = RankObjective.envelope_value
+
+    def counted(self, upd):
+        priced.append(upd)
+        return envelope_value(self, upd)
+
+    monkeypatch.setattr(RankObjective, "envelope_value", counted)
+    res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=1e-300))
+    assert len(res.trace) == 31
+    assert len(priced) == calls
 
 
 @pytest.mark.parametrize("make", [
