@@ -123,10 +123,13 @@ def _apply_config_file(args, parser):
             parser.error(f"config key {key!r} names no flag to override")
         if not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
-        types = _config_types(actions[attr])
+        types, choices = _config_types(actions[attr]), actions[attr].choices
         if isinstance(value, bool) or not isinstance(value, types):
             parser.error(f"config key {key!r} must be "
                          f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        if choices is not None and value not in choices:
+            parser.error(f"config key {key!r} must be one of "
+                         f"{', '.join(map(repr, choices))}, got {value!r}")
         setattr(args, attr, value)
 
 

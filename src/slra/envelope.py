@@ -24,7 +24,6 @@ from .matops import (
     f_hard,
     frobenius_norm,
     qr_q,
-    singular_values,
 )
 
 #: relative half-width around sigma0 inside which a hard-threshold input is
@@ -201,7 +200,7 @@ class RankObjective:
         """Dual function of the plain scheme, -conjugate(-Lambda) (see
         ``_plain_dual``), from its own values-only SVD."""
         lam = self._check(lam)
-        return self._plain_dual(singular_values(self.F - lam * 0.5))
+        return self._plain_dual(np.linalg.svd(self.F - lam * 0.5, compute_uv=False))
 
     def _plain_dual(self, s) -> float:
         """||F||^2 - sum_j max(s_j^2 - sigma0^2, 0) over the singular values
@@ -339,7 +338,7 @@ class RankObjective:
         sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = self._check(x)
-        val = self._envelope(x, singular_values(x))
+        val = self._envelope(x, np.linalg.svd(x, compute_uv=False))
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)
         return val

@@ -51,7 +51,7 @@ from .signals import (
 from .solvers import SolverConfig
 from .subspace import HankelSubspace
 
-METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
+METHODS = solvers.VARIANTS
 
 #: SNR grid of the frequency-estimation study, in dBW, its iteration
 #: budget per trial, the order of its ESPRIT fit (one per tone), and its
@@ -128,9 +128,12 @@ def _worker_count() -> int:
     env = os.environ.get("SLRA_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"SLRA_THREADS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise ValueError(f"SLRA_THREADS must be at least 1, got {count}")
+        return count
     return os.cpu_count() or 1
 
 
@@ -196,8 +199,7 @@ def _map_trials(fn, items):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
     ) as ex:
-        chunk = max(1, len(items) // (4 * workers))
-        return list(ex.map(fn, items, chunksize=chunk))
+        return list(ex.map(fn, items))
 
 
 def _pad_to(a, length):
@@ -469,6 +471,7 @@ def load_solve_input(path):
 
     Returns (F, subspace); signals and models build near-square Hankel
     data, a matrix is used as-is with the Hankel subspace of its shape.
+    ValueError, naming the file, when the data has a non-finite entry.
     """
     path = Path(path)
     if path.suffix == ".csv":
@@ -488,6 +491,8 @@ def load_solve_input(path):
                              f"got dtype {F.dtype}")
     else:
         raise ValueError(f"unsupported input format {path.suffix!r}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError(f"input {path} has non-finite entries")
     return F, HankelSubspace(*F.shape)
 
 

@@ -1,6 +1,6 @@
-"""Dense complex matrix primitives: singular values, Frobenius geometry,
-numerical rank, an orthonormal basis by QR, and the scalar threshold maps
-of the singular value functional calculus."""
+"""Dense complex matrix primitives: the Frobenius norm, numerical rank, an
+orthonormal basis by QR, and the scalar threshold maps of the singular
+value functional calculus."""
 
 import math
 
@@ -8,13 +8,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _as_matrix(a):
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
 
 
 def frobenius_norm(a) -> float:
@@ -45,14 +38,6 @@ def qr_q(y) -> np.ndarray:
     c = y.dtype.char
     tau = _umath_linalg.qr_r_raw(y, signature=f"{c}->{c}")
     return _umath_linalg.qr_reduced(y, tau, signature=f"{c}{c}->{c}")
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values only (non-increasing), skipping the vector computation."""
-    a = _as_matrix(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def _threshold_input(x, sigma0: float):
@@ -104,7 +89,5 @@ def numerical_rank(a, rel_tol: float) -> int:
     zero matrix).  ``rel_tol`` must lie in (0, 1)."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    s = singular_values(a)
-    if s.size == 0:
-        return 0
+    s = np.linalg.svd(a, compute_uv=False)
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import singular_values
 from .subspace import HankelSubspace
 
 
@@ -125,7 +124,7 @@ def sigma0_heuristic(F, P: int) -> float:
     F = np.asarray(F)
     if not 1 <= P < min(F.shape[-2], F.shape[-1]):
         raise ValueError(f"P must satisfy 1 <= P <= min(shape) - 1, got {P}")
-    s = singular_values(F)
+    s = np.linalg.svd(F, compute_uv=False)
     return float(0.5 * (s[P - 1] + s[P]))
 
 

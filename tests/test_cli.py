@@ -19,6 +19,7 @@ directories of cases that no longer exist.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -360,13 +361,15 @@ def test_alpha_is_checked_before_any_trial(alpha, tmp_path, capsys, monkeypatch)
     *(("rank_tol", ["--sigma0", "1.5", "solve", "--input", "matrix.npy", "--rank-tol", tol],
        None) for tol in ("0", "1", "2")),
     ("sigma0", ["--config", "inf.json", "solve", "--input", "matrix.npy"], None),
-    ("SLRA_THREADS", ["--trials", "1", "converge"], "abc"),
+    *(("SLRA_THREADS", ["--trials", "1", "converge"], threads)
+      for threads in ("abc", "0", "-3")),
     ("iters", ["--iters", "-1", "--trials", "1", "converge"], None),
     ("iters", ["--iters", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
     ("seed", ["--seed", "-1", "--trials", "1", "converge"], None),
     ("seed", ["--seed", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
 ], ids=["sigma0-inf", "alpha-inf", "rank-tol-0", "rank-tol-1", "rank-tol-2", "config-1e999",
-        "threads-abc", "iters-converge", "iters-solve", "seed-converge", "seed-solve"])
+        "threads-abc", "threads-0", "threads--3", "iters-converge", "iters-solve",
+        "seed-converge", "seed-solve"])
 def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, capsys,
                                                 monkeypatch):
     write_inputs(tmp_path)
@@ -552,14 +555,19 @@ def _config(tmp_path, doc):
 
 @pytest.mark.parametrize("doc", [
     {"trials": "2"}, {"alpha": "0.1"}, {"seed": 1.5}, {"trials": True}, {"out": 3},
+    {"variant": 1}, {"variant": "bogus"},
 ])
 def test_config_type_error_is_usage_error(doc, tmp_path, capsys, monkeypatch):
+    # the input does not exist: the parser fails before anything reads it
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["--config", _config(tmp_path, doc), "toy"])
+        main(["--config", _config(tmp_path, doc), "solve", "--input", "absent.npy"])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("slra: error:") and repr(next(iter(doc))) in err[-1]
+    if doc == {"variant": "bogus"}:
+        assert err[-1] == ("slra: error: config key 'variant' must be one of "
+                           "'da', 'ada', 'mod_ada', got 'bogus'")
 
 
 @pytest.mark.parametrize("doc", [
@@ -643,6 +651,35 @@ def test_matrix_input_of_a_dtype_linalg_factors_is_solved(dtype, tmp_path, monke
     monkeypatch.chdir(tmp_path)
     assert main(["--sigma0", "gap:2", "--iters", "5", "solve", "--input", "m.npy"]) == 0
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_iters"] >= 1
+
+
+def _spoil(path):
+    """Rewrite the solve input at ``path`` with one NaN in its data: a
+    matrix entry, a signal sample or a model amplitude."""
+    if path.suffix == ".npy":
+        a = np.load(path)
+        a[3, 5] = np.nan
+        np.save(path, a)
+    elif path.suffix == ".csv":
+        header, first, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + first + "1,nan,0\n" + "".join(rows[1:]))
+    else:
+        doc = json.loads(path.read_text())
+        doc["terms"][2]["c_re"] = math.nan
+        path.write_text(json.dumps(doc))  # JSON as Python writes it: NaN
+
+
+@pytest.mark.parametrize("sigma0", ["1.5", "gap:2"])
+@pytest.mark.parametrize("name", ["matrix.npy", "signal.csv", "model.json"])
+def test_non_finite_input_is_usage_error_naming_the_file(name, sigma0, tmp_path, capsys,
+                                                        monkeypatch):
+    write_inputs(tmp_path)
+    _spoil(tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", sigma0, "solve", "--input", name]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: input {name} has non-finite entries"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_signal_csv_without_samples_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,17 @@
 """The package holds only code that the program or the benchmark calls,
 and each of its top-level names has one owner.
 
-Every function, method and class defined in ``src/slra`` (``__init__.py``
-aside) must be referenced by code elsewhere in ``src/slra`` or in
-``bench/*.py``: code that only the tests call belongs in the tests.  A
-reference is a name, an attribute or a string constant (``bench/tracing.py``
-wraps functions by their names as strings); docstrings, comments and the
-definition's own body do not count.
+Every function, method and class defined in ``src/slra`` must be
+referenced by code elsewhere in ``src/slra`` or in ``bench/*.py``: code
+that only the tests call belongs in the tests.  A reference is a name, an
+attribute or a string constant (``bench/tracing.py`` wraps functions by
+their names as strings); docstrings, comments and the definition's own
+body do not count.
 
 No function, class or module-level constant may be defined in two modules
-of ``src/slra``: a second module that needs it imports it.
+of ``src/slra``: a second module that needs it imports it.  Each name has
+one import path, the module that defines it: ``src/slra/__init__.py``
+imports nothing, so it re-exports nothing.
 
 Every cross-reference in ``src/slra`` resolves: a ``:func:``, ``:meth:``,
 ``:class:`` or ``:mod:`` target, a private name in double backticks and a
@@ -70,7 +72,7 @@ def _references(tree):
 
 
 def test_every_definition_is_called_outside_the_tests():
-    src = [p for p in sorted((ROOT / "src" / "slra").glob("*.py")) if p.name != "__init__.py"]
+    src = sorted((ROOT / "src" / "slra").glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in src + sorted((ROOT / "bench").glob("*.py"))}
     references = defaultdict(list)  # name -> [(path, line)]
     for path, tree in trees.items():
@@ -110,6 +112,13 @@ def test_no_top_level_name_is_defined_in_two_modules():
             modules[name].append(path.name)
     twice = sorted(name for name, paths in modules.items() if len(paths) > 1)
     assert twice == [], f"defined in more than one module of src/slra: {twice}"
+
+
+def test_the_package_module_imports_nothing():
+    tree = ast.parse((ROOT / "src" / "slra" / "__init__.py").read_text())
+    imports = [f"line {node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == [], f"src/slra/__init__.py imports, so names have two paths: {imports}"
 
 
 #: a Sphinx role's target, and a private name (dotted or not) in double
