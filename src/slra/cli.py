@@ -19,8 +19,8 @@ no random numbers either, but accepts ``--seed`` so that a caller may
 pass one seed to every subcommand, as the ``bench/`` solve workload does.
 Exit codes:
 0 success, 1 numerical failure, 2 usage error, which includes a request
-too large for memory.  The SLRA_THREADS environment variable caps the
-trial worker count.
+too large for memory.  The SLRA_THREADS environment variable sets the
+trial worker count, one per CPU when unset; only the trial count caps it.
 """
 
 import argparse
@@ -84,7 +84,8 @@ def build_parser():
     ps.add_argument("--variant", choices=list(solvers.VARIANTS), default=solvers.DA,
                     help="dual ascent variant (default %(default)s)")
     ps.add_argument("--stop-tol", type=float, default=solvers.SolverConfig.stop_tol,
-                    help="stop at a residual ||X - P(X)|| below this (default %(default)s)")
+                    help="stop at a residual ||X - P(X)|| below this, an absolute level in "
+                         "the data's units (default %(default)s)")
     ps.add_argument("--rank-tol", type=float, default=1e-9,
                     help="rank counts values above this share of the largest (default %(default)s)")
     return p

@@ -28,16 +28,17 @@ class EspritEstimate:
     rank_deficient: bool
 
 
-def esprit_estimate(f, P: int, rows: int, cols: int, delta: float,
+def esprit_estimate(f, P: int, sub: HankelSubspace, delta: float,
                     indices) -> EspritEstimate:
-    """Estimate P complex exponentials from a length rows+cols-1 signal.
+    """Estimate P complex exponentials from a signal of length ``sub.length``.
 
     The signal subspace is spanned by the P leading left singular vectors
-    of the Hankel matrix of ``f``; the shift-invariance least-squares
-    system yields the pole matrix whose eigenvalues are exp(zeta * delta).
-    Exponents take the principal logarithm (aliases of zeta by multiples of
-    2 pi i / delta are indistinguishable), and amplitudes come from a
-    Vandermonde least-squares fit on the grid.
+    of the Hankel matrix of ``f`` on ``sub``, which checks the length; the
+    shift-invariance least-squares system yields the pole matrix whose
+    eigenvalues are exp(zeta * delta).  Exponents take the principal
+    logarithm (aliases of zeta by multiples of 2 pi i / delta are
+    indistinguishable), and amplitudes come from a Vandermonde
+    least-squares fit on the grid.
 
     When the signal resolves fewer than P modes the estimate is truncated
     to the resolvable ones, flagged, and a warning is issued.
@@ -45,13 +46,11 @@ def esprit_estimate(f, P: int, rows: int, cols: int, delta: float,
     f = np.asarray(f)
     if P < 1:
         raise ValueError("P must be positive")
-    if P > min(rows, cols):
+    if P > min(sub.shape):
         raise ValueError("P cannot exceed min(rows, cols)")
-    if f.ndim != 1 or f.size != rows + cols - 1:
-        raise ValueError(f"signal length {f.size} != rows + cols - 1 = {rows + cols - 1}")
     indices = np.asarray(indices, dtype=float)
 
-    H = HankelSubspace(rows, cols).from_vector(f)
+    H = sub.from_vector(f)
     U, s, _ = np.linalg.svd(H, full_matrices=False)
     n_modes = min(int(np.count_nonzero(s > _MODE_DETECT_RTOL * s[0])), P)
     deficient = n_modes < P
@@ -77,16 +76,16 @@ def esprit_estimate(f, P: int, rows: int, cols: int, delta: float,
     )
 
 
-def esprit_hankel_error(f, P: int, rows: int, cols: int, delta: float, indices) -> tuple:
+def esprit_hankel_error(f, P: int, sub: HankelSubspace, delta: float, indices) -> tuple:
     """Frobenius and l2 residuals of the ESPRIT reconstruction against the
     signal it was fitted to.
 
     Fits on ``f`` and returns (||H(a - f)||_F, ||a - f||_2) for the
     reconstruction a, H(a - f) = A - H(f) being the Hankel matrix of the
-    residual.
+    residual on ``sub``.
     """
-    est = esprit_estimate(f, P, rows, cols, delta, indices)
+    est = esprit_estimate(f, P, sub, delta, indices)
     r = est.reconstruction - np.asarray(f)
-    frob = float(np.linalg.norm(HankelSubspace(rows, cols).from_vector(r)))
+    frob = float(np.linalg.norm(sub.from_vector(r)))
     l2 = float(np.linalg.norm(r))
     return frob, l2

@@ -9,14 +9,14 @@ normalized distance to the ground truth (``gtdist.csv``), the mean leading
 singular values (``singvals.csv``), and a summary with the config, final
 gaps and distances (``converge_summary.json``).
 
-Trials fan out over a process pool (capped by the SLRA_THREADS environment
-variable); every trial derives its own generator seed from the base seed
-and the trial index, and aggregation runs in fixed trial order.  Trials
-run on one OpenBLAS thread, in the pool's workers and in this process
-alike, so results are bit-reproducible for any worker count wherever
-that pinning works: with numpy's OpenBLAS.  Elsewhere a note on stderr
-says that nothing is pinned, and the last digits may then follow the
-BLAS thread count.
+Trials fan out over a process pool of SLRA_THREADS workers, one per CPU
+when that variable is unset and capped by nothing but the trial count;
+every trial derives its own generator seed from the base seed and the
+trial index, and aggregation runs in fixed trial order.  Trials run on
+one OpenBLAS thread, in the pool's workers and in this process alike, so
+results are bit-reproducible for any worker count wherever that pinning
+works: with numpy's OpenBLAS.  Elsewhere a note on stderr says that
+nothing is pinned, and the last digits may then follow the BLAS thread count.
 """
 
 import ctypes
@@ -235,8 +235,7 @@ def _cossum_trial(args):
     (trial_seed, iters, alpha, sigma0) = args
     rng = np.random.default_rng(trial_seed)
     f = gen_cos_sum(rng)
-    h_gt = signal_to_hankel(f)
-    sub = HankelSubspace(*h_gt.shape)
+    h_gt, sub = signal_to_hankel(f)
     noisy = add_noise(h_gt, COSSUM_NOISE_SIGMA, rng=rng)
     obj = RankObjective(noisy, _resolve_sigma0(noisy, sigma0))
     gt_norm = float(np.linalg.norm(h_gt))
@@ -284,7 +283,7 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
         # every trial's data has the shape of the first one's, so a P that
         # does not fit fails here, before the trial pool starts
         _gap_order(config.sigma0,
-                   signal_to_hankel(gen_cos_sum(np.random.default_rng(config.seed))).shape)
+                   signal_to_hankel(gen_cos_sum(np.random.default_rng(config.seed)))[1].shape)
     items = [
         (config.seed + t, config.iters, config.alpha, config.sigma0)
         for t in range(config.trials)
@@ -356,15 +355,13 @@ def _freqest_trial(args):
     f = sample_signal(model)
     rng = np.random.default_rng(trial_seed)
     noisy = add_noise(f, snr_to_sigma(f, snr_dbw), rng=rng)
-    F = signal_to_hankel(noisy)
-    sub = HankelSubspace(*F.shape)
-    obj = RankObjective(F, _resolve_sigma0(F, FREQEST_SIGMA0))
+    F, sub = signal_to_hankel(noisy)
+    obj = RankObjective(F, sigma0_heuristic(F, FREQEST_GAP_P))
     cfg = SolverConfig(solvers.DA, max_iters=max_iters, primal_rows="none", sqrt_steps=True)
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
     l2_da = float(np.linalg.norm(sub.to_vector(res.X_star) - noisy))
-    frob_es, l2_es = esprit_hankel_error(noisy, FREQEST_GAP_P, *F.shape, model.delta,
-                                         model.indices)
+    frob_es, l2_es = esprit_hankel_error(noisy, FREQEST_GAP_P, sub, model.delta, model.indices)
     scale = 10.0 ** (snr_dbw / 20.0)
     return {
         "frob_diff": (frob_es - frob_da) * scale,
@@ -475,11 +472,9 @@ def load_solve_input(path):
     """
     path = Path(path)
     if path.suffix == ".csv":
-        _, f = load_signal_csv(path)
-        F = signal_to_hankel(f)
+        F, sub = signal_to_hankel(load_signal_csv(path)[1])
     elif path.suffix == ".json":
-        f = sample_signal(load_model_json(path))
-        F = signal_to_hankel(f)
+        F, sub = signal_to_hankel(sample_signal(load_model_json(path)))
     elif path.suffix == ".npy":
         F = np.load(path)
         if F.ndim != 2:
@@ -489,11 +484,12 @@ def load_solve_input(path):
         if F.dtype.char in "egG":  # numpy.linalg factors no half or long double
             raise ValueError(f"matrix input must not be float16, longdouble or clongdouble, "
                              f"got dtype {F.dtype}")
+        sub = HankelSubspace(*F.shape)
     else:
         raise ValueError(f"unsupported input format {path.suffix!r}")
     if not np.all(np.isfinite(F)):
         raise ValueError(f"input {path} has non-finite entries")
-    return F, HankelSubspace(*F.shape)
+    return F, sub
 
 
 def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: float,

@@ -128,12 +128,12 @@ def sigma0_heuristic(F, P: int) -> float:
     return float(0.5 * (s[P - 1] + s[P]))
 
 
-def signal_to_hankel(f) -> np.ndarray:
-    """Near-square Hankel matrix generated by a signal vector: rows >= cols,
-    using all rows + cols - 1 = f.size values."""
+def signal_to_hankel(f) -> tuple:
+    """(F, sub): the near-square Hankel matrix F generated by a signal vector,
+    rows >= cols, using all rows + cols - 1 = f.size values, on its subspace."""
     f = np.asarray(f)
-    rows = f.size // 2 + 1
-    return HankelSubspace(rows, f.size + 1 - rows).from_vector(f)
+    sub = HankelSubspace(f.size // 2 + 1, (f.size + 1) // 2)
+    return sub.from_vector(f), sub
 
 
 def save_signal_csv(path, f):

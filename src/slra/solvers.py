@@ -16,9 +16,9 @@ subspace.  Each trace row costs one SVD of F - Lambda/2, which the
 objective may truncate, warm-started from the rows before, or else take
 in full; :meth:`slra.envelope.RankObjective.update` gives the policy.
 A row whose exact primal value is priced costs one more, values-only,
-SVD of P(X); ``SolverConfig.primal_rows`` names those rows, and every
-other row of a run that prices any carries only a certified upper bound
-on that value, from no SVD (see
+SVD of P(X); ``SolverConfig.primal_rows`` names those rows.  Only under
+``doubling``, the setting that leaves rows unpriced, does every row also
+carry a certified upper bound on that value, from no SVD (see
 :meth:`slra.envelope.RankObjective.primal_bound`).  The warm start
 travels from row to row, so no state outlives a run.  Certifying a
 truncation needs a bound on how far F - Lambda/2 moved since the previous
@@ -83,14 +83,16 @@ class SolverConfig:
     ``sqrt_steps``, and needs ``alpha_reg == 0``.  ``ada`` takes the fixed
     step ``alpha_reg``, its augmentation weight, and ``mod_ada`` the steps
     2/(n+1)^2 + ``alpha_reg``, which decay to it; both need a finite
-    ``alpha_reg > 0``.
+    ``alpha_reg > 0``.  The residual stop ||X - P(X)||_F < ``stop_tol`` is
+    absolute, in the data's units: data scaled by c > 1 stop no earlier.
 
     ``primal_rows`` names the trace rows priced by the exact primal value,
     one values-only SVD each: ``all`` of them, ``doubling`` (row 0, the
     rows 2^j and the last row, so about log2 of the row count) or
-    ``none``.  Unless it is ``none``, every row also records the certified
-    upper bound of :meth:`slra.envelope.RankObjective.primal_bound` on
-    that value, which costs no SVD.  No other output depends on it.
+    ``none``.  Under ``doubling``, the one setting that leaves rows
+    unpriced, every row also records the certified upper bound of
+    :meth:`slra.envelope.RankObjective.primal_bound` on that value, which
+    costs no SVD.  No other output depends on it.
     """
 
     variant: str
@@ -140,9 +142,9 @@ class SolverTrace:
 
     ``primal`` is the exact primal value of P(X^n) on the rows that
     ``SolverConfig.primal_rows`` prices and NaN on the others;
-    ``primal_bound`` is a certified upper bound on it on every row (the
-    exact value on row 0, where X^0 = 0), or NaN throughout under
-    ``none``."""
+    ``primal_bound`` is a certified upper bound on it on every row under
+    ``doubling`` (the exact value on row 0, where X^0 = 0), and NaN
+    throughout under ``all`` and ``none``."""
 
     n: np.ndarray
     primal: np.ndarray
@@ -249,8 +251,8 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
     ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
-    PrimalUpdate``, ``feasible_value`` and ``primal_bound``, and for
-    ``ada`` and ``mod_ada`` also ``envelope_value`` and ``augmented_dual``
+    PrimalUpdate``, ``feasible_value``, under ``doubling`` ``primal_bound``,
+    and for ``ada`` and ``mod_ada`` ``envelope_value`` and ``augmented_dual``
     (see :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
     the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
@@ -274,7 +276,7 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         raise ValueError(
             f"objective shape {objective.shape} != subspace shape {subspace.shape}"
         )
-    alpha = config.alpha_reg
+    alpha, doubling = config.alpha_reg, config.primal_rows == "doubling"
     dual_at_row = _DUAL_AT_ROW[config.variant]
     lam = np.zeros(subspace.shape)
     prev, px = None, np.zeros(subspace.shape)  # update giving X^k, and P(X^k)
@@ -302,9 +304,9 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         top = max(top, dual)
         last = converged or k == config.max_iters
         primal = bound = np.nan
-        if config.primal_rows != "none":
-            if config.primal_rows == "all" or last or not k & (k - 1):  # k = 0 or 2^j
-                primal = objective.feasible_value(px, alpha)
+        if config.primal_rows == "all" or doubling and (last or not k & (k - 1)):  # k = 0, 2^j
+            primal = objective.feasible_value(px, alpha)
+        if doubling:  # the bound stands in on the rows left unpriced
             bound = primal if prev is None else objective.primal_bound(prev, px, resid, alpha)
         rows.append((k, primal, dual, resid, lam_norm, step_norm, best, bound))
         if last:

@@ -7,8 +7,9 @@ primal minimizers, and the tests' reference evaluators.
 ``ZeroSubspace`` is the trivial subspace {0}, whose complement is the whole
 space.  ``never_truncate`` stubs out the truncated SVD, so that a run
 prices every row by the full SVD, and ``assert_same_run`` compares a run
-with that reference path.  ``assert_primal_bound_holds`` checks a
-trace's certified primal bounds against its exact primal values.
+with that reference path.  ``assert_primal_bound_holds`` checks the
+certified primal bounds of a ``doubling`` trace against the exact primal
+values of the same run under ``all``.
 ``primal_value`` prices the paper's non-convex objective, which no solver
 evaluates.  The module name does not match ``test_*.py``: the tests
 import it, pytest does not collect it.
@@ -96,11 +97,13 @@ def assert_same_run(fast, full):
     assert np.linalg.norm(fast.X_star - full.X_star) <= 1e-12 * np.linalg.norm(full.X_star)
 
 
-def assert_primal_bound_holds(trace):
-    """The certified bound of every row of ``trace``, a run that priced
-    every row, lies above its exact primal value up to rounding, and row 0
-    (X^0 = 0) takes the exact value."""
-    p, b = trace.primal, trace.primal_bound
+def assert_primal_bound_holds(bounded, priced):
+    """The certified bound of every row of ``bounded``, the trace of a
+    ``doubling`` run, lies above the exact primal value that ``priced``,
+    the trace of the same run under ``all``, holds on that row, up to
+    rounding, and row 0 (X^0 = 0) takes the exact value."""
+    p, b = priced.primal, bounded.primal_bound
+    assert len(p) == len(b)
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(b))
     assert np.all(b >= p - 1e-12 * np.maximum(1.0, np.abs(p)))
     assert b[0] == p[0]

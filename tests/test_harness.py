@@ -1,6 +1,8 @@
 """BLAS thread pinning of the trial runner, the resolution of the
-penalty setting, and the layout of the frequency-estimation study."""
+penalty setting, the layout of the frequency-estimation study, and the one
+Hankel subspace that each problem builds."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 
 from slra import harness
-from slra.signals import sigma0_heuristic
+from slra.envelope import RankObjective
+from slra.signals import save_signal_csv, sigma0_heuristic
+from slra.subspace import HankelSubspace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,3 +99,41 @@ def test_freqest_study_lays_out_trials_by_level_and_seed(monkeypatch):
     ]
     assert study["full_svd_fraction"] == 12 / 111
     assert study["passes_per_truncated_row"] == 135 / 99
+
+
+def test_each_problem_builds_its_subspace_once(tmp_path, monkeypatch):
+    # the code that reads a problem's data builds its Hankel subspace, and
+    # the solver, to_vector and ESPRIT all take that one
+    builds = []
+    init = HankelSubspace.__init__
+    monkeypatch.setattr(HankelSubspace, "__init__",
+                        lambda self, *shape: builds.append(shape) or init(self, *shape))
+
+    def count(fn, *args):
+        builds.clear()
+        fn(*args)
+        return len(builds)
+
+    assert count(harness._cossum_trial, (0, 3, 0.1, harness.COSSUM_SIGMA0)) == 1
+    assert count(harness._freqest_trial, (0, 20.0, 3)) == 1
+    f = np.exp(0.4j * np.arange(29)) + 0.3 * np.exp(-1.1j * np.arange(29))
+    save_signal_csv(tmp_path / "signal.csv", f)
+    np.save(tmp_path / "matrix.npy", f[np.add.outer(np.arange(16), np.arange(14))])
+    (tmp_path / "model.json").write_text(json.dumps({
+        "terms": [{"c_re": 1.0, "c_im": 0.0, "zeta_re": 0.0, "zeta_im": 0.4}],
+        "delta": 1.0, "grid": {"start": 0.0, "step": 1.0, "count": 29}}))
+    for name, shape in (("signal.csv", (15, 15)), ("model.json", (15, 15)),
+                        ("matrix.npy", (16, 14))):
+        assert count(harness.load_solve_input, tmp_path / name) == 1
+        assert builds == [shape]
+
+
+def test_cosine_sum_trial_prices_no_primal_bound(monkeypatch):
+    # its runs price every row exactly, so no output could read a bound
+    calls = []
+    bound = RankObjective.primal_bound
+    monkeypatch.setattr(RankObjective, "primal_bound",
+                        lambda self, *a: calls.append(a) or bound(self, *a))
+    record = harness._cossum_trial((0, 20, 0.1, harness.COSSUM_SIGMA0))
+    assert all(np.all(np.isfinite(primal)) for primal in record["primal"])
+    assert calls == []

@@ -76,8 +76,8 @@ def test_sample_overflow_guard():
 def test_four_tone_model_rank_four():
     f = sample_signal(four_tone_model())
     assert f.size == 257
-    h = signal_to_hankel(f)
-    assert h.shape == (129, 129)
+    h, sub = signal_to_hankel(f)
+    assert h.shape == sub.shape == (129, 129)
     assert numerical_rank(h, 1e-8) == 4
 
 
@@ -91,7 +91,7 @@ def test_kronecker_rank_matches_term_count():
     for P in range(1, 9):
         for _ in range(3):
             m = random_exponential_model(rng, P)
-            h = signal_to_hankel(sample_signal(m))
+            h, _ = signal_to_hankel(sample_signal(m))
             assert numerical_rank(h, 1e-8) == P
 
 
@@ -190,7 +190,7 @@ def test_sigma0_heuristic_exact_rank():
 def test_sigma0_heuristic_ordering():
     f = sample_signal(four_tone_model())
     noisy = add_noise(f, snr_to_sigma(f, 10.0), rng=np.random.default_rng(10))
-    F = signal_to_hankel(noisy)
+    F, _ = signal_to_hankel(noisy)
     s = np.linalg.svd(F, compute_uv=False)
     s0 = sigma0_heuristic(F, 4)
     assert s[4] <= s0 <= s[3]
@@ -202,9 +202,13 @@ def test_sigma0_heuristic_range_check():
 
 
 def test_hankel_shape():
-    assert signal_to_hankel(np.zeros(200)).shape == (101, 100)
-    assert signal_to_hankel(np.zeros(257)).shape == (129, 129)
-    assert signal_to_hankel(np.zeros(5)).shape == (3, 3)
+    # the matrix comes with the subspace it lies on, the one that built it
+    for n, shape in ((200, (101, 100)), (257, (129, 129)), (5, (3, 3)), (1, (1, 1))):
+        f = np.arange(n, dtype=float)
+        F, sub = signal_to_hankel(f)
+        assert F.shape == sub.shape == shape
+        assert_array_equal(F, sub.from_vector(f))
+        assert_array_equal(sub.to_vector(F), f)
 
 
 def test_signal_csv_round_trip(tmp_path):

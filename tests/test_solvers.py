@@ -270,8 +270,8 @@ def test_envelope_is_priced_only_where_the_dual_reads_it(variant, alpha, calls, 
 def test_primal_tracking_changes_only_the_primal_column(make):
     # one cosine-sum run serves the curves, distances and singular values
     # only because pricing primal values leaves everything else untouched;
-    # ``doubling`` prices rows 0, 2^j and the last, and bounds every row
-    # as ``all`` does
+    # ``doubling`` prices rows 0, 2^j and the last, and bounds every row,
+    # which is what the exact values of ``all`` on the same rows check
     obj, sub, _ = hankel_problem(11, rows=21, cols=20, sigma0=0.8)
     resid = run(obj, sub, make(max_iters=40, stop_tol=1e-300)).trace.feas_residual
     # just above the least residual of rows 1-30: the run converges at the
@@ -294,12 +294,12 @@ def test_primal_tracking_changes_only_the_primal_column(make):
     for stop_tol, fail_at in ((1e-300, None), (converge_tol, None), (1e-300, 7)):
         tracked, doubling, bare = runs(stop_tol, fail_at)
         assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
-        assert np.all(np.isfinite(tracked.trace.primal_bound))
+        assert np.all(np.isnan(tracked.trace.primal_bound))
         assert np.all(np.isnan(bare.trace.primal_bound))
         for other in (doubling, bare):
             for col in ("dual", "feas_residual", "lambda_norm", "step_norm", "best_n"):
                 assert_array_equal(getattr(tracked.trace, col), getattr(other.trace, col))
-        assert_array_equal(doubling.trace.primal_bound, tracked.trace.primal_bound)
+        assert_primal_bound_holds(doubling.trace, tracked.trace)
         n_rows = len(tracked.trace)
         priced = {0} | {2**j for j in range(n_rows.bit_length()) if 2**j < n_rows}
         if isinstance(tracked, solvers.SolverNumericalError):
@@ -323,6 +323,25 @@ def test_primal_tracking_changes_only_the_primal_column(make):
     assert converged == {False, True}  # one run hit max_iters, one converged
 
 
+@pytest.mark.parametrize("variant", solvers.VARIANTS)
+def test_primal_bound_is_priced_only_where_rows_go_unpriced(variant, monkeypatch):
+    # ``doubling`` bounds every row after row 0, which takes the exact
+    # value; ``all`` prices every row and ``none`` no row, so neither
+    # bounds any
+    obj, sub, _ = hankel_problem(4, rows=21, cols=20, sigma0=0.8)
+    calls = []
+    bound = RankObjective.primal_bound
+    monkeypatch.setattr(RankObjective, "primal_bound",
+                        lambda self, *a: calls.append(a) or bound(self, *a))
+    alpha = 0.0 if variant == solvers.DA else 0.1
+    for rows, expected in (("all", 0), ("none", 0), ("doubling", 30)):
+        calls.clear()
+        res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=1e-300,
+                                         primal_rows=rows))
+        assert len(res.trace) == 31 and len(calls) == expected
+        assert np.all(np.isfinite(res.trace.primal_bound) == (rows == "doubling"))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**31 - 1), st.integers(8, 30), st.booleans(),
        st.sampled_from(solvers.VARIANTS), st.floats(0.01, 0.5))
@@ -334,11 +353,15 @@ def test_primal_bound_holds_on_every_row(seed, rows, complex_data, variant, nois
     f = np.exp(np.multiply.outer(np.arange(2 * rows - 2), tones)) @ np.exp(
         2j * np.pi * rng.uniform(size=4))
     f = f + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
-    F = signal_to_hankel(f if complex_data else f.real)
-    obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
-    res = run(obj, sub, SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1,
-                                     max_iters=60))
-    assert_primal_bound_holds(res.trace)
+    # the bound of each row of a ``doubling`` run against the exact value
+    # that the same run under ``all`` prices on that row
+    F, sub = signal_to_hankel(f if complex_data else f.real)
+    obj = RankObjective(F, sigma0_heuristic(F, 4))
+    bounded, priced = (
+        run(obj, sub, SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1,
+                                   max_iters=60, primal_rows=rows))
+        for rows in ("doubling", "all"))
+    assert_primal_bound_holds(bounded.trace, priced.trace)
 
 
 def test_ada_dual_monotone_increase_inequality():
@@ -462,9 +485,9 @@ def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
     tones = -rng.uniform(0.0, 0.005, 4) + 1j * (0.3 + 0.7 * np.arange(4))
     amps = np.exp(2j * np.pi * rng.uniform(size=4))
     f = np.exp(np.multiply.outer(np.arange(126), tones)) @ amps
-    F = signal_to_hankel(add_noise(f, snr_to_sigma(f, 15.0), rng=rng))
+    F, sub = signal_to_hankel(add_noise(f, snr_to_sigma(f, 15.0), rng=rng))
     assert F.shape == (64, 63)
-    obj, sub = RankObjective(F, sigma0_heuristic(F, 4)), HankelSubspace(*F.shape)
+    obj = RankObjective(F, sigma0_heuristic(F, 4))
     cfg = SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1, max_iters=100)
     fast = run(obj, sub, cfg)
     never_truncate(monkeypatch)
