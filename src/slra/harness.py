@@ -101,6 +101,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        self.alpha = float(self.alpha)
         # 'gap:P' with a whole P >= 1 stays text; any other value is a level
         if not (isinstance(self.sigma0, str) and re.fullmatch(r"gap:0*[1-9]\d*", self.sigma0)):
             try:
@@ -112,6 +113,9 @@ class ExperimentConfig:
                                  f"got {self.sigma0!r}")
             self.sigma0 = level
         self.output_dir = Path(self.output_dir)
+        first = next((p for p in (self.output_dir, *self.output_dir.parents) if p.exists()), None)
+        if first is not None and not first.is_dir():
+            raise ValueError(f"output_dir must be a directory, but {first} is a file")
 
 
 @dataclass

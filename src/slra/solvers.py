@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import _EPS, frobenius_norm
-from .subspace import SubspaceOp
 
 DA = "da"
 ADA = "ada"
@@ -230,37 +229,22 @@ class SolverResult:
         return "converged" if self.converged else "max_iters"
 
 
-#: dual value certifying row k, from the objective, the update at Lambda^k
-#: (``upd``), the multiplier itself, and the update that produced X^k with
-#: its projection (``prev`` is None at row 0, where X^0 := 0)
-_DUAL_AT_ROW = {
-    DA: lambda obj, upd, lam, alpha, prev, px: upd.dual_da,
-    # Lagrangian at (X^k, Lambda^k): X^k minimizes the partially augmented
-    # Lagrangian at the updated multiplier, so this is the exact dual value
-    # there; row 0 has no such X^k and takes the plain dual, a lower bound
-    ADA: lambda obj, upd, lam, alpha, prev, px: upd.dual_da if prev is None else (
-        obj.envelope_value(prev)
-        + 0.5 * alpha * float(np.vdot(px, px).real)
-        + float(np.vdot(prev.x, lam).real)
-    ),
-    MOD_ADA: lambda obj, upd, lam, alpha, prev, px: obj.augmented_dual(upd, lam, alpha),
-}
-
-
-def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
+def run(objective, subspace, config: SolverConfig) -> SolverResult:
     """Run one dual ascent variant from Lambda^0 = 0.
 
     ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
     PrimalUpdate``, ``feasible_value``, under ``doubling`` ``primal_bound``,
-    and for ``ada`` and ``mod_ada`` ``envelope_value`` and ``augmented_dual``
+    for ``ada`` ``envelope_value`` and for ``mod_ada`` ``augmented_dual``
     (see :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
     the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
-    (None at row 0).  Row k of the trace describes X^k (X^0 := 0) and
-    Lambda^k; the one SVD of F - Lambda^k/2 computed for row k prices its
-    dual value and yields the next primal iterate X^{k+1}.  Terminates
-    when the feasibility residual ||X^k - P(X^k)|| drops below
-    ``stop_tol`` or after ``max_iters`` updates.  Under ``doubling`` the
+    (None at row 0).  ``subspace`` must expose the same ``shape`` and
+    ``project(X)``, the orthogonal projector P onto the constraint
+    subspace (see :mod:`slra.subspace`).  Row k of the trace describes
+    X^k (X^0 := 0) and Lambda^k; the one SVD of F - Lambda^k/2 computed
+    for row k prices its dual value and yields the next primal iterate
+    X^{k+1}.  Terminates when the feasibility residual ||X^k - P(X^k)||
+    drops below ``stop_tol`` or after ``max_iters`` updates.  Under ``doubling`` the
     last row is known before it is recorded, so it is always priced; a
     run that raises :class:`SolverNumericalError` stops after a row it
     took for an inner one, so its partial trace carries exact values on
@@ -277,7 +261,6 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
             f"objective shape {objective.shape} != subspace shape {subspace.shape}"
         )
     alpha, doubling = config.alpha_reg, config.primal_rows == "doubling"
-    dual_at_row = _DUAL_AT_ROW[config.variant]
     lam = np.zeros(subspace.shape)
     prev, px = None, np.zeros(subspace.shape)  # update giving X^k, and P(X^k)
     resid = step_norm = lam_norm = 0.0
@@ -298,7 +281,17 @@ def run(objective, subspace: SubspaceOp, config: SolverConfig) -> SolverResult:
         full_svds += warm is None or not warm.truncated
         passes += 0 if warm is None else warm.passes
         degenerate = degenerate or upd.degenerate
-        dual = dual_at_row(objective, upd, lam, alpha, prev, px)
+        if config.variant == MOD_ADA:
+            dual = objective.augmented_dual(upd, lam, alpha)
+        elif config.variant == ADA and prev is not None:
+            # Lagrangian at (X^k, Lambda^k): X^k minimizes the partially
+            # augmented Lagrangian at the updated multiplier, so this is the
+            # exact dual value there; row 0 has no such X^k and takes the
+            # plain dual, a lower bound
+            dual = (objective.envelope_value(prev) + 0.5 * alpha * float(np.vdot(px, px).real)
+                    + float(np.vdot(prev.x, lam).real))
+        else:
+            dual = upd.dual_da
         if not rows or dual >= top - _BEST_DUAL_RTOL * max(1.0, abs(top)):
             best, x_best = k, upd.x
         top = max(top, dual)

@@ -1,38 +1,17 @@
 """Linear matrix subspaces exposed through their orthogonal projectors.
 
 Solvers only consume the projector P onto the subspace (the one onto its
-orthogonal complement is X - P(X)), so new structures (Toeplitz, block
-Hankel, ...) plug in by subclassing :class:`SubspaceOp`.  The Hankel
-subspace is the principal instance; its projector is antidiagonal
-averaging.
+orthogonal complement is X - P(X)), so another structure (Toeplitz, block
+Hankel, ...) plugs in as any object with a ``shape`` (rows, cols) and a
+``project`` that is linear, idempotent and self-adjoint for the real
+Frobenius inner product.  The Hankel subspace is the principal instance;
+its projector is antidiagonal averaging.
 """
 
 import numpy as np
 
 
-class SubspaceOp:
-    """A linear subspace of (rows, cols) matrix space.
-
-    Subclasses implement :meth:`project`, which must be linear, idempotent
-    and self-adjoint for the real Frobenius inner product.
-    """
-
-    def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        self.shape = (rows, cols)
-
-    def _check_shape(self, x):
-        x = np.asarray(x)
-        if x.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
-        return x
-
-    def project(self, x):
-        raise NotImplementedError
-
-
-class HankelSubspace(SubspaceOp):
+class HankelSubspace:
     """Matrices constant along antidiagonals, generated by a vector of
     length L = rows + cols - 1 via H[i, j] = v[i + j].
 
@@ -42,7 +21,9 @@ class HankelSubspace(SubspaceOp):
     input alike."""
 
     def __init__(self, rows: int, cols: int):
-        super().__init__(rows, cols)
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        self.shape = (rows, cols)
         self.length = rows + cols - 1
         # Antidiagonal index map, the flat positions in antidiagonal order,
         # where each antidiagonal starts in that order, and the antidiagonal
@@ -52,6 +33,12 @@ class HankelSubspace(SubspaceOp):
         self._order = np.argsort(self._idx.ravel(), kind="stable")
         self._counts = np.bincount(self._idx.ravel(), minlength=self.length)
         self._starts = np.concatenate(([0], np.cumsum(self._counts[:-1])))
+
+    def _check_shape(self, x):
+        x = np.asarray(x)
+        if x.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
+        return x
 
     def _antidiag_means(self, x):
         return np.add.reduceat(x.take(self._order), self._starts) / self._counts

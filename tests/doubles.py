@@ -11,8 +11,9 @@ with that reference path.  ``assert_primal_bound_holds`` checks the
 certified primal bounds of a ``doubling`` trace against the exact primal
 values of the same run under ``all``.
 ``primal_value`` prices the paper's non-convex objective, which no solver
-evaluates.  The module name does not match ``test_*.py``: the tests
-import it, pytest does not collect it.
+evaluates, and ``four_tones`` draws noisy four-tone test signals.  The
+module name does not match ``test_*.py``: the tests import it, pytest does
+not collect it.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from slra import envelope
 from slra.envelope import PrimalUpdate, toy_tilted_minimizers
 from slra.matops import frobenius_norm, numerical_rank
-from slra.subspace import SubspaceOp
+from slra.subspace import HankelSubspace
 
 
 def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
@@ -29,6 +30,14 @@ def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
     numerical-rank tolerance ``rel_tol``."""
     x = obj._check(x)
     return obj.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - obj.F) ** 2
+
+
+def four_tones(n, seed):
+    """n samples of four damped complex tones plus complex noise."""
+    rng = np.random.default_rng(seed)
+    zetas = -rng.uniform(0.0, 0.01, 4) + 1j * rng.uniform(0.1, 3.0, 4)
+    f = np.exp(np.multiply.outer(np.arange(n), zetas)) @ np.exp(2j * np.pi * rng.uniform(size=4))
+    return f + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def toy_conjugate(lam: float) -> float:
@@ -73,7 +82,7 @@ class ToyObjective:
         )
 
 
-class ZeroSubspace(SubspaceOp):
+class ZeroSubspace(HankelSubspace):
     """The trivial subspace {0}; its complement is the whole space."""
 
     def project(self, x):

@@ -408,12 +408,14 @@ def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, c
     *(("sigma0", ["--sigma0", value]) for value in ("bogus", "gap:0", "gap:", "-1", "inf")),
     *(("sigma0", {"sigma0": value}) for value in ("bogus", "gap:1.5", 0, -2.5)),
     ("seed", {"seed": -1}), ("iters", {"iters": -1}),
+    ("output_dir", ["--out", "file"]), ("output_dir", ["--out", "file/sub"]),
 ], ids=["seed", "iters", "sigma0-bogus", "sigma0-gap0", "sigma0-gap", "sigma0-neg",
         "sigma0-inf", "config-sigma0-bogus", "config-sigma0-gap1.5", "config-sigma0-0",
-        "config-sigma0-neg", "config-seed", "config-iters"])
+        "config-sigma0-neg", "config-seed", "config-iters", "out-file", "out-under-file"])
 def test_setting_is_checked_before_any_trial(name, given, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "2")
+    (tmp_path / "file").write_text("")
 
     def no_trial(args):
         pytest.fail(f"a trial ran before {name} was checked")
@@ -425,6 +427,21 @@ def test_setting_is_checked_before_any_trial(name, given, tmp_path, capsys, monk
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {name} must be ")
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_into_a_path_under_a_file_fails_before_reading_the_input(tmp_path, capsys,
+                                                                         monkeypatch):
+    write_inputs(tmp_path)
+    (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
+
+    def no_read(path):
+        pytest.fail("the input was read before output_dir was checked")
+
+    monkeypatch.setattr(harness, "load_solve_input", no_read)
+    assert main(["--sigma0", "1.5", "--out", "file/sub", "solve", "--input", "matrix.npy"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: output_dir must be a directory, but file is a file"]
 
 
 def test_gap_order_beyond_the_solve_data_names_the_setting_and_shape(tmp_path, capsys,
@@ -463,6 +480,21 @@ def test_converge_records_the_penalty_setting_as_given(tmp_path, monkeypatch):
     assert config["sigma0"] == "gap:8"
     assert sorted(config) == ["alpha", "experiment", "iters", "noise_sigma", "output_dir",
                               "seed", "sigma0", "trials"]
+
+
+def test_alpha_is_recorded_alike_from_a_flag_and_from_a_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")
+    study = ["--trials", "1", "--iters", "2", "converge"]
+    assert main(["--alpha", "1", "--out", "flag", *study]) == 0
+    assert main(["--config", _config(tmp_path, {"alpha": 1}), "--out", "config", *study]) == 0
+    summaries = [json.loads((tmp_path / out / "converge_summary.json").read_text())
+                 for out in ("flag", "config")]
+    for summary in summaries:
+        assert summary["config"].pop("output_dir")
+    # as text, since 1 == 1.0 in Python
+    assert json.dumps(summaries[0]) == json.dumps(summaries[1])
+    assert '"alpha": 1.0' in json.dumps(summaries[1])
 
 
 def test_every_option_with_a_default_shows_it_in_its_help():

@@ -12,10 +12,11 @@ from doubles import (
     ZeroSubspace,
     assert_primal_bound_holds,
     assert_same_run,
+    four_tones,
     never_truncate,
     toy_conjugate,
 )
-from slra import harness, solvers
+from slra import envelope, harness, solvers
 from slra.envelope import PrimalUpdate, RankObjective
 from slra.harness import ExperimentConfig, run_freqest_study
 from slra.signals import (
@@ -509,6 +510,54 @@ def test_cosine_sum_run_matches_full_svd_path(monkeypatch, variant):
     assert fast.n_iters == 100 and fast.full_svds < 5 and fast.passes > 0
     assert full.full_svds == full.n_iters + 1
     assert_same_run(fast, full)
+
+
+def _tones_run(n, seed, monkeypatch, fail_row=None):
+    """A 60-row ``da`` run with the residual stop off on ``four_tones(n, seed)``,
+    sigma0 from the gap at 4, and one (row, need it starts from, need it
+    forecasts or None, accepted) per truncated attempt; the attempt on
+    ``fail_row`` runs but is reported as failed."""
+    rows, attempts = [], []
+    update, attempt = RankObjective.update, envelope._truncated_svd
+
+    def counting(self, *args):
+        rows.append(len(rows))
+        return update(self, *args)
+
+    def logged(g, warm, *args):
+        passes, part = attempt(g, warm, *args)
+        row, forecast = rows[-1], None if part is None else part[5]
+        if row == fail_row:
+            part = None
+        attempts.append((row, warm.need, forecast, part is not None))
+        return passes, part
+
+    monkeypatch.setattr(RankObjective, "update", counting)
+    monkeypatch.setattr(envelope, "_truncated_svd", logged)
+    F, sub = signal_to_hankel(four_tones(n, seed))
+    res = run(RankObjective(F, sigma0_heuristic(F, 4)), sub,
+              SolverConfig(solvers.DA, max_iters=60, stop_tol=1e-300))
+    return res, attempts
+
+
+def test_attempts_back_off_by_powers_of_two_after_each_fallback(monkeypatch):
+    # the smallest kept value sits near the cutoff here, so every attempt
+    # falls back; after the f-th fallback the next comes 2^f rows on
+    res, attempts = _tones_run(96, 5, monkeypatch)
+    assert [(row, accepted) for row, _, _, accepted in attempts] == \
+        [(1, False), (3, False), (7, False), (15, False), (31, False)]
+    assert res.passes == 10 and res.full_svds == 61
+
+
+def test_attempt_after_a_fallback_starts_from_the_last_accepted_need(monkeypatch):
+    # the attempt on row 3 certifies but is reported failed: row 4 takes the
+    # full SVD, and row 5 tries again from row 2's need, not from the one
+    # that row 3 forecast
+    res, attempts = _tones_run(96, 1, monkeypatch, fail_row=3)
+    (row_a, _, need, accepted), (row_f, _, forecast, failed), (row_b, start, _, _) = attempts[1:4]
+    assert (row_a, row_f, row_b) == (2, 3, 5) and accepted and not failed
+    assert start == need > 1 and forecast != need
+    assert res.full_svds == 3  # rows 0, 3 and 4
 
 
 def _weyl_steps(monkeypatch):

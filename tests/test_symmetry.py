@@ -13,7 +13,7 @@ transformation of the original one's X_star:
 
 The passes of the truncated SVD follow rounding, so those three keep
 X_star and the iteration count but not always ``full_svds`` and
-``passes``: at seed 0 of ``_tones`` (96 and 200 samples, 150 rows, the
+``passes``: at seed 0 of ``four_tones`` (96 and 200 samples, 150 rows, the
 three variants), reversal or phase moved ``passes`` in 7 of 12 runs, and
 transposition in 5 of 6.
 
@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from doubles import four_tones
 from slra import solvers
 from slra.cli import main
 from slra.envelope import RankObjective
@@ -36,8 +37,11 @@ from slra.solvers import SolverConfig, run
 from slra.subspace import HankelSubspace
 
 #: (samples, seed) of the examples: four damped tones plus noise, on
-#: 49x48 and 101x100 complex Hankel matrices
-EXAMPLES = ((96, 1), (200, 5))
+#: 49x48, 101x100 and 49x48 complex Hankel matrices; in the last one the
+#: smallest kept singular value sits near the cutoff, so truncated
+#: attempts fall back to the full SVD
+FALLBACK_EXAMPLE = (96, 5)
+EXAMPLES = ((96, 1), (200, 5), FALLBACK_EXAMPLE)
 
 #: rows of each run, with the residual stop off
 ROWS = 60
@@ -45,14 +49,6 @@ NO_STOP = 1e-300
 
 #: relative agreement of the transformations that round differently
 REL_TOL = 1e-12
-
-
-def _tones(n, seed):
-    """n samples of four damped complex tones plus complex noise."""
-    rng = np.random.default_rng(seed)
-    zetas = -rng.uniform(0.0, 0.01, 4) + 1j * rng.uniform(0.1, 3.0, 4)
-    f = np.exp(np.multiply.outer(np.arange(n), zetas)) @ np.exp(2j * np.pi * rng.uniform(size=4))
-    return f + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def _solve(F, sub, sigma0, variant, stop_tol=NO_STOP, rows=ROWS):
@@ -65,7 +61,7 @@ def _solve(F, sub, sigma0, variant, stop_tol=NO_STOP, rows=ROWS):
 def _example(n, seed):
     """(f, F, sub, sigma0): the signal, its Hankel matrix and subspace,
     and the penalty level from the spectral gap at 4."""
-    f = _tones(n, seed)
+    f = four_tones(n, seed)
     F, sub = signal_to_hankel(f)
     return f, F, sub, sigma0_heuristic(F, 4)
 
@@ -135,6 +131,12 @@ def test_transposed_shape_agrees_up_to_rounding(example, variant):
     assert res.n_iters == base.n_iters
 
 
+@pytest.mark.parametrize("variant", solvers.VARIANTS)
+def test_the_fallback_example_takes_full_svds_after_row_0(variant):
+    # else the symmetries above would no longer cover rows that fall back
+    assert _base(*FALLBACK_EXAMPLE, variant).full_svds > 1
+
+
 def test_the_residual_stop_is_absolute():
     # data scaled by 4 stops where the base run's residual falls below a
     # quarter of stop_tol, so later than the base run itself stops
@@ -153,7 +155,7 @@ def test_the_residual_stop_is_absolute():
 def test_solve_of_a_signal_and_of_its_transposed_matrix_agree(variant, tmp_path, monkeypatch):
     # 30 samples make a 16x15 matrix; the .npy holds its 15x16 transpose,
     # which the solve takes as-is, on the Hankel subspace of that shape
-    f = _tones(30, 2)
+    f = four_tones(30, 2)
     F, _ = signal_to_hankel(f)
     save_signal_csv(tmp_path / "signal.csv", f)
     np.save(tmp_path / "matrix.npy", F.T)
