@@ -17,10 +17,10 @@ A study given a global flag it does not read exits with a usage error:
 with ``--variant da``, whose steps decay on their own.  ``solve`` draws
 no random numbers either, but accepts ``--seed`` so that a caller may
 pass one seed to every subcommand, as the ``bench/`` solve workload does.
-Exit codes:
-0 success, 1 numerical failure, 2 usage error, which includes a request
-too large for memory.  The SLRA_THREADS environment variable sets the
-trial worker count, one per CPU when unset; only the trial count caps it.
+Exit codes: 0 success, 1 numerical failure or a trial worker that died,
+2 usage error, which includes a request too large for memory.  The
+SLRA_THREADS environment variable sets the trial worker count, one per
+CPU when unset; only the trial count caps it.
 """
 
 import argparse
@@ -190,6 +190,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (SolverNumericalError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except harness.TrialWorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     return 0
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .matops import (
     _EPS,
+    check_shape,
     f_alpha,
     f_hard,
     frobenius_norm,
@@ -118,39 +119,37 @@ def _truncated_svd(g, warm, p, dg, tau, budget):
     (u, s, vh, block, beta, need, cut) -- the captured triplets, the
     block's right Ritz vectors as rows, a certified beta >=
     sigma_{k+1}(g) below tau, and the next row's need with the cut per
-    pass it was forecast at -- or else None."""
+    pass it was forecast at -- or else None, in the order checked: on a
+    Ritz block whose p values all reach tau or whose first is not finite,
+    a stalled or over-budget residual, an uncertified beta, or LinAlgError."""
     v = warm.vh[:p].conj().T
-    w = warm.prev_vh
-    if w is not None and w.shape == warm.vh.shape and len(w) == p and warm.dg > 0:
-        v = v + min(1.0, dg / warm.dg) * (v - w.conj().T @ (w @ v))
+    prev = warm.prev_vh
+    if prev is not None and prev.shape == warm.vh.shape and len(prev) == p and warm.dg > 0:
+        v = v + min(1.0, dg / warm.dg) * (v - prev.conj().T @ (prev @ v))
     passes, last = 0, np.inf
     try:
         while True:
             passes += 1
             q = qr_q(g @ v)
+            w = (g.T @ q.conj()).conj()  # G^H Q; G itself is never conjugated
             if passes < warm.need and passes + 1 <= budget:
                 # a power pass spans what a Ritz pass spans, so only the
                 # checks are skipped
-                v = (g.T @ q.conj()).conj()
+                v = w
                 continue
-            # Ritz triplets of Q^H G from its conjugate transpose
-            # G^H Q = V S U_b^H, which is cheaper to factor; formed as
-            # conj(G^T conj(Q)), so G itself is never conjugated
-            v, s, ubh = np.linalg.svd((g.T @ q.conj()).conj(), full_matrices=False)
+            # Ritz triplets of Q^H G from the cheaper SVD of G^H Q = V S U_b^H
+            v, s, ubh = np.linalg.svd(w, full_matrices=False)
             k = int(np.count_nonzero(s >= tau))
-            if k == p:  # the block cannot show where the values above tau end
+            if k == p or not np.isfinite(s[0]):
                 return passes, None
             u = q @ ubh[:k].conj().T
             resid = frobenius_norm(g @ v[:, :k] - u * s[:k])
-            if not np.isfinite(s[0]):
-                return passes, None
             tol = _RESIDUAL_RTOL * float(s[0])
             if resid <= tol:
                 break
             cut = last / resid
-            if not cut > 1.0:  # stalled, or a NaN residual
-                return passes, None
-            if passes + max(1, _passes_left(resid, tol, cut)) > budget:
+            # stalled (or NaN, which is never forecast), or over budget
+            if not cut > 1.0 or passes + max(1, _passes_left(resid, tol, cut)) > budget:
                 return passes, None
             last = resid
         vh = v.conj().T
@@ -190,16 +189,10 @@ class RankObjective:
     def shape(self):
         return self.F.shape
 
-    def _check(self, x):
-        x = np.asarray(x)
-        if x.shape != self.F.shape:
-            raise ValueError(f"expected shape {self.F.shape}, got {x.shape}")
-        return x
-
     def dual_value_da(self, lam) -> float:
         """Dual function of the plain scheme, -conjugate(-Lambda) (see
         ``_plain_dual``), from its own values-only SVD."""
-        lam = self._check(lam)
+        lam = check_shape(lam, self.shape)
         return self._plain_dual(np.linalg.svd(self.F - lam * 0.5, compute_uv=False))
 
     def _plain_dual(self, s) -> float:
@@ -270,7 +263,7 @@ class RankObjective:
         only sit among the captured values, so
         ``degenerate`` keeps its meaning; a tie below the cutoff fails the
         certificate and falls back."""
-        lam = self._check(lam)
+        lam = check_shape(lam, self.shape)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         g = self.F - lam * 0.5
@@ -337,7 +330,7 @@ class RankObjective:
         """Primal objective reported for a feasible point: the envelope
         sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
-        x = self._check(x)
+        x = check_shape(x, self.shape)
         val = self._envelope(x, np.linalg.svd(x, compute_uv=False))
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)

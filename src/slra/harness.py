@@ -186,6 +186,10 @@ def _set_blas_threads(n):
     return previous
 
 
+class TrialWorkerDied(RuntimeError):
+    """A worker of the trial pool ended before it returned its trials."""
+
+
 def _map_trials(fn, items):
     # at the matrix sizes used here, threaded BLAS kernels are slower than
     # single-threaded ones and oversubscribe the trial worker pool
@@ -199,11 +203,13 @@ def _map_trials(fn, items):
             _set_blas_threads(previous)
     # imported here, so that a run without a pool never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
-    ) as ex:
-        return list(ex.map(fn, items))
+    try:
+        with ProcessPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,)) as ex:
+            return list(ex.map(fn, items))
+    except BrokenProcessPool as exc:
+        raise TrialWorkerDied(f"a trial worker died: {exc}") from exc
 
 
 def _pad_to(a, length):

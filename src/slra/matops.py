@@ -1,6 +1,6 @@
-"""Dense complex matrix primitives: the Frobenius norm, numerical rank, an
-orthonormal basis by QR, and the scalar threshold maps of the singular
-value functional calculus."""
+"""Dense complex matrix primitives: the shape check, the Frobenius norm,
+numerical rank, an orthonormal basis by QR, and the scalar threshold maps
+of the singular value functional calculus."""
 
 import math
 
@@ -8,6 +8,14 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 _EPS = float(np.finfo(float).eps)
+
+
+def check_shape(x, shape) -> np.ndarray:
+    """``x`` as an array, once its shape is checked to be ``shape``."""
+    x = np.asarray(x)
+    if x.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {x.shape}")
+    return x
 
 
 def frobenius_norm(a) -> float:

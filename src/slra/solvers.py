@@ -266,20 +266,18 @@ def run(objective, subspace, config: SolverConfig) -> SolverResult:
     resid = step_norm = lam_norm = 0.0
     rows = []
     best, top = 0, -np.inf
-    warm = dlam = None
     full_svds = passes = 0
     degenerate = converged = False
-    failure = None
+    failure = dlam = None
 
     for k in range(config.max_iters + 1):
         try:
-            upd = objective.update(lam, alpha, warm, dlam)
+            upd = objective.update(lam, alpha, None if prev is None else prev.warm, dlam)
         except np.linalg.LinAlgError as exc:
             failure = f"SVD failed at row {k}: {exc}"
             break
-        warm = upd.warm
-        full_svds += warm is None or not warm.truncated
-        passes += 0 if warm is None else warm.passes
+        full_svds += upd.warm is None or not upd.warm.truncated
+        passes += 0 if upd.warm is None else upd.warm.passes
         degenerate = degenerate or upd.degenerate
         if config.variant == MOD_ADA:
             dual = objective.augmented_dual(upd, lam, alpha)

@@ -10,6 +10,8 @@ its projector is antidiagonal averaging.
 
 import numpy as np
 
+from .matops import check_shape
+
 
 class HankelSubspace:
     """Matrices constant along antidiagonals, generated by a vector of
@@ -34,30 +36,17 @@ class HankelSubspace:
         self._counts = np.bincount(self._idx.ravel(), minlength=self.length)
         self._starts = np.concatenate(([0], np.cumsum(self._counts[:-1])))
 
-    def _check_shape(self, x):
-        x = np.asarray(x)
-        if x.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
-        return x
-
-    def _antidiag_means(self, x):
-        return np.add.reduceat(x.take(self._order), self._starts) / self._counts
-
     def project(self, x):
         """Frobenius-nearest Hankel matrix: antidiagonal arithmetic means."""
-        x = self._check_shape(x)
-        return self._antidiag_means(x)[self._idx]
+        return self.to_vector(x)[self._idx]
 
     def to_vector(self, x):
         """Generating vector of the nearest Hankel matrix (exact inverse of
         :meth:`from_vector` on Hankel input)."""
-        x = self._check_shape(x)
-        return self._antidiag_means(x)
+        x = check_shape(x, self.shape)
+        return np.add.reduceat(x.take(self._order), self._starts) / self._counts
 
     def from_vector(self, v):
         """Hankel matrix generated by ``v``: H[i, j] = v[i + j]."""
-        v = np.asarray(v)
-        if v.ndim != 1 or v.size != self.length:
-            raise ValueError(f"expected a vector of length {self.length}, got {v.shape}")
-        return v[self._idx]
+        return check_shape(v, (self.length,))[self._idx]
 

@@ -21,14 +21,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from slra import envelope
 from slra.envelope import PrimalUpdate, toy_tilted_minimizers
-from slra.matops import frobenius_norm, numerical_rank
+from slra.matops import check_shape, frobenius_norm, numerical_rank
 from slra.subspace import HankelSubspace
 
 
 def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
     """sigma0^2 * rank(X) + ||X - F||^2 of the ``RankObjective`` ``obj`` at
     numerical-rank tolerance ``rel_tol``."""
-    x = obj._check(x)
+    x = check_shape(x, obj.shape)
     return obj.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - obj.F) ** 2
 
 
@@ -86,7 +86,7 @@ class ZeroSubspace(HankelSubspace):
     """The trivial subspace {0}; its complement is the whole space."""
 
     def project(self, x):
-        return np.zeros_like(self._check_shape(x))
+        return np.zeros_like(check_shape(x, self.shape))
 
 
 def never_truncate(monkeypatch):

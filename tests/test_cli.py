@@ -786,6 +786,37 @@ def test_config_type_error_subprocess(tmp_path):
     assert "error:" in proc.stderr and "'trials'" in proc.stderr
 
 
+#: runs the command line with every cosine-sum trial ending its process
+DEAD_WORKER = """
+import os
+import sys
+
+from slra import cli, harness
+
+
+def end_process(item):
+    os._exit(3)
+
+
+if __name__ == "__main__":
+    harness._cossum_trial = end_process
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_dead_trial_worker_ends_the_run_with_one_error_line(tmp_path):
+    script = tmp_path / "dead_worker.py"
+    script.write_text(DEAD_WORKER)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "SLRA_THREADS": "2"}
+    proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "out"),
+                           "--trials", "2", "--iters", "5", "converge"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: a trial worker died")
+
+
 def test_config_accepts_int_for_float_and_number_for_sigma0(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,14 @@ from numpy.testing import assert_allclose
 
 from slra.envelope import RankObjective
 from slra.matops import (
+    check_shape,
     f_alpha,
     f_hard,
     frobenius_norm,
     numerical_rank,
     qr_q,
 )
+from slra.subspace import HankelSubspace
 
 
 def update_at_zero(a, sigma0, alpha=0.0):
@@ -31,6 +34,18 @@ def scalar_threshold_objective(sigma, phi, sigma0, alpha):
         + (sigma - phi) ** 2
         + 0.5 * alpha * sigma**2
     )
+
+
+def test_every_matrix_argument_is_checked_with_one_message():
+    obj, sub = RankObjective(np.ones((3, 2)), 1.0), HankelSubspace(3, 2)
+    message = re.escape("expected shape (3, 2), got (2, 3)")
+    for check in (obj.update, obj.feasible_value, obj.dual_value_da, sub.project,
+                  sub.to_vector, lambda x: check_shape(x, (3, 2))):
+        with pytest.raises(ValueError, match=message):
+            check(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=re.escape("expected shape (4,), got (2, 2)")):
+        sub.from_vector(np.ones((2, 2)))
+    assert check_shape([[1, 2]], (1, 2)).shape == (1, 2)
 
 
 def test_frobenius_norm_matches_numpy_on_real_and_complex_input():
