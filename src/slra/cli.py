@@ -85,7 +85,7 @@ def build_parser():
                     help="dual ascent variant (default %(default)s)")
     ps.add_argument("--stop-tol", type=float, default=solvers.SolverConfig.stop_tol,
                     help="stop at a residual ||X - P(X)|| below this, an absolute level in "
-                         "the data's units (default %(default)s)")
+                         "the data's units; 0 never stops early (default %(default)s)")
     ps.add_argument("--rank-tol", type=float, default=1e-9,
                     help="rank counts values above this share of the largest (default %(default)s)")
     return p

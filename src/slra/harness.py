@@ -78,10 +78,6 @@ COSSUM_SIGMA0 = 0.8
 #: noise standard deviation of the cosine-sum protocol (``noise_sigma``)
 COSSUM_NOISE_SIGMA = 0.1
 
-#: never-satisfied residual threshold: forces a fixed iteration count
-_NO_STOP = 1e-300
-
-
 @dataclass
 class ExperimentConfig:
     """Shared experiment parameters; defaults reproduce the desk-scale
@@ -212,11 +208,7 @@ def _map_trials(fn, items):
         raise TrialWorkerDied(f"a trial worker died: {exc}") from exc
 
 
-def _pad_to(a, length):
-    return np.concatenate([a, np.full(length - a.size, a[-1])])
-
-
-def _method_config(method, alpha, iters, stop_tol=_NO_STOP, **kw):
+def _method_config(method, alpha, iters, stop_tol=0.0, **kw):
     alpha_reg = 0.0 if method == solvers.DA else alpha
     return SolverConfig(method, alpha_reg, max_iters=iters, stop_tol=stop_tol, **kw)
 
@@ -253,8 +245,8 @@ def _cossum_trial(args):
     return {
         "sv_noisy": np.linalg.svd(noisy, compute_uv=False)[:10],
         "sv_gt": np.linalg.svd(h_gt, compute_uv=False)[:10],
-        "primal": [_pad_to(res.trace.primal, iters + 1) for res in runs],
-        "dual": [_pad_to(res.trace.dual, iters + 1) for res in runs],
+        "primal": [res.trace.primal for res in runs],
+        "dual": [res.trace.dual for res in runs],
         # normalized distance ||H - H_gt|| / ||H_gt||; the tabulated
         # reference values correspond to this unsquared ratio
         "dist": [float(np.linalg.norm(res.X_star - h_gt)) / gt_norm for res in runs],
@@ -478,13 +470,17 @@ def load_solve_input(path):
 
     Returns (F, subspace); signals and models build near-square Hankel
     data, a matrix is used as-is with the Hankel subspace of its shape.
-    ValueError, naming the file, when the data has a non-finite entry.
+    ValueError, naming the file, when the data has a non-finite entry or a
+    model's samples overflow.
     """
     path = Path(path)
     if path.suffix == ".csv":
         F, sub = signal_to_hankel(load_signal_csv(path)[1])
     elif path.suffix == ".json":
-        F, sub = signal_to_hankel(sample_signal(load_model_json(path)))
+        try:
+            F, sub = signal_to_hankel(sample_signal(load_model_json(path)))
+        except OverflowError as exc:
+            raise ValueError(f"model JSON {path} overflows: {exc}") from None
     elif path.suffix == ".npy":
         F = np.load(path)
         if F.ndim != 2:
@@ -514,11 +510,11 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: floa
     bounds minus the greatest dual value."""
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
+    cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol,
+                         primal_rows="doubling")
     F, sub = load_solve_input(input_path)
     s0 = _resolve_sigma0(F, config.sigma0)
     obj = RankObjective(F, s0)
-    cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol,
-                         primal_rows="doubling")
     res = solvers.run(obj, sub, cfg)
 
     out = config.output_dir

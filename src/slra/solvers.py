@@ -84,6 +84,7 @@ class SolverConfig:
     2/(n+1)^2 + ``alpha_reg``, which decay to it; both need a finite
     ``alpha_reg > 0``.  The residual stop ||X - P(X)||_F < ``stop_tol`` is
     absolute, in the data's units: data scaled by c > 1 stop no earlier.
+    ``stop_tol`` 0 turns it off, so a run makes all ``max_iters`` updates.
 
     ``primal_rows`` names the trace rows priced by the exact primal value,
     one values-only SVD each: ``all`` of them, ``doubling`` (row 0, the
@@ -106,8 +107,8 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if not 0 < self.stop_tol < math.inf:
-            raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
+        if not 0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be finite and non-negative, got {self.stop_tol}")
         if self.variant == DA:
             if self.alpha_reg != 0:
                 raise ValueError("da requires alpha_reg == 0")
@@ -244,11 +245,12 @@ def run(objective, subspace, config: SolverConfig) -> SolverResult:
     X^k (X^0 := 0) and Lambda^k; the one SVD of F - Lambda^k/2 computed
     for row k prices its dual value and yields the next primal iterate
     X^{k+1}.  Terminates when the feasibility residual ||X^k - P(X^k)||
-    drops below ``stop_tol`` or after ``max_iters`` updates.  Under ``doubling`` the
-    last row is known before it is recorded, so it is always priced; a
-    run that raises :class:`SolverNumericalError` stops after a row it
-    took for an inner one, so its partial trace carries exact values on
-    rows 0 and 2^j only, and bounds on every row.
+    drops below ``stop_tol``, which it never does when that is 0, or after
+    ``max_iters`` updates.  Under ``doubling`` the last row is known before
+    it is recorded, so it is always priced; a run that raises
+    :class:`SolverNumericalError` stops after a row it took for an inner
+    one, so its partial trace carries exact values on rows 0 and 2^j
+    only, and bounds on every row.
 
     ``da`` returns the projected minimizer of the same SVD that priced the
     best row: the latest row whose dual came within

@@ -163,10 +163,10 @@ def test_freqest_identical_across_worker_counts(tmp_path):
         ("freqest_diffs.csv", "freqest_hist.csv"), "freqest_summary.json")
 
 
-def test_converge_pads_the_curves_of_runs_that_stop_early(tmp_path, monkeypatch):
-    # sigma0 = 1000 thresholds every value away, so X^1 = 0 lies in the
-    # subspace and each run converges at row 1; its curves repeat the last
-    # of its two rows up to the iters + 1 rows of the study
+def test_converge_runs_every_row_when_the_residual_vanishes(tmp_path, monkeypatch):
+    # sigma0 = 1000 thresholds every value away, so each X^k = 0 lies in the
+    # subspace and the residual is 0 from row 1 on; converge switches the
+    # residual stop off, so each run still makes all iters + 1 rows
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SLRA_THREADS", "1")
     results = []
@@ -175,7 +175,8 @@ def test_converge_pads_the_curves_of_runs_that_stop_early(tmp_path, monkeypatch)
     assert main(["--sigma0", "1000", "--trials", "2", "--iters", "6", "--out", "o",
                  "converge"]) == 0
     assert len(results) == 2 * len(harness.METHODS)
-    assert all(r.converged and len(r.trace) == 2 for r in results)
+    assert all(not r.converged and len(r.trace) == 7 for r in results)
+    assert all(np.all(r.trace.feas_residual == 0.0) for r in results)
     rows = [line.split(",") for line in
             (tmp_path / "o" / "converge_curves.csv").read_text().splitlines()[1:]]
     assert len(rows) == 7 * len(harness.METHODS)
@@ -374,25 +375,27 @@ def test_alpha_is_checked_before_any_trial(alpha, tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "out").exists()
 
 
+# each solve names a missing input: a setting must be checked before it is read
 @pytest.mark.parametrize("name, argv, threads", [
-    ("sigma0", ["--sigma0", "inf", "solve", "--input", "matrix.npy"], None),
-    ("alpha", ["--alpha", "inf", "--sigma0", "gap:4", "solve", "--input", "matrix.npy",
+    ("sigma0", ["--sigma0", "inf", "solve", "--input", "missing.npy"], None),
+    ("alpha", ["--alpha", "inf", "--sigma0", "gap:4", "solve", "--input", "missing.npy",
                "--variant", "ada"], None),
-    *(("rank_tol", ["--sigma0", "1.5", "solve", "--input", "matrix.npy", "--rank-tol", tol],
+    *(("rank_tol", ["--sigma0", "1.5", "solve", "--input", "missing.npy", "--rank-tol", tol],
        None) for tol in ("0", "1", "2")),
-    ("sigma0", ["--config", "inf.json", "solve", "--input", "matrix.npy"], None),
+    *(("stop_tol", ["--sigma0", "1.5", "solve", "--input", "missing.npy", "--stop-tol", tol],
+       None) for tol in ("-1", "inf", "nan")),
+    ("sigma0", ["--config", "inf.json", "solve", "--input", "missing.npy"], None),
     *(("SLRA_THREADS", ["--trials", "1", "converge"], threads)
       for threads in ("abc", "0", "-3")),
     ("iters", ["--iters", "-1", "--trials", "1", "converge"], None),
-    ("iters", ["--iters", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
+    ("iters", ["--iters", "-1", "--sigma0", "1.5", "solve", "--input", "missing.npy"], None),
     ("seed", ["--seed", "-1", "--trials", "1", "converge"], None),
-    ("seed", ["--seed", "-1", "--sigma0", "1.5", "solve", "--input", "matrix.npy"], None),
-], ids=["sigma0-inf", "alpha-inf", "rank-tol-0", "rank-tol-1", "rank-tol-2", "config-1e999",
-        "threads-abc", "threads-0", "threads--3", "iters-converge", "iters-solve",
-        "seed-converge", "seed-solve"])
+    ("seed", ["--seed", "-1", "--sigma0", "1.5", "solve", "--input", "missing.npy"], None),
+], ids=["sigma0-inf", "alpha-inf", "rank-tol-0", "rank-tol-1", "rank-tol-2", "stop-tol--1",
+        "stop-tol-inf", "stop-tol-nan", "config-1e999", "threads-abc", "threads-0",
+        "threads--3", "iters-converge", "iters-solve", "seed-converge", "seed-solve"])
 def test_bad_value_is_usage_error_before_output(name, argv, threads, tmp_path, capsys,
                                                 monkeypatch):
-    write_inputs(tmp_path)
     (tmp_path / "inf.json").write_text('{"sigma0": 1e999}')  # JSON reads inf
     monkeypatch.chdir(tmp_path)
     if threads is not None:
@@ -442,6 +445,21 @@ def test_solve_into_a_path_under_a_file_fails_before_reading_the_input(tmp_path,
     assert main(["--sigma0", "1.5", "--out", "file/sub", "solve", "--input", "matrix.npy"]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: output_dir must be a directory, but file is a file"]
+
+
+def test_solve_with_the_stop_off_makes_every_iteration(tmp_path, monkeypatch):
+    # sigma0 = 1000 thresholds every value away, so the residual is 0 from
+    # row 1 on: the default stop ends the run there, stop_tol 0 never does
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    solve = ["--sigma0", "1000", "--iters", "5", "solve", "--input", "matrix.npy"]
+    for out, flags, rows, status in (("default", [], 2, "converged"),
+                                     ("fixed", ["--stop-tol", "0"], 6, "max_iters")):
+        assert main(["--out", out, *solve, *flags]) == 0
+        trace = (tmp_path / out / "trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + rows
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert (summary["status"], summary["n_iters"]) == (status, rows - 1)
 
 
 def test_gap_order_beyond_the_solve_data_names_the_setting_and_shape(tmp_path, capsys,
@@ -672,6 +690,18 @@ def test_malformed_model_json_is_usage_error(doc, key, tmp_path, capsys, monkeyp
     assert main(["--sigma0", "gap:1", "solve", "--input", "model.json"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: model JSON") and repr(key) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_json_whose_samples_overflow_is_usage_error_naming_the_file(tmp_path, capsys,
+                                                                         monkeypatch):
+    # exp(20 * 39) overflows on the last of the 40 grid points
+    doc = {"terms": [{**_TERM, "zeta_re": 20.0}], "delta": 1.0, "grid": {**_GRID, "count": 40}}
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", "gap:1", "solve", "--input", "model.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model JSON model.json ")
     assert not (tmp_path / "out").exists()
 
 

@@ -88,13 +88,15 @@ def test_config_couplings():
                         ("ista", dict()),
                         (solvers.DA, dict(max_iters=-1)),
                         (solvers.ADA, dict(alpha_reg=np.inf)),
-                        (solvers.DA, dict(stop_tol=0.0)),
+                        (solvers.DA, dict(stop_tol=-1.0)),
+                        (solvers.DA, dict(stop_tol=np.nan)),
                         (solvers.DA, dict(stop_tol=np.inf))):
         with pytest.raises(ValueError):
             SolverConfig(variant, **kw)
     # valid ones construct fine
     SolverConfig(solvers.DA)
     SolverConfig(solvers.DA, sqrt_steps=True)
+    SolverConfig(solvers.DA, stop_tol=0.0)
     SolverConfig(solvers.ADA, 0.1)
     SolverConfig(solvers.MOD_ADA, 0.01)
 
@@ -105,7 +107,7 @@ def test_config_couplings():
 
 def test_toy_da_lambda_sequence():
     res = run(ToyObjective(), ZeroSubspace(1, 1),
-              SolverConfig(solvers.DA, max_iters=5, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=5, stop_tol=0.0))
     assert_allclose(res.trace.lambda_norm[1:], np.abs(TOY_LAMBDAS), atol=1e-12)
     assert res.Lambda_star[0, 0] == pytest.approx(7.0 / 60.0, abs=1e-12)
     assert res.n_iters == 5
@@ -113,7 +115,7 @@ def test_toy_da_lambda_sequence():
 
 def test_toy_da_dual_values_from_conjugate():
     res = run(ToyObjective(), ZeroSubspace(1, 1),
-              SolverConfig(solvers.DA, max_iters=5, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=5, stop_tol=0.0))
     lams = [0.0, *TOY_LAMBDAS]
     expected = [-toy_conjugate(-l) for l in lams]
     assert_allclose(res.trace.dual, expected, atol=1e-12)
@@ -166,7 +168,7 @@ class ScriptedObjective:
 ])
 def test_da_best_row_is_latest_within_tolerance(duals, best):
     res = run(ScriptedObjective(duals), ZeroSubspace(1, 1),
-              SolverConfig(solvers.DA, max_iters=len(duals) - 1, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=len(duals) - 1, stop_tol=0.0))
     assert list(res.trace.best_n) == best
     res.trace.check_invariants()
 
@@ -188,7 +190,7 @@ def test_nonfinite_multiplier_carries_priced_rows():
     obj = ScriptedObjective([1.0, 2.0, 3.0, 4.0, 5.0], nan_row=2)
     with pytest.raises(solvers.SolverNumericalError,
                        match="non-finite multiplier at iteration 3") as exc:
-        run(obj, ZeroSubspace(1, 1), SolverConfig(solvers.DA, max_iters=4, stop_tol=1e-300))
+        run(obj, ZeroSubspace(1, 1), SolverConfig(solvers.DA, max_iters=4, stop_tol=0.0))
     assert list(exc.value.trace.n) == [0, 1, 2]
     exc.value.trace.check_invariants()
 
@@ -226,9 +228,9 @@ def test_zero_data_returns_zero():
 
 def test_lambda_stays_in_complement():
     obj, sub, _ = hankel_problem(1)
-    for cfg in (SolverConfig(solvers.DA, max_iters=40, stop_tol=1e-300),
-                SolverConfig(solvers.ADA, 0.1, max_iters=40, stop_tol=1e-300),
-                SolverConfig(solvers.MOD_ADA, 0.1, max_iters=40, stop_tol=1e-300)):
+    for cfg in (SolverConfig(solvers.DA, max_iters=40, stop_tol=0.0),
+                SolverConfig(solvers.ADA, 0.1, max_iters=40, stop_tol=0.0),
+                SolverConfig(solvers.MOD_ADA, 0.1, max_iters=40, stop_tol=0.0)):
         res = run(obj, sub, cfg)
         lam = res.Lambda_star
         assert np.linalg.norm(sub.project(lam)) <= 1e-10 * (1 + np.linalg.norm(lam))
@@ -236,9 +238,9 @@ def test_lambda_stays_in_complement():
 
 def test_weak_duality_along_traces():
     obj, sub, _ = hankel_problem(2)
-    for cfg in (SolverConfig(solvers.DA, max_iters=60, stop_tol=1e-300),
-                SolverConfig(solvers.ADA, 0.2, max_iters=60, stop_tol=1e-300),
-                SolverConfig(solvers.MOD_ADA, 0.2, max_iters=60, stop_tol=1e-300)):
+    for cfg in (SolverConfig(solvers.DA, max_iters=60, stop_tol=0.0),
+                SolverConfig(solvers.ADA, 0.2, max_iters=60, stop_tol=0.0),
+                SolverConfig(solvers.MOD_ADA, 0.2, max_iters=60, stop_tol=0.0)):
         res = run(obj, sub, cfg)
         assert np.max(res.trace.dual) <= np.min(res.trace.primal) + 1e-8
 
@@ -258,7 +260,7 @@ def test_envelope_is_priced_only_where_the_dual_reads_it(variant, alpha, calls, 
         return envelope_value(self, upd)
 
     monkeypatch.setattr(RankObjective, "envelope_value", counted)
-    res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=0.0))
     assert len(res.trace) == 31
     assert len(priced) == calls
 
@@ -274,7 +276,7 @@ def test_primal_tracking_changes_only_the_primal_column(make):
     # ``doubling`` prices rows 0, 2^j and the last, and bounds every row,
     # which is what the exact values of ``all`` on the same rows check
     obj, sub, _ = hankel_problem(11, rows=21, cols=20, sigma0=0.8)
-    resid = run(obj, sub, make(max_iters=40, stop_tol=1e-300)).trace.feas_residual
+    resid = run(obj, sub, make(max_iters=40, stop_tol=0.0)).trace.feas_residual
     # just above the least residual of rows 1-30: the run converges at the
     # first row that reaches it
     converge_tol = np.nextafter(resid[1:31].min(), np.inf)
@@ -292,7 +294,7 @@ def test_primal_tracking_changes_only_the_primal_column(make):
         return results
 
     converged = set()
-    for stop_tol, fail_at in ((1e-300, None), (converge_tol, None), (1e-300, 7)):
+    for stop_tol, fail_at in ((0.0, None), (converge_tol, None), (0.0, 7)):
         tracked, doubling, bare = runs(stop_tol, fail_at)
         assert np.all(np.isfinite(tracked.trace.primal)) and np.all(np.isnan(bare.trace.primal))
         assert np.all(np.isnan(tracked.trace.primal_bound))
@@ -337,7 +339,7 @@ def test_primal_bound_is_priced_only_where_rows_go_unpriced(variant, monkeypatch
     alpha = 0.0 if variant == solvers.DA else 0.1
     for rows, expected in (("all", 0), ("none", 0), ("doubling", 30)):
         calls.clear()
-        res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=1e-300,
+        res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=0.0,
                                          primal_rows=rows))
         assert len(res.trace) == 31 and len(calls) == expected
         assert np.all(np.isfinite(res.trace.primal_bound) == (rows == "doubling"))
@@ -368,7 +370,7 @@ def test_primal_bound_holds_on_every_row(seed, rows, complex_data, variant, nois
 def test_ada_dual_monotone_increase_inequality():
     obj, sub, _ = hankel_problem(3, rows=15, cols=15)
     alpha = 0.15
-    res = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=150, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=150, stop_tol=0.0))
     inc = np.diff(res.trace.dual)
     req = res.trace.step_norm[1:] ** 2 / alpha
     assert np.all(inc - req >= -1e-9)
@@ -376,7 +378,7 @@ def test_ada_dual_monotone_increase_inequality():
 
 def test_ada_step_square_sums_plateau():
     obj, sub, _ = hankel_problem(4, rows=15, cols=15)
-    res = run(obj, sub, SolverConfig(solvers.ADA, 0.2, max_iters=400, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.ADA, 0.2, max_iters=400, stop_tol=0.0))
     sq = res.trace.step_norm**2
     total = np.sum(sq)
     assert np.sum(sq[: len(sq) // 2]) >= 0.95 * total  # summable in practice
@@ -384,7 +386,7 @@ def test_ada_step_square_sums_plateau():
 
 def test_da_best_iterate_duals_monotone():
     obj, sub, _ = hankel_problem(5)
-    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=80, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=80, stop_tol=0.0))
     best_duals = res.trace.dual[res.trace.best_n]
     assert np.all(np.diff(best_duals) >= -1e-12)
     res.trace.check_invariants()
@@ -415,7 +417,7 @@ def test_mod_ada_matches_ada_limit_quality():
 
 def test_degenerate_status_surfaced():
     obj = RankObjective(np.diag([1.0, 3.0]), 1.0)  # singular value == sigma0
-    res = run(obj, ZeroSubspace(2, 2), SolverConfig(solvers.DA, max_iters=3, stop_tol=1e-300))
+    res = run(obj, ZeroSubspace(2, 2), SolverConfig(solvers.DA, max_iters=3, stop_tol=0.0))
     assert res.degenerate
     assert res.status == "degenerate_warning"
 
@@ -423,7 +425,7 @@ def test_degenerate_status_surfaced():
 def test_numerical_failure_carries_priced_rows():
     obj, sub, _ = hankel_problem(11, rows=8, cols=8)
 
-    cfg = SolverConfig(solvers.DA, max_iters=10, stop_tol=1e-300)
+    cfg = SolverConfig(solvers.DA, max_iters=10, stop_tol=0.0)
     with pytest.raises(solvers.SolverNumericalError, match="row 2") as exc:
         run(FailingAtRow(obj, 2), sub, cfg)
     assert list(exc.value.trace.n) == [0, 1]
@@ -536,7 +538,7 @@ def _tones_run(n, seed, monkeypatch, fail_row=None):
     monkeypatch.setattr(envelope, "_truncated_svd", logged)
     F, sub = signal_to_hankel(four_tones(n, seed))
     res = run(RankObjective(F, sigma0_heuristic(F, 4)), sub,
-              SolverConfig(solvers.DA, max_iters=60, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=60, stop_tol=0.0))
     return res, attempts
 
 
@@ -608,7 +610,7 @@ def test_weyl_step_covers_the_rounding_of_forming_g(monkeypatch):
     F = 1000.0 * sub.from_vector(f)
     steps = _weyl_steps(monkeypatch)
     res = run(RankObjective(F, sigma0_heuristic(F, 4)), sub,
-              SolverConfig(solvers.DA, max_iters=50, stop_tol=1e-300))
+              SolverConfig(solvers.DA, max_iters=50, stop_tol=0.0))
     assert res.full_svds == 1 and res.n_iters == 50
     dg, dist, half_step = np.array(steps).T
     assert len(dg) == 50
@@ -649,7 +651,7 @@ def test_shape_mismatch_rejected():
 
 def test_trace_csv_round_trip(tmp_path):
     obj, sub, _ = hankel_problem(8)
-    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=25, stop_tol=1e-300))
+    res = run(obj, sub, SolverConfig(solvers.DA, max_iters=25, stop_tol=0.0))
     res.trace.write_csv(tmp_path / "trace.csv")
     back = SolverTrace.read_csv(tmp_path / "trace.csv")
     for col in ("n", "primal", "dual", "feas_residual", "lambda_norm",
@@ -721,7 +723,7 @@ def test_lambda_bound_on_da_runs():
     # R0 being the larger root of p and p_max its maximum
     for seed in range(6):
         obj, sub, _ = hankel_problem(20 + seed, rows=10, cols=10)
-        cfg = SolverConfig(solvers.DA, max_iters=100, stop_tol=1e-300)
+        cfg = SolverConfig(solvers.DA, max_iters=100, stop_tol=0.0)
         tr = run(obj, sub, cfg).trace
         c1 = 3.0 * np.linalg.norm(obj.F) + 2.0 * np.sqrt(min(obj.shape)) * obj.sigma0
         c2 = np.linalg.norm(obj.F) ** 2
@@ -738,7 +740,7 @@ def test_ada_dual_rise_and_rate():
     # last quartile of the run
     alpha = 0.2
     obj, sub, _ = hankel_problem(10, rows=15, cols=15)
-    tr = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=300, stop_tol=1e-300)).trace
+    tr = run(obj, sub, SolverConfig(solvers.ADA, alpha, max_iters=300, stop_tol=0.0)).trace
     assert np.all(np.diff(tr.dual) - tr.step_norm[1:] ** 2 / alpha >= -1e-9)
     gaps = np.max(tr.dual) - tr.dual
     assert gaps[-1] == pytest.approx(0.0, abs=1e-12)
