@@ -20,7 +20,7 @@ pass one seed to every subcommand, as the ``bench/`` solve workload does.
 Exit codes: 0 success, 1 numerical failure or a trial worker that died,
 2 usage error, which includes a request too large for memory.  The
 SLRA_THREADS environment variable sets the trial worker count, one per
-CPU when unset; only the trial count caps it.
+CPU the process may run on when unset; only the trial count caps it.
 """
 
 import argparse
@@ -35,6 +35,9 @@ from .solvers import SolverNumericalError
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
+
+#: |SNR| in dB at which the amplitude ratio 10^(|SNR|/20) overflows a double
+_SNR_LIMIT_DB = 20.0 * float(np.log10(np.finfo(float).max))
 
 #: study -> global flags it does not read
 _UNREAD_FLAGS = {
@@ -76,8 +79,8 @@ def build_parser():
     pf = sub.add_parser("freqest")
     levels = harness.FREQEST_SNR_LEVELS
     pf.add_argument("--snr-levels", type=str, default=None,
-                    help="comma-separated SNR levels in dBW "
-                         f"(default {levels[0]:g}, {levels[1]:g}, ..., {levels[-1]:g})")
+                    help=f"comma-separated SNR levels in dBW, each below {_SNR_LIMIT_DB:.2f} in "
+                         f"modulus (default {levels[0]:g}, {levels[1]:g}, ..., {levels[-1]:g})")
     ps = sub.add_parser("solve")
     ps.add_argument("--input", required=True,
                     help="signal CSV (index,re,im), model JSON, or .npy matrix")
@@ -92,9 +95,9 @@ def build_parser():
 
 
 def _parse_snr_levels(value):
-    """--snr-levels: a non-empty comma list of finite numbers."""
+    """--snr-levels: a non-empty comma list of levels below ``_SNR_LIMIT_DB`` in modulus."""
     levels = tuple(float(v) for v in value.split(","))
-    if not all(np.isfinite(levels)):
+    if not all(abs(level) < _SNR_LIMIT_DB for level in levels):
         raise ValueError(value)
     return levels
 

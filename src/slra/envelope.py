@@ -190,15 +190,9 @@ class RankObjective:
         return self.F.shape
 
     def dual_value_da(self, lam) -> float:
-        """Dual function of the plain scheme, -conjugate(-Lambda) (see
-        ``_plain_dual``), from its own values-only SVD."""
-        lam = check_shape(lam, self.shape)
-        return self._plain_dual(np.linalg.svd(self.F - lam * 0.5, compute_uv=False))
-
-    def _plain_dual(self, s) -> float:
-        """||F||^2 - sum_j max(s_j^2 - sigma0^2, 0) over the singular values
-        s of F - Lambda/2, of which those below sigma0 may be left out."""
-        return self._norm_sq - float(np.maximum(s**2 - self.sigma0**2, 0.0).sum())
+        """Dual function of the plain scheme, -conjugate(-Lambda), as
+        :meth:`update` prices it."""
+        return self.update(lam).dual_da
 
     def update(self, lam, alpha: float = 0.0, warm: Optional[WarmStart] = None,
                dlam: Optional[float] = None) -> PrimalUpdate:
@@ -295,7 +289,8 @@ class RankObjective:
         # contribute exact zeros, are a suffix
         m = int(np.count_nonzero(fs > 0))
         x = (u[:, :m] * fs[:m]) @ vh[:m]
-        dual_da = self._plain_dual(s)
+        # ||F||^2 - sum_j max(s_j^2 - sigma0^2, 0): the values left out lie below sigma0
+        dual_da = self._norm_sq - float(np.maximum(s**2 - self.sigma0**2, 0.0).sum())
         degenerate = alpha == 0 and bool(
             (np.abs(s - self.sigma0) <= DEGENERATE_RTOL * self.sigma0).any()
         )
@@ -313,17 +308,15 @@ class RankObjective:
             raise ValueError("alpha must be positive")
         return self.augmented_dual(self.update(lam, alpha), lam, alpha)
 
-    def _envelope(self, x, svals) -> float:
+    def envelope_value(self, x, svals) -> float:
+        """The envelope at ``x`` from its singular values ``svals``, of
+        which the zeros may be left out, at no SVD."""
         return _env_terms(svals, self.sigma0) + frobenius_norm(x - self.F) ** 2
-
-    def envelope_value(self, upd: PrimalUpdate) -> float:
-        """The envelope at ``upd.x`` from ``upd.fs``, at no SVD."""
-        return self._envelope(upd.x, upd.fs)
 
     def augmented_dual(self, upd: PrimalUpdate, lam, alpha: float) -> float:
         """envelope(x) + <x, lam> + (alpha/2)||x||^2 at x = ``upd.x``, the dual
         value of the fully augmented problem when ``upd`` was computed at lam."""
-        return (self.envelope_value(upd) + float(np.vdot(upd.x, lam).real)
+        return (self.envelope_value(upd.x, upd.fs) + float(np.vdot(upd.x, lam).real)
                 + 0.5 * alpha * upd.x_norm_sq)
 
     def feasible_value(self, x, alpha: float = 0.0) -> float:
@@ -331,7 +324,7 @@ class RankObjective:
         sum_j (sigma0^2 - max(sigma0 - sigma_j(X), 0)^2) + ||X - F||^2,
         plus (alpha/2)||X||^2 for the augmented variants."""
         x = check_shape(x, self.shape)
-        val = self._envelope(x, np.linalg.svd(x, compute_uv=False))
+        val = self.envelope_value(x, np.linalg.svd(x, compute_uv=False))
         if alpha > 0:
             val += 0.5 * alpha * float(np.vdot(x, x).real)
         return val

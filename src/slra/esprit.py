@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matops import numerical_rank
 from .subspace import HankelSubspace
 
 #: singular values below this fraction of the largest count as noise-only
@@ -52,7 +53,7 @@ def esprit_estimate(f, P: int, sub: HankelSubspace, delta: float,
 
     H = sub.from_vector(f)
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    n_modes = min(int(np.count_nonzero(s > _MODE_DETECT_RTOL * s[0])), P)
+    n_modes = min(numerical_rank(s, _MODE_DETECT_RTOL), P)
     deficient = n_modes < P
     if deficient:
         warnings.warn(

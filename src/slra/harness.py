@@ -10,13 +10,14 @@ singular values (``singvals.csv``), and a summary with the config, final
 gaps and distances (``converge_summary.json``).
 
 Trials fan out over a process pool of SLRA_THREADS workers, one per CPU
-when that variable is unset and capped by nothing but the trial count;
-every trial derives its own generator seed from the base seed and the
-trial index, and aggregation runs in fixed trial order.  Trials run on
-one OpenBLAS thread, in the pool's workers and in this process alike, so
-results are bit-reproducible for any worker count wherever that pinning
-works: with numpy's OpenBLAS.  Elsewhere a note on stderr says that
-nothing is pinned, and the last digits may then follow the BLAS thread count.
+the process may run on when that variable is unset, and capped by
+nothing but the trial count; every trial derives its own generator seed
+from the base seed and the trial index, and aggregation runs in fixed
+trial order.  Trials run on one OpenBLAS thread, in the pool's workers
+and in this process alike, so results are bit-reproducible for any
+worker count wherever that pinning works: with numpy's OpenBLAS.
+Elsewhere a note on stderr says that nothing is pinned, and the last
+digits may then follow the BLAS thread count.
 """
 
 import ctypes
@@ -134,6 +135,8 @@ def _worker_count() -> int:
         if count < 1:
             raise ValueError(f"SLRA_THREADS must be at least 1, got {count}")
         return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -213,21 +216,17 @@ def _method_config(method, alpha, iters, stop_tol=0.0, **kw):
     return SolverConfig(method, alpha_reg, max_iters=iters, stop_tol=stop_tol, **kw)
 
 
-def _gap_order(sigma0, shape):
-    """P of the setting 'gap:P', checked to fit data of ``shape``."""
-    p = int(sigma0[4:])
+def _resolve_sigma0(F, sigma0):
+    """Penalty level of the setting ``sigma0`` (see ExperimentConfig) on F:
+    the level itself, or for 'gap:P' the spectral-gap heuristic of order P,
+    once P is checked to fit F's shape."""
+    if not isinstance(sigma0, str):
+        return sigma0
+    p, shape = int(sigma0[4:]), F.shape
     if p >= min(shape):
         raise ValueError(f"sigma0 {sigma0} does not fit data of shape {shape[0]}x{shape[1]}: "
                          f"P must be at most min(shape) - 1 = {min(shape) - 1}")
-    return p
-
-
-def _resolve_sigma0(F, sigma0):
-    """Penalty level of the setting ``sigma0`` (see ExperimentConfig) on F:
-    the level itself, or for 'gap:P' the spectral-gap heuristic of order P."""
-    if isinstance(sigma0, str):
-        return sigma0_heuristic(F, _gap_order(sigma0, F.shape))
-    return sigma0
+    return sigma0_heuristic(F, p)
 
 
 def _cossum_trial(args):
@@ -282,10 +281,10 @@ def cmd_converge(config: ExperimentConfig) -> AggregateReport:
     normalized distance ||H - H_gt|| / ||H_gt|| to the ground truth, and
     mean leading singular values of data, truth and the three methods."""
     if isinstance(config.sigma0, str):
-        # every trial's data has the shape of the first one's, so a P that
-        # does not fit fails here, before the trial pool starts
-        _gap_order(config.sigma0,
-                   signal_to_hankel(gen_cos_sum(np.random.default_rng(config.seed)))[1].shape)
+        # every trial's data has the shape of the first one's noise-free
+        # matrix, so a P that does not fit fails here, before the trial pool
+        _resolve_sigma0(signal_to_hankel(gen_cos_sum(np.random.default_rng(config.seed)))[0],
+                        config.sigma0)
     items = [
         (config.seed + t, config.iters, config.alpha, config.sigma0)
         for t in range(config.trials)
@@ -358,7 +357,7 @@ def _freqest_trial(args):
     rng = np.random.default_rng(trial_seed)
     noisy = add_noise(f, snr_to_sigma(f, snr_dbw), rng=rng)
     F, sub = signal_to_hankel(noisy)
-    obj = RankObjective(F, sigma0_heuristic(F, FREQEST_GAP_P))
+    obj = RankObjective(F, _resolve_sigma0(F, FREQEST_SIGMA0))
     cfg = SolverConfig(solvers.DA, max_iters=max_iters, primal_rows="none", sqrt_steps=True)
     res = solvers.run(obj, sub, cfg)
     frob_da = float(np.linalg.norm(res.X_star - F))
@@ -531,7 +530,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: floa
         "final_dual": float(res.trace.dual[-1]),
         "certified_gap": float(np.min(res.trace.primal_bound) - np.max(res.trace.dual)),
         "final_feas_residual": float(res.trace.feas_residual[-1]),
-        "rank_x_star": numerical_rank(res.X_star, rank_tol),
+        "rank_x_star": numerical_rank(np.linalg.svd(res.X_star, compute_uv=False), rank_tol),
         "full_svds": res.full_svds,
         "passes": res.passes,
     })

@@ -92,10 +92,9 @@ def f_alpha(x, sigma0: float, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def numerical_rank(a, rel_tol: float) -> int:
-    """Number of singular values above ``rel_tol * sigma_1`` (0 for the
-    zero matrix).  ``rel_tol`` must lie in (0, 1)."""
+def numerical_rank(s, rel_tol: float) -> int:
+    """Number of the non-increasing singular values ``s`` above
+    ``rel_tol * s[0]`` (0 for the zero matrix).  ``rel_tol`` must lie in (0, 1)."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    s = np.linalg.svd(a, compute_uv=False)
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -235,7 +235,7 @@ def run(objective, subspace, config: SolverConfig) -> SolverResult:
 
     ``objective`` must expose ``update(Lambda, alpha, warm, dlam) ->
     PrimalUpdate``, ``feasible_value``, under ``doubling`` ``primal_bound``,
-    for ``ada`` ``envelope_value`` and for ``mod_ada`` ``augmented_dual``
+    for ``ada`` ``envelope_value(x, svals)`` and for ``mod_ada`` ``augmented_dual``
     (see :class:`slra.envelope.RankObjective`); ``warm`` is the previous row's
     ``PrimalUpdate.warm`` (None at row 0), so warm starts never outlive
     the run, and ``dlam`` an upper bound on ||Lambda^k - Lambda^{k-1}||_F
@@ -288,7 +288,8 @@ def run(objective, subspace, config: SolverConfig) -> SolverResult:
             # augmented Lagrangian at the updated multiplier, so this is the
             # exact dual value there; row 0 has no such X^k and takes the
             # plain dual, a lower bound
-            dual = (objective.envelope_value(prev) + 0.5 * alpha * float(np.vdot(px, px).real)
+            dual = (objective.envelope_value(prev.x, prev.fs)
+                    + 0.5 * alpha * float(np.vdot(px, px).real)
                     + float(np.vdot(prev.x, lam).real))
         else:
             dual = upd.dual_da

@@ -29,7 +29,8 @@ def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
     """sigma0^2 * rank(X) + ||X - F||^2 of the ``RankObjective`` ``obj`` at
     numerical-rank tolerance ``rel_tol``."""
     x = check_shape(x, obj.shape)
-    return obj.sigma0**2 * numerical_rank(x, rel_tol) + frobenius_norm(x - obj.F) ** 2
+    rank = numerical_rank(np.linalg.svd(x, compute_uv=False), rel_tol)
+    return obj.sigma0**2 * rank + frobenius_norm(x - obj.F) ** 2
 
 
 def four_tones(n, seed):

@@ -298,18 +298,43 @@ def test_freqest_runs_the_given_levels_and_budget(tmp_path, monkeypatch):
 
 def test_freqest_parses_snr_levels():
     assert _parse_snr_levels("5, 20") == (5.0, 20.0)
+    assert _parse_snr_levels("6165,-6165") == (6165.0, -6165.0)
 
 
+def _no_freqest_trial(monkeypatch):
+    monkeypatch.setenv("SLRA_THREADS", "1")
+
+    def no_trial(args):
+        pytest.fail("a trial ran before the SNR levels were checked")
+
+    monkeypatch.setattr(harness, "_freqest_trial", no_trial)
+
+
+# 10^(|level|/20) overflows a double beyond 20 log10(max double) = 6165.09 dB
 @pytest.mark.parametrize("flags", [
     ["--snr-levels", ""], ["--snr-levels", "20,abc"], ["--snr-levels", "20,"],
-    ["--snr-levels", "nan"],
+    ["--snr-levels", "nan"], ["--snr-levels", "7000"], ["--snr-levels", "-7000"],
 ])
 def test_freqest_bad_snr_levels_is_usage_error(flags, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    _no_freqest_trial(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["--trials", "1", "freqest", *flags])
     assert exc.value.code == 2
     assert "slra: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", ["7000", "-7000"])
+def test_bad_snr_levels_from_a_config_file_is_usage_error_before_any_trial(level, tmp_path,
+                                                                          capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _no_freqest_trial(monkeypatch)
+    (tmp_path / "config.json").write_text(json.dumps({"snr-levels": level}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "config.json", "--trials", "1", "freqest"])
+    assert exc.value.code == 2
+    assert f"bad --snr-levels value {level!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -845,6 +870,29 @@ def test_a_dead_trial_worker_ends_the_run_with_one_error_line(tmp_path):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: a trial worker died")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sigma0", "1.5", "--iters", "10", "solve", "--input", "matrix.npy", "--stop-tol", "0"],
+    ["--trials", "1", "--iters", "10", "converge"],
+], ids=["solve", "converge"])
+def test_a_numerical_failure_exits_1_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SLRA_THREADS", "1")  # the converge trial runs in this process
+    update, calls = RankObjective.update, []
+
+    def fails_fourth(self, *args, **kw):
+        calls.append(None)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return update(self, *args, **kw)
+
+    monkeypatch.setattr(RankObjective, "update", fails_fourth)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: SVD failed at row 3: SVD did not converge"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_accepts_int_for_float_and_number_for_sigma0(tmp_path, monkeypatch):

@@ -156,7 +156,7 @@ def test_augmented_minimizer_beats_perturbations():
         lam = rng.standard_normal((5, 4)) * 0.3
         alpha = float(rng.uniform(0.05, 1.0))
         upd = obj.update(lam, alpha)
-        base = (obj.envelope_value(upd) + np.vdot(upd.x, lam).real
+        base = (obj.envelope_value(upd.x, upd.fs) + np.vdot(upd.x, lam).real
                 + 0.5 * alpha * upd.x_norm_sq)
         for _ in range(100):
             e = rng.standard_normal((5, 4))
@@ -185,7 +185,7 @@ def test_dual_value_ada_definition(diag_obj):
     lam = np.array([[0.1, 0.0], [0.2, -0.3]])
     alpha = 0.4
     upd = diag_obj.update(lam, alpha)
-    expected = (diag_obj.envelope_value(upd) + np.vdot(upd.x, lam).real
+    expected = (diag_obj.envelope_value(upd.x, upd.fs) + np.vdot(upd.x, lam).real
                 + 0.5 * alpha * upd.x_norm_sq)
     assert diag_obj.dual_value_ada(lam, alpha) == pytest.approx(expected)
 
@@ -202,8 +202,9 @@ def test_update_matches_standalone_ops(diag_obj):
     upd = diag_obj.update(lam, 0.0)
     u, s, vh = np.linalg.svd(diag_obj.F - lam / 2)
     assert_allclose(upd.x, (u * f_hard(s, diag_obj.sigma0)) @ vh, atol=1e-12)
-    assert upd.dual_da == pytest.approx(diag_obj.dual_value_da(lam))
-    assert diag_obj.envelope_value(upd) == pytest.approx(diag_obj.feasible_value(upd.x))
+    expected = np.sum(diag_obj.F**2) - np.sum(np.maximum(s**2 - diag_obj.sigma0**2, 0.0))
+    assert upd.dual_da == pytest.approx(expected)
+    assert diag_obj.envelope_value(upd.x, upd.fs) == pytest.approx(diag_obj.feasible_value(upd.x))
     assert upd.x_norm_sq == pytest.approx(np.linalg.norm(upd.x) ** 2)
 
 
@@ -215,7 +216,8 @@ def _assert_same_update(obj, fast, full):
     assert np.linalg.norm(fast.x - full.x) <= 1e-12 * np.linalg.norm(full.x)
     for field in ("dual_da", "x_norm_sq"):
         assert getattr(fast, field) == pytest.approx(getattr(full, field), rel=1e-12)
-    assert obj.envelope_value(fast) == pytest.approx(obj.envelope_value(full), rel=1e-12)
+    assert obj.envelope_value(fast.x, fast.fs) == pytest.approx(obj.envelope_value(full.x, full.fs),
+                                                             rel=1e-12)
     assert fast.degenerate == full.degenerate
 
 

@@ -67,6 +67,21 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.split() == ["[]"]
 
 
+def test_default_worker_count_follows_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("SLRA_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness._worker_count() == 1
+
+
+def test_default_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # where os has no sched_getaffinity, as on macOS and Windows
+    monkeypatch.delenv("SLRA_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert harness._worker_count() == 3
+
+
 def test_gap_setting_resolves_to_the_heuristic():
     F = np.random.default_rng(5).standard_normal((12, 10))
     assert harness._resolve_sigma0(F, "gap:4") == sigma0_heuristic(F, 4)

@@ -255,12 +255,14 @@ def test_envelope_is_priced_only_where_the_dual_reads_it(variant, alpha, calls, 
     priced = []
     envelope_value = RankObjective.envelope_value
 
-    def counted(self, upd):
-        priced.append(upd)
-        return envelope_value(self, upd)
+    def counted(self, x, svals):
+        priced.append(x)
+        return envelope_value(self, x, svals)
 
     monkeypatch.setattr(RankObjective, "envelope_value", counted)
-    res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=0.0))
+    # no primal rows, since feasible_value prices its point by envelope_value too
+    res = run(obj, sub, SolverConfig(variant, alpha, max_iters=30, stop_tol=0.0,
+                                     primal_rows="none"))
     assert len(res.trace) == 31
     assert len(priced) == calls
 
