@@ -182,8 +182,14 @@ class RankObjective:
             raise ValueError("F has non-finite entries")
         if not 0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
+        if self.sigma0 * self.sigma0 == math.inf:  # a float's ** raises OverflowError instead
+            raise ValueError(f"sigma0 must lie below sqrt(max double) ~ 1.34e154, beyond "
+                             f"which its square overflows, got {self.sigma0}")
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "_norm_sq", float(np.real(np.vdot(f, f))))
+        if not math.isfinite(self._norm_sq):
+            raise ValueError("the data's norm ||F|| must lie below sqrt(max double) ~ 1.34e154, "
+                             "beyond which ||F||^2 overflows")
 
     @property
     def shape(self):

@@ -34,7 +34,8 @@ def esprit_estimate(f, P: int, sub: HankelSubspace, delta: float,
     """Estimate P complex exponentials from a signal of length ``sub.length``.
 
     The signal subspace is spanned by the P leading left singular vectors
-    of the Hankel matrix of ``f`` on ``sub``, which checks the length; the
+    of the Hankel matrix of ``f`` on ``sub``, which checks the length.  It
+    needs the Hankel instance, whose rows are shifts of each other: their
     shift-invariance least-squares system yields the pole matrix whose
     eigenvalues are exp(zeta * delta).  Exponents take the principal
     logarithm (aliases of zeta by multiples of 2 pi i / delta are

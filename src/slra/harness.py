@@ -52,7 +52,8 @@ from .signals import (
 from .solvers import SolverConfig
 from .subspace import HankelSubspace
 
-METHODS = solvers.VARIANTS
+#: the studies' methods, spelled out: a new solver variant does not join ``converge``
+METHODS = (solvers.DA, solvers.ADA, solvers.MOD_ADA)
 
 #: SNR grid of the frequency-estimation study, in dBW, its iteration
 #: budget per trial, the order of its ESPRIT fit (one per tone), and its

@@ -11,7 +11,9 @@ with that reference path.  ``assert_primal_bound_holds`` checks the
 certified primal bounds of a ``doubling`` trace against the exact primal
 values of the same run under ``all``.
 ``primal_value`` prices the paper's non-convex objective, which no solver
-evaluates, and ``four_tones`` draws noisy four-tone test signals.  The
+evaluates, ``four_tones`` draws noisy four-tone test signals, and
+``toeplitz_labels`` and ``block_hankel_labels`` give the label maps of two
+structures besides Hankel, which the program does not build.  The
 module name does not match ``test_*.py``: the tests import it, pytest does
 not collect it.
 """
@@ -33,12 +35,28 @@ def primal_value(obj, x, rel_tol: float = 1e-9) -> float:
     return obj.sigma0**2 * rank + frobenius_norm(x - obj.F) ** 2
 
 
-def four_tones(n, seed):
-    """n samples of four damped complex tones plus complex noise."""
+def four_tones(n, seed, channels=None):
+    """n samples of four damped complex tones plus complex noise; with a
+    count of ``channels``, one row of n samples per channel, whose tones
+    share their poles but not their amplitudes or noise."""
     rng = np.random.default_rng(seed)
+    each = () if channels is None else (channels,)
     zetas = -rng.uniform(0.0, 0.01, 4) + 1j * rng.uniform(0.1, 3.0, 4)
-    f = np.exp(np.multiply.outer(np.arange(n), zetas)) @ np.exp(2j * np.pi * rng.uniform(size=4))
-    return f + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    amps = np.exp(2j * np.pi * rng.uniform(size=each + (4,)))
+    f = (np.exp(np.multiply.outer(np.arange(n), zetas)) @ amps.T).T
+    return f + 0.1 * (rng.standard_normal(each + (n,)) + 1j * rng.standard_normal(each + (n,)))
+
+
+def toeplitz_labels(rows, cols):
+    """Label map of the Toeplitz matrices, T[i, j] = v[i - j + cols - 1]."""
+    return np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
+
+
+def block_hankel_labels(rows, cols, channels):
+    """Label map of the block Hankel matrices [H_1 ... H_C], one rows x cols
+    Hankel block per channel: c (rows + cols - 1) + i + j on block c."""
+    hankel = np.add.outer(np.arange(rows), np.arange(cols))
+    return np.hstack([c * (rows + cols - 1) + hankel for c in range(channels)])
 
 
 def toy_conjugate(lam: float) -> float:

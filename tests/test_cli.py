@@ -730,6 +730,28 @@ def test_model_json_whose_samples_overflow_is_usage_error_naming_the_file(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+_SIGMA0_TOO_LARGE = ("error: sigma0 must lie below sqrt(max double) ~ 1.34e154, beyond which "
+                     "its square overflows, got {}")
+_DATA_TOO_LARGE = ("error: the data's norm ||F|| must lie below sqrt(max double) ~ 1.34e154, "
+                   "beyond which ||F||^2 overflows")
+
+
+@pytest.mark.parametrize("sigma0, scale, message", [
+    ("1e200", 1.0, _SIGMA0_TOO_LARGE.format("1e+200")),
+    ("gap:2", 1e160, _SIGMA0_TOO_LARGE.format("3.793222348280283e+160")),
+    ("1", 1e160, _DATA_TOO_LARGE),
+], ids=["sigma0", "gap", "data"])
+def test_sigma0_or_data_whose_square_overflows_is_usage_error(sigma0, scale, message, tmp_path,
+                                                               capsys, monkeypatch):
+    # the README's 16x15 Hankel matrix of rank 2, scaled
+    n = np.arange(16)
+    np.save(tmp_path / "m.npy", scale * np.cos(0.4 * np.add.outer(n, n[:15])))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--sigma0", sigma0, "solve", "--input", "m.npy"]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_numeric_matrix_input_is_usage_error(tmp_path, capsys, monkeypatch):
     np.save(tmp_path / "text.npy", np.array([["a", "b"], ["c", "d"]]))
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -523,6 +525,17 @@ def test_rank_objective_validation():
         RankObjective(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
         primal_value(RankObjective(np.ones((2, 2)), 1.0), np.ones((3, 3)))
+
+
+def test_rank_objective_rejects_what_would_overflow_its_squares():
+    # both squares stay finite up to sqrt(max double) ~ 1.34e154
+    bound = math.sqrt(sys.float_info.max)
+    RankObjective(np.ones((2, 2)), bound)
+    RankObjective(np.full((2, 2), 0.5 * bound), 1.0)
+    with pytest.raises(ValueError, match=r"sigma0 must lie below sqrt\(max double\) ~ 1\.34e154"):
+        RankObjective(np.ones((2, 2)), math.nextafter(bound, math.inf))
+    with pytest.raises(ValueError, match=r"\|\|F\|\|\^2 overflows"):
+        RankObjective(np.full((2, 2), 0.51 * bound), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from doubles import (
     ZeroSubspace,
     assert_primal_bound_holds,
     assert_same_run,
+    block_hankel_labels,
     four_tones,
     never_truncate,
     toy_conjugate,
@@ -31,7 +32,7 @@ from slra.solvers import (
     SolverTrace,
     run,
 )
-from slra.subspace import HankelSubspace
+from slra.subspace import HankelSubspace, LabelSubspace
 
 TOY_LAMBDAS = (1.0, 1.0 / 2.0, 1.0 / 6.0, -1.0 / 12.0, 7.0 / 60.0)
 
@@ -482,16 +483,27 @@ def test_freqest_trial_matches_full_svd_path(monkeypatch, snr_dbw):
                     rtol=0, atol=1e-9 * np.linalg.norm(obj.F))
 
 
-@pytest.mark.parametrize("variant", solvers.VARIANTS)
-def test_solve_sized_run_matches_full_svd_path(monkeypatch, variant):
-    # a noisy four-tone signal as ``slra solve`` builds it: 64x63 Hankel,
-    # sigma0 from the gap at 4, so a budget of 6.3 passes per row
+def _solve_sized_problem(channels):
+    """(F, sub): a noisy four-tone signal as ``slra solve`` builds it,
+    64x63 Hankel, or with 3 channels of ``four_tones``, 33x96 block Hankel."""
+    if channels:
+        sub = LabelSubspace(block_hankel_labels(33, 32, channels))
+        return sub.from_vector(four_tones(64, 1, channels).ravel()), sub
     rng = np.random.default_rng(11)
     tones = -rng.uniform(0.0, 0.005, 4) + 1j * (0.3 + 0.7 * np.arange(4))
     amps = np.exp(2j * np.pi * rng.uniform(size=4))
     f = np.exp(np.multiply.outer(np.arange(126), tones)) @ amps
-    F, sub = signal_to_hankel(add_noise(f, snr_to_sigma(f, 15.0), rng=rng))
-    assert F.shape == (64, 63)
+    return signal_to_hankel(add_noise(f, snr_to_sigma(f, 15.0), rng=rng))
+
+
+@pytest.mark.parametrize("channels, variant",
+                         [(channels, v) for channels in (None, 3) for v in solvers.VARIANTS],
+                         ids=[*solvers.VARIANTS, *(f"block-{v}" for v in solvers.VARIANTS)])
+def test_solve_sized_run_matches_full_svd_path(monkeypatch, channels, variant):
+    # sigma0 from the gap at 4, so a budget of 6.3 passes per row at 64x63
+    # and 5.5 at 33x96, where da, ada and mod_ada take 7, 15 and 3 full SVDs
+    F, sub = _solve_sized_problem(channels)
+    assert F.shape == ((33, 96) if channels else (64, 63))
     obj = RankObjective(F, sigma0_heuristic(F, 4))
     cfg = SolverConfig(variant, 0.0 if variant == solvers.DA else 0.1, max_iters=100)
     fast = run(obj, sub, cfg)

@@ -4,19 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from slra.subspace import HankelSubspace
+from doubles import block_hankel_labels, toeplitz_labels
+from slra.subspace import HankelSubspace, LabelSubspace
+
+#: rows x cols structure -> its subspace: Hankel, Toeplitz, and block
+#: Hankel of three rows x cols blocks
+STRUCTURES = {
+    "hankel": HankelSubspace,
+    "toeplitz": lambda m, n: LabelSubspace(toeplitz_labels(m, n)),
+    "block_hankel": lambda m, n: LabelSubspace(block_hankel_labels(m, n, 3)),
+}
 
 
-def nearest_hankel_lstsq(x):
+def nearest_member_lstsq(x, labels):
     """Independent oracle: solve the least-squares problem over the
-    generating coordinates explicitly."""
-    m, n = x.shape
-    length = m + n - 1
-    idx = np.add.outer(np.arange(m), np.arange(n)).ravel()
-    basis = np.zeros((m * n, length))
-    basis[np.arange(m * n), idx] = 1.0
+    generating coordinates of the label map explicitly."""
+    idx = labels.ravel()
+    basis = np.zeros((idx.size, idx.max() + 1))
+    basis[np.arange(idx.size), idx] = 1.0
     v, *_ = np.linalg.lstsq(basis, x.ravel(), rcond=None)
-    return v[idx].reshape(m, n)
+    return v[idx].reshape(x.shape)
 
 
 def test_project_fixed_point_on_hankel():
@@ -32,11 +39,12 @@ def test_project_hand_example():
 
 def test_project_matches_lstsq_oracle():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        ours = HankelSubspace(4, 3).project(x)
-        oracle = nearest_hankel_lstsq(x)
-        assert np.linalg.norm(ours - oracle) <= 1e-10 * (1 + np.linalg.norm(x))
+    for make in STRUCTURES.values():
+        sub = make(4, 3)
+        for _ in range(10):
+            x = rng.standard_normal(sub.shape) + 1j * rng.standard_normal(sub.shape)
+            oracle = nearest_member_lstsq(x, sub._idx)
+            assert np.linalg.norm(sub.project(x) - oracle) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
 def test_from_vector_hand_example():
@@ -106,17 +114,26 @@ def test_complement_fixed_on_orthogonal_part():
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 12),
-       st.booleans())
-def test_projector_axioms(seed, m, n, cplx):
+       st.booleans(), st.sampled_from(sorted(STRUCTURES)))
+def test_projector_axioms(seed, m, n, cplx, structure):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((m, n))
-    y = rng.standard_normal((m, n))
+    sub = STRUCTURES[structure](m, n)
+    x = rng.standard_normal(sub.shape)
+    y = rng.standard_normal(sub.shape)
+    v = rng.standard_normal(sub.length)
     if cplx:
-        x = x + 1j * rng.standard_normal((m, n))
-        y = y + 1j * rng.standard_normal((m, n))
-    sub = HankelSubspace(m, n)
+        x = x + 1j * rng.standard_normal(sub.shape)
+        y = y + 1j * rng.standard_normal(sub.shape)
+        v = v + 1j * rng.standard_normal(sub.length)
     px, py = sub.project(x), sub.project(y)
     scale = 1 + np.linalg.norm(x) + np.linalg.norm(y)
+    # linear
+    a = rng.standard_normal() + (1j * rng.standard_normal() if cplx else 0.0)
+    assert np.linalg.norm(sub.project(a * x + y) - (a * px + py)) <= 1e-12 * (1 + abs(a)) * scale
+    # to_vector inverts from_vector, and from_vector's matrices are fixed
+    h = sub.from_vector(v)
+    assert np.linalg.norm(sub.to_vector(h) - v) <= 1e-12 * (1 + np.linalg.norm(v))
+    assert np.linalg.norm(sub.project(h) - h) <= 1e-12 * (1 + np.linalg.norm(h))
     # idempotent
     assert np.linalg.norm(sub.project(px) - px) <= 1e-12 * scale
     # self-adjoint
@@ -180,6 +197,15 @@ def test_vector_round_trip_on_every_shape(shape, cplx):
     # a one-row or one-column matrix holds each entry once: no rounding
     if min(shape) == 1:
         assert_array_equal(sub.to_vector(sub.from_vector(v)), v)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_hankel_subspace_is_the_label_subspace_of_i_plus_j(shape):
+    hankel = HankelSubspace(*shape)
+    generic = LabelSubspace(np.add.outer(np.arange(shape[0]), np.arange(shape[1])))
+    assert (hankel.shape, hankel.length) == (generic.shape, generic.length)
+    for name in ("_idx", "_order", "_counts", "_starts"):
+        assert_array_equal(getattr(hankel, name), getattr(generic, name))
 
 
 def test_antidiagonal_counts():

@@ -1,4 +1,5 @@
-"""The exact symmetries of the rank-penalized Hankel problem.
+"""The exact symmetries of the rank-penalized Hankel and block Hankel
+problems.
 
 Each transformation below maps the data F (and, for a scaling, the
 penalty level sigma0) to a problem whose solution is the same
@@ -7,9 +8,9 @@ transformation of the original one's X_star:
 * conjugating F, and scaling F and sigma0 by a power of two, commute with
   every rounding, so X_star, Lambda_star and the counts of the run come
   out bit for bit (the duals scale by the square of the factor);
-* reversing the signal (J F J, the same shape), a phase rotation e^{i theta}
-  F and, for a non-square Hankel matrix, the transposed shape of the same
-  vector agree up to rounding.
+* reversing the signal (J F J, the same shape; for block Hankel data it
+  reverses the order of the channels too), a phase rotation e^{i theta} F
+  and the transposed label map on the same vector agree up to rounding.
 
 The passes of the truncated SVD follow rounding, so those three keep
 X_star and the iteration count but not always ``full_svds`` and
@@ -28,20 +29,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from doubles import four_tones
+from doubles import block_hankel_labels, four_tones
 from slra import solvers
 from slra.cli import main
 from slra.envelope import RankObjective
 from slra.signals import load_signal_csv, save_signal_csv, sigma0_heuristic, signal_to_hankel
 from slra.solvers import SolverConfig, run
-from slra.subspace import HankelSubspace
+from slra.subspace import LabelSubspace
 
-#: (samples, seed) of the examples: four damped tones plus noise, on
-#: 49x48, 101x100 and 49x48 complex Hankel matrices; in the last one the
-#: smallest kept singular value sits near the cutoff, so truncated
-#: attempts fall back to the full SVD
-FALLBACK_EXAMPLE = (96, 5)
-EXAMPLES = ((96, 1), (200, 5), FALLBACK_EXAMPLE)
+#: (samples, seed, channels) of the examples: four damped tones plus
+#: noise, on 49x48, 101x100 and 49x48 complex Hankel matrices, and with
+#: channels that share the tones' poles, on 33x96 and 49x96 block Hankel
+#: matrices [H_1 ... H_C]; in the fallback examples the smallest kept
+#: singular value sits near the cutoff, so truncated attempts fall back to
+#: the full SVD
+FALLBACK_EXAMPLES = ((96, 5, None), (64, 5, 3))
+EXAMPLES = ((96, 1, None), (200, 5, None), *FALLBACK_EXAMPLES, (96, 1, 2))
 
 #: rows of each run, with the residual stop off
 ROWS = 60
@@ -58,17 +61,22 @@ def _solve(F, sub, sigma0, variant, stop_tol=NO_STOP, rows=ROWS):
 
 
 @functools.cache
-def _example(n, seed):
-    """(f, F, sub, sigma0): the signal, its Hankel matrix and subspace,
-    and the penalty level from the spectral gap at 4."""
-    f = four_tones(n, seed)
-    F, sub = signal_to_hankel(f)
-    return f, F, sub, sigma0_heuristic(F, 4)
+def _example(n, seed, channels):
+    """(v, F, sub, sigma0): the generating vector, its Hankel or block
+    Hankel matrix and subspace, and the penalty level from the spectral
+    gap at 4."""
+    v = four_tones(n, seed, channels).ravel()
+    if channels is None:
+        F, sub = signal_to_hankel(v)
+    else:
+        sub = LabelSubspace(block_hankel_labels(n // 2 + 1, (n + 1) // 2, channels))
+        F = sub.from_vector(v)
+    return v, F, sub, sigma0_heuristic(F, 4)
 
 
 @functools.cache
-def _base(n, seed, variant):
-    _, F, sub, sigma0 = _example(n, seed)
+def _base(n, seed, channels, variant):
+    _, F, sub, sigma0 = _example(n, seed, channels)
     return _solve(F, sub, sigma0, variant)
 
 
@@ -123,10 +131,10 @@ def test_reversal_and_phase_agree_up_to_rounding(example, variant):
 
 @CASES
 def test_transposed_shape_agrees_up_to_rounding(example, variant):
-    f, F, sub, sigma0 = _example(*example)
+    v, _, sub, sigma0 = _example(*example)
     base = _base(*example, variant)
-    transposed = HankelSubspace(*F.shape[::-1])
-    res = _solve(transposed.from_vector(f), transposed, sigma0, variant)
+    transposed = LabelSubspace(sub._idx.T)
+    res = _solve(transposed.from_vector(v), transposed, sigma0, variant)
     assert _close(res.X_star.T, base.X_star)
     assert res.n_iters == base.n_iters
 
@@ -134,7 +142,8 @@ def test_transposed_shape_agrees_up_to_rounding(example, variant):
 @pytest.mark.parametrize("variant", solvers.VARIANTS)
 def test_the_fallback_example_takes_full_svds_after_row_0(variant):
     # else the symmetries above would no longer cover rows that fall back
-    assert _base(*FALLBACK_EXAMPLE, variant).full_svds > 1
+    for example in FALLBACK_EXAMPLES:
+        assert _base(*example, variant).full_svds > 1
 
 
 def test_the_residual_stop_is_absolute():
