@@ -507,7 +507,7 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: floa
     The trace prices the exact primal value on rows 0, 2^j and the last
     row only (``primal_rows`` ``doubling``), so ``final_primal`` is exact,
     and bounds it on every row; ``certified_gap`` is the least of those
-    bounds minus the greatest dual value."""
+    values and bounds minus the greatest dual value."""
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     cfg = _method_config(variant, config.alpha, config.iters, stop_tol=stop_tol,
@@ -529,7 +529,8 @@ def cmd_solve(input_path, config: ExperimentConfig, variant: str, stop_tol: floa
         "sigma0": s0,
         "final_primal": float(res.trace.primal[-1]),
         "final_dual": float(res.trace.dual[-1]),
-        "certified_gap": float(np.min(res.trace.primal_bound) - np.max(res.trace.dual)),
+        "certified_gap": float(np.min(np.fmin(res.trace.primal, res.trace.primal_bound))
+                               - np.max(res.trace.dual)),
         "final_feas_residual": float(res.trace.feas_residual[-1]),
         "rank_x_star": numerical_rank(np.linalg.svd(res.X_star, compute_uv=False), rank_tol),
         "full_svds": res.full_svds,

@@ -74,16 +74,14 @@ def f_alpha(x, sigma0: float, alpha: float):
 
     Returns 0 for ``x < sigma0``, the ramp ``(2/alpha) * (x - sigma0)`` on
     ``[sigma0, (1 + alpha/2) * sigma0)`` and ``x / (1 + alpha/2)`` above.
-    Continuous and monotone for ``alpha > 0``; ``alpha == 0`` delegates to
-    the hard threshold ``f_hard``. Satisfies ``0 <= f_alpha(x) <= x``.
+    Continuous and monotone; ``alpha`` must be positive. Satisfies
+    ``0 <= f_alpha(x) <= x``.
 
     Each branch is evaluated on its own entries only: over all of them
     the ramp overflows for a tiny ``alpha``.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if alpha == 0:
-        return f_hard(x, sigma0)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     x = _threshold_input(x, sigma0)
     divisor = 1.0 + alpha / 2.0
     top = x >= divisor * sigma0

@@ -20,8 +20,9 @@ from slra.subspace import HankelSubspace
 
 
 def update_at_zero(a, sigma0, alpha=0.0):
-    """The singular value functional calculus of f_alpha(., sigma0, alpha)
-    applied to ``a``, as the primal update at Lambda = 0 computes it."""
+    """The singular value functional calculus of the primal step's map,
+    f_hard at alpha = 0 and f_alpha(., sigma0, alpha) above, applied to
+    ``a``, as the primal update at Lambda = 0 computes it."""
     return RankObjective(a, sigma0).update(np.zeros(np.shape(a)), alpha).x
 
 
@@ -111,11 +112,6 @@ def test_f_alpha_knee_continuity():
     assert f_alpha(knee - 1e-12, sigma0, alpha) == pytest.approx(sigma0, abs=1e-10)
 
 
-def test_f_alpha_zero_delegates_to_hard():
-    for x in (0.3, 1.0, 2.5):
-        assert f_alpha(x, 1.0, 0.0) == f_hard(x, 1.0)
-
-
 def test_f_alpha_shape_over_grid():
     # zero below sigma0, ramp, then slope 1/(1 + alpha/2)
     for alpha in (0.2, 0.4, 0.6, 0.8, 1.0):
@@ -170,35 +166,41 @@ def test_threshold_maps_equal_the_masked_formulas_bit_for_bit(sigma0, alpha):
     with np.errstate(all="raise"):
         for x in _threshold_inputs(sigma0, alpha):
             got_hard = f_hard(x, sigma0)
-            got = f_alpha(x, sigma0, alpha)
-            want = (_masked_f_alpha(x, sigma0, alpha) if alpha > 0
-                    else _masked_f_hard(x, sigma0))
             if np.ndim(x) == 0:
-                assert type(got) is float and type(got_hard) is float
+                assert type(got_hard) is float
             assert np.array_equal(got_hard, _masked_f_hard(x, sigma0))
-            assert np.array_equal(got, want)
+            if alpha == 0:  # the augmented map only: plain dual ascent takes f_hard
+                with pytest.raises(ValueError, match="alpha must be positive"):
+                    f_alpha(x, sigma0, alpha)
+                continue
+            got = f_alpha(x, sigma0, alpha)
+            if np.ndim(x) == 0:
+                assert type(got) is float
+            assert np.array_equal(got, _masked_f_alpha(x, sigma0, alpha))
 
 
 def test_f_alpha_rejects_negative():
     with pytest.raises(ValueError):
         f_alpha(-0.1, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        f_alpha(0.1, 1.0, -0.2)
+    for alpha in (-0.2, 0.0):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            f_alpha(0.1, 1.0, alpha)
 
 
 @given(
     x=st.floats(0.0, 50.0),
     sigma0=st.floats(0.01, 10.0),
-    alpha=st.floats(0.0, 2.0),
+    alpha=st.floats(0.0, 2.0, exclude_min=True),
 )
 def test_f_alpha_bounded_by_identity(x, sigma0, alpha):
-    y = f_alpha(x, sigma0, alpha)
-    assert 0.0 <= y <= x + 1e-12
+    # f_hard is the primal step at alpha = 0
+    for y in (f_alpha(x, sigma0, alpha), f_hard(x, sigma0)):
+        assert 0.0 <= y <= x + 1e-12
 
 
 @given(
     sigma0=st.floats(0.1, 5.0),
-    alpha=st.floats(0.0, 2.0),
+    alpha=st.floats(0.0, 2.0, exclude_min=True),
     data=st.data(),
 )
 def test_f_alpha_monotone(sigma0, alpha, data):
@@ -206,6 +208,7 @@ def test_f_alpha_monotone(sigma0, alpha, data):
     x2 = data.draw(st.floats(0.0, 20.0))
     lo, hi = sorted((x1, x2))
     assert f_alpha(lo, sigma0, alpha) <= f_alpha(hi, sigma0, alpha) + 1e-12
+    assert f_hard(lo, sigma0) <= f_hard(hi, sigma0)  # the primal step at alpha = 0
 
 
 def test_f_alpha_converges_to_hard_threshold():
@@ -219,13 +222,14 @@ def test_f_alpha_converges_to_hard_threshold():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 1.0])
 def test_f_alpha_minimizes_scalar_objective(alpha):
-    # oracle: dense grid search of the per-singular-value objective
+    # oracle: dense grid search of the per-singular-value objective; at
+    # alpha = 0 the primal step is f_hard
     sigma0 = 1.0
     grid = np.linspace(0.0, 4.0, 8001)
     for phi in np.linspace(0.0, 3.0, 13):
         vals = [scalar_threshold_objective(s, phi, sigma0, alpha) for s in grid]
         best = grid[int(np.argmin(vals))]
-        ours = f_alpha(phi, sigma0, alpha)
+        ours = f_alpha(phi, sigma0, alpha) if alpha > 0 else f_hard(phi, sigma0)
         v_best = scalar_threshold_objective(best, phi, sigma0, alpha)
         v_ours = scalar_threshold_objective(ours, phi, sigma0, alpha)
         assert v_ours <= v_best + 1e-6

@@ -1,4 +1,5 @@
-"""The shell examples of ``README.md`` run as written, and the CI workflow
+"""The shell examples of ``README.md`` run as written, its list of
+``summary.json`` keys is the one ``solve`` writes, and the CI workflow
 runs the README's tier-1 command on the floor that ``pyproject.toml``
 declares.
 
@@ -14,6 +15,7 @@ CI installs no YAML parser, and Python 3.10 has no ``tomllib``, so the
 workflow and ``pyproject.toml`` are read as text.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -43,6 +45,14 @@ def test_readme_shell_examples_run(tmp_path):
         proc = subprocess.run(["bash", "-e", "-c", block], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, f"{block}\n{proc.stderr}"
+
+
+def test_readme_names_every_summary_key():
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"`summary\.json` holds\s+these keys:\n\n((?:[- ] .*\n)+)", text)[1]
+    keys = re.findall(r"^- `(\w+)`:", listed, re.M)
+    golden = json.loads((ROOT / "tests" / "golden" / "solve_csv_da" / "summary.json").read_text())
+    assert sorted(keys) == sorted(golden)
 
 
 def test_ci_workflow_tracks_pyproject_and_the_readme():
